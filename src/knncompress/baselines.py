@@ -75,9 +75,7 @@ def _is_consistent(dist: _DistCache, labels: np.ndarray,
 
 
 def _snapshot(snapshots: dict, ratios, size: int, n: int, indices) -> None:
-    if not ratios:
-        return
-    for r in ratios:
+    for r in ratios or ():
         if r not in snapshots and size >= max(1, round(r * n)):
             snapshots[r] = np.sort(np.asarray(indices, dtype=int)).copy()
 
@@ -120,13 +118,10 @@ def cnn_reduce(train: LabeledDataset, metric, seed: int,
                 _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
 
     idx = np.sort(np.array(selected))
-    rs = ReducedSet(indices=idx, labels=labels[idx], method="cnn",
-                    consistent=_is_consistent(dist, labels, idx),
-                    snapshots=snapshots)
-    if snapshot_ratios:
-        for r in snapshot_ratios:
-            rs.snapshots.setdefault(r, idx.copy())
-    return rs
+    _snapshot(snapshots, snapshot_ratios, n, n, idx)  # ratios not reached
+    return ReducedSet(indices=idx, labels=labels[idx], method="cnn",
+                      consistent=_is_consistent(dist, labels, idx),
+                      snapshots=snapshots)
 
 
 def rnn_reduce(cnn_result: ReducedSet, train: LabeledDataset, metric,
@@ -197,13 +192,10 @@ def fcnn_reduce(train: LabeledDataset, metric, centroid,
         _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
 
     idx = np.array(sorted(selected))
-    rs = ReducedSet(indices=idx, labels=labels[idx], method="fcnn",
-                    consistent=_is_consistent(dist, labels, idx),
-                    snapshots=snapshots)
-    if snapshot_ratios:
-        for r in snapshot_ratios:
-            rs.snapshots.setdefault(r, idx.copy())
-    return rs
+    _snapshot(snapshots, snapshot_ratios, n, n, idx)  # ratios not reached
+    return ReducedSet(indices=idx, labels=labels[idx], method="fcnn",
+                      consistent=_is_consistent(dist, labels, idx),
+                      snapshots=snapshots)
 
 
 def _one_nn_error(dist: _DistCache, labels: np.ndarray,

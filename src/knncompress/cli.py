@@ -12,7 +12,9 @@ import sys
 import numpy as np
 
 from . import __version__, ot, spd
-from .baselines import cnn_reduce, fcnn_reduce, rmhc_reduce, rnn_reduce, subsample
+# unused here, but profilers (perfbench/tracer.py) wrap these names on cli
+from .baselines import (  # noqa: F401
+    cnn_reduce, fcnn_reduce, rmhc_reduce, rnn_reduce, subsample)
 from .datasets import (
     gen_covariance_dataset,
     gen_histogram_dataset,
@@ -21,15 +23,14 @@ from .datasets import (
 )
 from .errors import NumericalError, ValidationError
 from .harness import (
+    COMPRESSORS,
     ExperimentPlan,
+    compress,
     make_metric,
     run_experiment,
     summary_table,
-    _centroid_fn,
 )
 from .knn import evaluate
-from .scc import SccConfig, scc_compress
-from .shc import ShcConfig, shc_compress
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -61,10 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
 
     g = sub.add_parser("compress", help="compress a dataset to m prototypes")
-    g.add_argument("--method", required=True,
-                   choices=["scc", "shc", "subsample", "cnn", "rnn", "fcnn",
-                            "rmhc"])
-    g.add_argument("--ratio", type=float, default=0.08)
+    g.add_argument("--method", required=True, choices=list(COMPRESSORS))
+    g.add_argument("--ratio", type=float, default=0.08,
+                   help="m = round(ratio * n); cnn, fcnn: snapshot at m")
     g.add_argument("--gamma-sq", type=float, default=None)
     g.add_argument("--lambda", dest="lam", type=float, default=None)
     g.add_argument("--seed", type=int, default=0)
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--data", required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--deterministic", action="store_true",
-                   help="force sequential execution for bit-exact logs")
+                   help="no-op: runs are always sequential and bit-exact")
 
     sub.add_parser("selfcheck", help="run the built-in oracle suite")
     return p
@@ -109,29 +109,11 @@ def _cmd_gen_hist(args) -> int:
 
 def _cmd_compress(args) -> int:
     train = load_dataset(args.inp)
-    m = max(1, round(args.ratio * len(train)))
-    metric, lam = make_metric(train, args.lam)
-    if args.method == "scc":
-        cfg = SccConfig(max_iter=args.max_iter, gamma_sq=args.gamma_sq,
-                        seed=args.seed)
-        out = scc_compress(train, m, cfg).to_dataset(train)
-    elif args.method == "shc":
-        cfg = ShcConfig(max_iter=args.max_iter, gamma_sq=args.gamma_sq,
-                        lam=lam, rmhc_steps=args.rmhc_steps, seed=args.seed)
-        out = shc_compress(train, m, config=cfg).to_dataset(train)
-    elif args.method == "subsample":
-        out = train.subset(subsample(train, m, args.seed).indices)
-    elif args.method == "rmhc":
-        rs = rmhc_reduce(train, m, metric, args.rmhc_steps, args.seed)
-        out = train.subset(rs.indices)
-    elif args.method == "cnn":
-        out = train.subset(cnn_reduce(train, metric, args.seed).indices)
-    elif args.method == "rnn":
-        cnn = cnn_reduce(train, metric, args.seed)
-        out = train.subset(rnn_reduce(cnn, train, metric, seed=args.seed).indices)
-    else:  # fcnn
-        rs = fcnn_reduce(train, metric, _centroid_fn(train, lam))
-        out = train.subset(rs.indices)
+    plan = ExperimentPlan(
+        ratios=(args.ratio,), methods=(args.method,), seeds=(args.seed,),
+        gamma_sq=args.gamma_sq, lam=args.lam, scc_max_iter=args.max_iter,
+        shc_max_iter=args.max_iter, rmhc_steps=args.rmhc_steps)
+    out = compress(args.method, train, args.ratio, args.seed, plan)
     save_dataset(out, args.out)
     print(f"{args.method}: {len(train)} -> {len(out)} members, wrote {args.out}")
     return 0
@@ -158,8 +140,6 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.plan) as f:
         plan = ExperimentPlan.from_dict(json.load(f))
-    if args.deterministic:
-        plan.deterministic = True
     dataset = load_dataset(args.data)
     records = run_experiment(plan, dataset, out_path=args.out, progress=True)
     print(summary_table(records))

@@ -261,6 +261,12 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
 def load_dataset(path: str) -> LabeledDataset:
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: a dataset must be a JSON object")
+    missing = [k for k in ("family", "dim", "members", "labels")
+               if k not in doc]
+    if missing:
+        raise ValidationError(f"{path}: missing key(s) {', '.join(missing)}")
     family = doc["family"]
     d = int(doc["dim"])
     if family == "covariance":

@@ -9,21 +9,19 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, ot, shc, spd
 from .datasets import LabeledDataset, stratified_indices
 from .errors import BadParameters
-from .knn import evaluate
-from .scc import SccConfig, scc_compress
+from .knn import evaluate, pairwise_distances
+from .neighborhood import gamma_sq_grid
+from .scc import SccConfig, jbld_distance_matrix, scc_compress, scc_init
 from .shc import ShcConfig, default_lambda, shc_compress
 
-METHODS = ("scc", "shc", "subsample", "cnn", "rnn", "fcnn", "rmhc")
-
 FEW_CLASS_RATIOS = (0.02, 0.04, 0.08, 0.16)
-MANY_CLASS_RATIOS = (0.10, 0.20, 0.30, 0.40)
 
 
 @dataclass
@@ -38,14 +36,13 @@ class ExperimentPlan:
     shc_max_iter: int = 60
     rmhc_steps: int = 100
     tune: bool = False
-    deterministic: bool = True
 
     def __post_init__(self):
         for r in self.ratios:
             if not 0 < r <= 1:
                 raise BadParameters(f"ratio {r} outside (0, 1]")
         for m in self.methods:
-            if m not in METHODS:
+            if m not in COMPRESSORS:
                 raise BadParameters(f"unknown method {m!r}")
 
     @classmethod
@@ -76,12 +73,7 @@ def _pairwise_matrix(ds: LabeledDataset, metric, lam: float | None):
     if ds.family == "histogram":
         return ot.sinkhorn_pairwise(np.stack(ds.members), ds.ground_metric,
                                     lam, tol=1e-6, max_iter=2000)
-    n = len(ds)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = metric(ds.members[i], ds.members[j])
-    return D
+    return pairwise_distances(ds.members, metric)
 
 
 def split_dataset(dataset: LabeledDataset, seed: int, test_frac: float = 0.3):
@@ -102,95 +94,131 @@ def _centroid_fn(train: LabeledDataset, lam: float | None):
                                                   tol=1e-8, max_iter=500)
 
 
-def _grid_gamma(D0, proto_labels, train_labels):
-    med = float(np.median(D0))
-    return [2.0 ** k / max(med, 1e-12) for k in range(-4, 5)]
+class _Cell:
+    """One (method, ratio, seed) cell.  Its cache, shared by the cells of
+    one train set and plan, builds the train-by-train matrix and the CNN,
+    RNN and FCNN runs once, on first use."""
+
+    def __init__(self, train, ratio, seed, plan, cache):
+        self.train, self.ratio, self.seed, self.plan = train, ratio, seed, plan
+        self.cache = cache
+        self.m = max(1, round(ratio * len(train)))
+        self.metric, self.lam = make_metric(train, plan.lam)
+
+    def cached(self, key, build):
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
+
+    def dist(self) -> np.ndarray:
+        return self.cached("dist", lambda: _pairwise_matrix(
+            self.train, self.metric, self.lam))
+
+    def select(self, rs: baselines.ReducedSet) -> LabeledDataset:
+        """The members rs picked, or its snapshot at the cell's ratio."""
+        return self.train.subset(rs.snapshots.get(self.ratio, rs.indices))
 
 
-def _compress(method: str, train: LabeledDataset, m: int, ratio: float,
-              seed: int, plan: ExperimentPlan, metric, lam,
-              caches: dict) -> LabeledDataset:
-    """Build the reference set for one cell; caches hold per-seed artifacts."""
-    if method == "subsample":
-        rs = baselines.subsample(train, m, seed)
-        return train.subset(rs.indices)
-    if method in ("cnn", "rnn", "fcnn"):
-        key = (method, seed)
-        if key not in caches:
-            dm = caches.setdefault(("dist", seed),
-                                   _pairwise_matrix(train, metric, lam))
-            if method == "fcnn":
-                caches[key] = baselines.fcnn_reduce(
-                    train, metric, _centroid_fn(train, lam),
-                    dist_matrix=dm, snapshot_ratios=plan.ratios)
-            else:
-                cnn_key = ("cnn", seed)
-                if cnn_key not in caches:
-                    caches[cnn_key] = baselines.cnn_reduce(
-                        train, metric, seed, dist_matrix=dm,
-                        snapshot_ratios=plan.ratios)
-                if method == "rnn":
-                    caches[key] = baselines.rnn_reduce(
-                        caches[cnn_key], train, metric, seed=seed,
-                        dist_matrix=dm)
-        rs = caches[key]
-        idx = rs.snapshots.get(ratio, rs.indices)
-        return train.subset(idx)
-    if method == "rmhc":
-        dm = caches.setdefault(("dist", seed),
-                               _pairwise_matrix(train, metric, lam))
-        rs = baselines.rmhc_reduce(train, m, metric, plan.rmhc_steps, seed,
-                                   dist_matrix=dm)
-        return train.subset(rs.indices)
-    if method == "scc":
-        cfg = SccConfig(max_iter=plan.scc_max_iter, gamma_sq=plan.gamma_sq,
-                        seed=seed)
-        if plan.tune:
-            cfg.gamma_sq = _tune_scc(train, m, cfg, plan, seed)
-        return scc_compress(train, m, cfg).to_dataset(train)
-    if method == "shc":
-        cfg = ShcConfig(max_iter=plan.shc_max_iter, gamma_sq=plan.gamma_sq,
-                        lam=lam, rmhc_steps=plan.rmhc_steps, seed=seed)
-        if plan.tune:
-            cfg.gamma_sq, cfg.learn_rate = _tune_shc(train, m, cfg, plan, seed)
-        return shc_compress(train, m, config=cfg).to_dataset(train)
-    raise BadParameters(f"unknown method {method!r}")
+# The selection methods look baselines.<name> up when they run, so that a
+# wrapper put on that module (a profiler's) sees every call.
+
+def _cnn(c: _Cell) -> baselines.ReducedSet:
+    return c.cached(("cnn", c.seed), lambda: baselines.cnn_reduce(
+        c.train, c.metric, c.seed, dist_matrix=c.dist(),
+        snapshot_ratios=c.plan.ratios))
 
 
-def _tune_scc(train, m, cfg, plan, seed):
-    """Pick gamma^2 on a 20% validation carve-out by 1-NN error."""
-    sub, val = split_dataset(train, seed + 1, test_frac=0.2)
-    from .scc import jbld_distance_matrix, scc_init
-    m_sub = min(m, len(sub))
-    st = scc_init(sub, m_sub, seed)
+def _rnn(c: _Cell) -> baselines.ReducedSet:
+    return c.cached(("rnn", c.seed), lambda: baselines.rnn_reduce(
+        _cnn(c), c.train, c.metric, seed=c.seed, dist_matrix=c.dist()))
+
+
+def _fcnn(c: _Cell) -> baselines.ReducedSet:
+    return c.cached(("fcnn", c.seed), lambda: baselines.fcnn_reduce(
+        c.train, c.metric, _centroid_fn(c.train, c.lam), dist_matrix=c.dist(),
+        snapshot_ratios=c.plan.ratios))
+
+
+def _scc(c: _Cell) -> LabeledDataset:
+    cfg = SccConfig(max_iter=c.plan.scc_max_iter, gamma_sq=c.plan.gamma_sq,
+                    seed=c.seed)
+    if c.plan.tune:
+        cfg.gamma_sq = _tune_scc(c, cfg)
+    return scc_compress(c.train, c.m, cfg).to_dataset(c.train)
+
+
+def _shc(c: _Cell) -> LabeledDataset:
+    cfg = ShcConfig(max_iter=c.plan.shc_max_iter, gamma_sq=c.plan.gamma_sq,
+                    lam=c.lam, rmhc_steps=c.plan.rmhc_steps, seed=c.seed)
+    if c.plan.tune:
+        cfg.gamma_sq, cfg.learn_rate = _tune_shc(c, cfg)
+    return shc_compress(c.train, c.m, config=cfg).to_dataset(c.train)
+
+
+# method name -> builder of its reference set; the only list of methods
+COMPRESSORS = {
+    "scc": _scc,
+    "shc": _shc,
+    "subsample": lambda c: c.select(baselines.subsample(c.train, c.m, c.seed)),
+    "cnn": lambda c: c.select(_cnn(c)),
+    "rnn": lambda c: c.select(_rnn(c)),
+    "fcnn": lambda c: c.select(_fcnn(c)),
+    "rmhc": lambda c: c.select(baselines.rmhc_reduce(
+        c.train, c.m, c.metric, c.plan.rmhc_steps, c.seed,
+        dist_matrix=c.dist())),
+}
+
+
+def compress(method: str, train: LabeledDataset, ratio: float, seed: int,
+             plan: ExperimentPlan, cache: dict | None = None) -> LabeledDataset:
+    """Reference set of `method` for m = round(ratio * len(train)) members.
+
+    CNN and FCNN return their snapshot at ratio, which must be one of
+    plan.ratios; RNN returns its full set.  Pass one `cache` dict to every
+    cell of a train set and plan to build their shared parts once.
+    """
+    if method not in COMPRESSORS:
+        raise BadParameters(f"unknown method {method!r}")
+    if ratio not in plan.ratios:
+        raise BadParameters(f"ratio {ratio} is not in the plan's ratios")
+    return COMPRESSORS[method](
+        _Cell(train, ratio, seed, plan, {} if cache is None else cache))
+
+
+def _pick(configs, run, val, metric, k):
+    """The first config whose reference set run(config) errs least on val."""
+    errs = [evaluate(val, run(cfg), metric, k=k, reps=1).error_rate
+            for cfg in configs]
+    return configs[int(np.argmin(errs))]
+
+
+def _tune_scc(c: _Cell, cfg: SccConfig) -> float:
+    """Pick gamma^2 on a 20% validation carve-out by kNN error."""
+    sub, val = split_dataset(c.train, c.seed + 1, test_frac=0.2)
+    m_sub = min(c.m, len(sub))
+    st = scc_init(sub, m_sub, c.seed)
     D0 = jbld_distance_matrix(st.factors, sub.members)
-    best, best_err = None, np.inf
-    for g in _grid_gamma(D0, st.labels, sub.labels):
-        c = SccConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g, seed=seed)
-        ref = scc_compress(sub, m_sub, c).to_dataset(sub)
-        err = evaluate(val, ref, spd.jbld, k=plan.k, reps=1).error_rate
-        if err < best_err:
-            best, best_err = g, err
-    return best
+    configs = [SccConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g,
+                         seed=c.seed) for g in gamma_sq_grid(D0)]
+    return _pick(configs, lambda k: scc_compress(sub, m_sub, k).to_dataset(sub),
+                 val, spd.jbld, c.plan.k).gamma_sq
 
 
-def _tune_shc(train, m, cfg, plan, seed):
-    sub, val = split_dataset(train, seed + 1, test_frac=0.2)
+def _tune_shc(c: _Cell, cfg: ShcConfig) -> tuple[float, float]:
+    """Pick gamma^2 and the learning rate as _tune_scc picks gamma^2."""
+    sub, val = split_dataset(c.train, c.seed + 1, test_frac=0.2)
+    m_sub = min(c.m, len(sub))
     metric, lam = make_metric(sub, cfg.lam)
-    H = np.stack(sub.members)
-    st = shc.shc_init(sub, min(m, len(sub)), seed, rmhc_steps=0, lam=lam)
-    D0, _, _ = shc._distances_and_betas(st, H, sub.ground_metric, 1e-6, 2000)
-    best, best_err = (None, cfg.learn_rate), np.inf
-    for g in _grid_gamma(D0, st.labels, sub.labels):
-        for lr in (0.1, 1.0, 10.0):
-            c = ShcConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g,
-                          learn_rate=lr, lam=lam,
-                          rmhc_steps=cfg.rmhc_steps, seed=seed)
-            ref = shc_compress(sub, min(m, len(sub)), config=c).to_dataset(sub)
-            err = evaluate(val, ref, metric, k=plan.k, reps=1).error_rate
-            if err < best_err:
-                best, best_err = (g, lr), err
-    return best
+    st = shc.shc_init(sub, m_sub, c.seed, rmhc_steps=0, lam=lam)
+    _, _, D0 = shc.shc_loss_grad(st, sub)
+    configs = [ShcConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g,
+                         learn_rate=lr, lam=lam, rmhc_steps=cfg.rmhc_steps,
+                         seed=c.seed)
+               for g in gamma_sq_grid(D0) for lr in (0.1, 1.0, 10.0)]
+    best = _pick(configs,
+                 lambda k: shc_compress(sub, m_sub, config=k).to_dataset(sub),
+                 val, metric, c.plan.k)
+    return best.gamma_sq, best.learn_rate
 
 
 def run_experiment(plan: ExperimentPlan, dataset: LabeledDataset,
@@ -204,13 +232,12 @@ def run_experiment(plan: ExperimentPlan, dataset: LabeledDataset,
             train, test = split_dataset(dataset, seed)
             metric, lam = make_metric(dataset, plan.lam)
             full = evaluate(test, train, metric, k=plan.k)
-            caches: dict = {}
+            cache: dict = {}
             for method in plan.methods:
                 for ratio in plan.ratios:
-                    m = max(1, round(ratio * len(train)))
                     t0 = time.perf_counter()
-                    reference = _compress(method, train, m, ratio, seed,
-                                          plan, metric, lam, caches)
+                    reference = compress(method, train, ratio, seed, plan,
+                                         cache)
                     train_time = time.perf_counter() - t0
                     rep = evaluate(test, reference, metric, k=plan.k,
                                    reference_time=full.wall_time)
@@ -218,7 +245,7 @@ def run_experiment(plan: ExperimentPlan, dataset: LabeledDataset,
                         "method": method,
                         "ratio": ratio,
                         "seed": seed,
-                        "m_requested": m,
+                        "m_requested": max(1, round(ratio * len(train))),
                         "m_actual": len(reference),
                         "error_rate": rep.error_rate,
                         "full_error_rate": full.error_rate,

@@ -41,6 +41,17 @@ def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
     return int(votes[0])
 
 
+def pairwise_distances(members, metric) -> np.ndarray:
+    """Symmetric (n, n) matrix of metric(members[i], members[j]) over i < j,
+    zero on the diagonal."""
+    n = len(members)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i, j] = D[j, i] = metric(members[i], members[j])
+    return D
+
+
 def knn_classify(query, reference: LabeledDataset, metric, k: int = 1) -> int:
     """Majority-vote kNN label of a single query descriptor."""
     if len(reference) == 0:
@@ -60,17 +71,12 @@ def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
     """
     if len(reference) == 0:
         raise EmptyReference("empty reference set")
-    k = min(k, len(reference))
-    ref_members = reference.members
-    ref_labels = reference.labels
     times = []
     preds = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        preds = np.empty(len(test), dtype=int)
-        for qi, q in enumerate(test.members):
-            dists = np.array([metric(q, x) for x in ref_members])
-            preds[qi] = _vote(dists, ref_labels, k)
+        preds = np.array([knn_classify(q, reference, metric, k)
+                          for q in test.members], dtype=int)
         times.append(time.perf_counter() - t0)
     wall = float(np.median(times))
     err = float(np.mean(preds != test.labels))
@@ -87,11 +93,7 @@ def loo_train_error(train: LabeledDataset, metric, k: int = 1,
     if n < 2:
         raise TooFewInputs("leave-one-out needs at least 2 points")
     if dist_matrix is None:
-        dist_matrix = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist_matrix[i, j] = dist_matrix[j, i] = metric(
-                    train.members[i], train.members[j])
+        dist_matrix = pairwise_distances(train.members, metric)
     D = dist_matrix.astype(float).copy()
     np.fill_diagonal(D, np.inf)
     kk = min(k, n - 1)

@@ -82,21 +82,25 @@ def gradient_coeffs(model: NeighborhoodModel) -> np.ndarray:
     return (P / p[:, None]) * (match.astype(float) - p[:, None]) * model.gamma_sq
 
 
-def select_gamma_sq(distances: np.ndarray, prototype_labels: np.ndarray,
-                    train_labels: np.ndarray) -> float:
-    """Grid-search gamma^2 over {2^k / med : k = -4..4} by training kl_loss.
-
-    med is the median train-to-prototype distance for the given (typically
-    initialization-time) distance matrix.
-    """
+def gamma_sq_grid(distances: np.ndarray) -> list[float]:
+    """{2^k / med : k = -4..4}, med the median distance (1 if not positive)."""
     med = float(np.median(distances))
     if med <= 0:
         med = 1.0
-    best_g, best_loss = None, np.inf
-    for k in range(-4, 5):
-        g = 2.0 ** k / med
+    return [2.0 ** k / med for k in range(-4, 5)]
+
+
+def select_gamma_sq(distances: np.ndarray, prototype_labels: np.ndarray,
+                    train_labels: np.ndarray) -> float:
+    """Grid-search gamma^2 over gamma_sq_grid(distances) by training kl_loss.
+
+    distances: the (typically initialization-time) train-to-prototype matrix.
+    """
+    grid = gamma_sq_grid(distances)
+    best_g, best_loss = grid[4], np.inf  # grid[4] = 1 / med
+    for g in grid:
         model = NeighborhoodModel(g, prototype_labels, train_labels, distances)
         loss = kl_loss(model)
         if loss < best_loss:
             best_g, best_loss = g, loss
-    return best_g if best_g is not None else 1.0 / med
+    return best_g

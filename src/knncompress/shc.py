@@ -178,9 +178,10 @@ def shc_compress(train: LabeledDataset, m: int,
                  config: ShcConfig | None = None) -> ShcState:
     """Gradient descent with an adaptive step size on the SHC objective.
 
-    Steps that increase the KL loss are rejected and halve the learning
-    rate; accepted steps grow it by 1.1x.  The returned snapshot is the one
-    with the best training 1-NN error (ties broken by KL loss).
+    Steps that increase the KL loss or make it non-finite are rejected and
+    halve the learning rate; accepted steps grow it by 1.1x.  The returned
+    snapshot is the one with the best training 1-NN error (ties broken by
+    KL loss).
     """
     config = config or ShcConfig()
     M = M if M is not None else train.ground_metric
@@ -208,7 +209,7 @@ def shc_compress(train: LabeledDataset, m: int,
         trial = ShcState(w - lr * grad, state.labels, state.gamma_sq,
                          state.lam)
         t_loss, t_grad, t_D = shc_loss_grad(trial, train, **kw)
-        if t_loss > loss:
+        if not (t_loss <= loss):  # also rejects a NaN loss
             lr *= 0.5
             continue
         lr *= 1.1

@@ -24,19 +24,6 @@ def _as_square(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     return X
 
 
-def check_spd(X: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
-    """Validate that X is symmetric positive definite; return it as float array."""
-    X = _as_square(X)
-    scale = np.maximum(1.0, np.abs(X))
-    if np.any(np.abs(X - X.T) > sym_tol * scale):
-        raise NotPositiveDefinite("matrix is not symmetric")
-    try:
-        np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("matrix is not positive definite") from None
-    return X
-
-
 def cholesky(X: np.ndarray) -> np.ndarray:
     """Upper-triangular B with positive diagonal such that B.T @ B = X."""
     X = _as_square(X)

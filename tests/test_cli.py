@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from knncompress import cli
+from knncompress import cli, harness
 from knncompress.datasets import load_dataset
 
 
@@ -77,6 +77,33 @@ class TestCompress:
         for h in ds.members:
             assert h.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("method", ["cnn", "fcnn"])
+    def test_snapshot_at_ratio_matches_bench(self, tmp_path, method):
+        # overlapping classes, so the full CNN and FCNN sets exceed m
+        data = str(tmp_path / "overlap.json")
+        assert cli.main(["gen-cov", "--classes", "3", "--per-class", "20",
+                         "--dim", "3", "--dof", "6", "--separation", "0.3",
+                         "--seed", "1", "--out", data]) == 0
+        train = load_dataset(data)
+        ratio, m = 0.05, 3
+
+        def bench_cell(r):
+            plan = harness.ExperimentPlan(ratios=(r,), methods=(method,))
+            return harness.compress(method, train, r, 0, plan)
+
+        out = str(tmp_path / "out.json")
+        assert cli.main(["compress", "--method", method, "--ratio",
+                         str(ratio), "--in", data, "--out", out]) == 0
+        written = load_dataset(out)
+        if method == "cnn":  # CNN grows one member at a time
+            assert len(written) == m
+        full = bench_cell(1.0)  # no snapshot reaches n: the final set
+        assert m <= len(written) < len(full)
+        cell = bench_cell(ratio)
+        assert np.array_equal(written.labels, cell.labels)
+        for X, Y in zip(written.members, cell.members):
+            assert np.array_equal(X, Y)
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = cli.main(["compress", "--method", "subsample",
                        "--in", str(tmp_path / "nope.json"),
@@ -95,6 +122,24 @@ class TestEval:
         doc = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert 0.0 <= doc["error_rate"] <= 1.0
         assert doc["distance_evals"] == 24 * 6
+
+    @pytest.mark.parametrize("key", ["family", "dim", "members", "labels"])
+    def test_missing_key_exit_2(self, cov_file, tmp_path, capsys, key):
+        with open(cov_file) as f:
+            doc = json.load(f)
+        del doc[key]
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as f:
+            json.dump(doc, f)
+        rc = cli.main(["eval", "--reference", cov_file, "--test", bad])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_object_exit_2(self, cov_file, tmp_path):
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as f:
+            json.dump([1, 2, 3], f)
+        assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
 
     def test_family_mismatch_exit_2(self, cov_file, hist_file):
         rc = cli.main(["eval", "--reference", cov_file, "--test", hist_file])

@@ -121,6 +121,54 @@ class TestRunExperiment:
             assert ra["m_actual"] == rb["m_actual"]
             assert ra["distance_evals"] == rb["distance_evals"]
 
+    def test_train_matrix_built_once_per_seed(self, monkeypatch):
+        calls = []
+        real = harness._pairwise_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_pairwise_matrix", counting)
+        plan = harness.ExperimentPlan(ratios=(0.1, 0.2),
+                                      methods=("cnn", "rnn", "fcnn", "rmhc"),
+                                      seeds=(0, 1), rmhc_steps=5)
+        records = harness.run_experiment(plan, cov_data())
+        assert len(records) == 16
+        assert len(calls) == 2
+
+    def test_tune_scc(self):
+        plan = harness.ExperimentPlan(ratios=(0.2,), methods=("scc",),
+                                      seeds=(0,), scc_max_iter=8, tune=True)
+        records = harness.run_experiment(plan, cov_data())
+        assert len(records) == 1
+        assert records[0]["m_actual"] == round(0.2 * 28)
+        assert 0.0 <= records[0]["error_rate"] <= 1.0
+
+    def test_tune_shc(self):
+        # a small lambda keeps the 27 Sinkhorn-bound tuning runs fast
+        plan = harness.ExperimentPlan(ratios=(0.2,), methods=("shc",),
+                                      seeds=(0,), shc_max_iter=8, lam=2.0,
+                                      rmhc_steps=0, tune=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = harness.run_experiment(plan, hist_data())
+        assert len(records) == 1
+        assert records[0]["m_actual"] == round(0.2 * 21)
+        assert 0.0 <= records[0]["error_rate"] <= 1.0
+
+
+class TestCompress:
+    def test_ratio_must_be_in_plan(self):
+        plan = harness.ExperimentPlan(ratios=(0.1,))
+        with pytest.raises(BadParameters):
+            harness.compress("cnn", cov_data(), 0.2, 0, plan)
+
+    def test_unknown_method(self):
+        plan = harness.ExperimentPlan(ratios=(0.1,))
+        with pytest.raises(BadParameters):
+            harness.compress("magic", cov_data(), 0.1, 0, plan)
+
 
 class TestSummaryTable:
     def test_renders(self):

@@ -175,6 +175,27 @@ class TestCompress:
         assert state.lam == 25.0
         assert state.gamma_sq == 2.0
 
+    def test_nan_trial_rejected(self, monkeypatch):
+        train = small_train(seed=3)
+        cfg = shc.ShcConfig(max_iter=3, rmhc_steps=0, seed=0)
+        real = shc.shc_loss_grad
+        calls = []
+
+        def nan_on_third(*args, **kwargs):
+            loss, grad, D = real(*args, **kwargs)
+            calls.append(loss)
+            # calls 1-2 evaluate the start (before and after gamma^2 is
+            # picked); call 3 is the first trial step
+            return (np.nan if len(calls) == 3 else loss), grad, D
+
+        monkeypatch.setattr(shc, "shc_loss_grad", nan_on_third)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            state = shc.shc_compress(train, 4, config=cfg)
+        assert len(calls) == 2 + cfg.max_iter
+        assert np.all(np.isfinite(state.loss_history))
+        assert np.isfinite(state.best_snapshot[1])
+
     def test_diagonal_jacobian_flag_changes_gradient(self):
         train, state = fd_instance(1)
         with warnings.catch_warnings():
