@@ -18,7 +18,13 @@ from .datasets import (
     load_dataset,
     save_dataset,
 )
-from .knn import EvalReport, evaluate, knn_classify, loo_train_error
+from .knn import (
+    EvalReport,
+    distance_matrix,
+    evaluate,
+    knn_classify,
+    loo_train_error,
+)
 from .neighborhood import (
     NeighborhoodModel,
     assignment_probs,
@@ -42,7 +48,14 @@ from .shc import (
     shc_loss_grad,
     softmax_decode,
 )
-from .spd import airm, cholesky, jbld, jbld_centroid, jbld_gradient_chol
+from .spd import (
+    airm,
+    cholesky,
+    jbld,
+    jbld_centroid,
+    jbld_gradient_chol,
+    jbld_matrix,
+)
 from .baselines import (
     ReducedSet,
     cnn_reduce,
@@ -57,7 +70,8 @@ __all__ = [
     "LabeledDataset", "bow_histogram", "covariance_descriptor",
     "gen_covariance_dataset", "gen_histogram_dataset", "load_dataset",
     "save_dataset",
-    "EvalReport", "evaluate", "knn_classify", "loo_train_error",
+    "EvalReport", "distance_matrix", "evaluate", "knn_classify",
+    "loo_train_error",
     "NeighborhoodModel", "assignment_probs", "correct_prob",
     "gradient_coeffs", "kl_loss",
     "SinkhornSolution", "emd_exact", "sinkhorn", "sinkhorn_barycenter",
@@ -66,6 +80,7 @@ __all__ = [
     "ShcConfig", "ShcState", "shc_compress", "shc_init", "shc_loss_grad",
     "softmax_decode",
     "airm", "cholesky", "jbld", "jbld_centroid", "jbld_gradient_chol",
+    "jbld_matrix",
     "ReducedSet", "cnn_reduce", "fcnn_reduce", "rmhc_reduce", "rnn_reduce",
     "subsample",
     "ExperimentPlan", "run_experiment", "summary_table",

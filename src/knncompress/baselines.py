@@ -14,6 +14,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, stratified_indices
 from .errors import InconsistentInput, TooFewInputs
+from .knn import distance_matrix
 
 
 @dataclass
@@ -166,7 +167,8 @@ def fcnn_reduce(train: LabeledDataset, metric, centroid,
     for c in np.unique(labels):
         idx_c = np.where(labels == c)[0]
         cen = centroid([train.members[i] for i in idx_c])
-        d_to_cen = np.array([metric(train.members[i], cen) for i in idx_c])
+        d_to_cen = distance_matrix([train.members[i] for i in idx_c], [cen],
+                                   metric)[:, 0]
         selected.append(int(idx_c[np.argmin(d_to_cen)]))
     selected = sorted(set(selected))
     snapshots: dict[float, np.ndarray] = {}

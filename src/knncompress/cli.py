@@ -163,6 +163,10 @@ def _cmd_selfcheck(_args) -> int:
           np.linalg.norm(B.T @ B - X) <= 1e-10 * np.linalg.norm(X))
     check("jbld identity", abs(spd.jbld(X, X)) < 1e-12)
     check("airm identity", abs(spd.airm(X, X)) < 1e-12)
+    stack = [X, B.T @ B + np.eye(4), A.T @ A + 0.5 * np.eye(4)]
+    check("jbld_matrix equals per-pair jbld",
+          np.array_equal(spd.jbld_matrix(stack, stack[:2]),
+                         [[spd.jbld(x, y) for y in stack[:2]] for x in stack]))
 
     G = spd.jbld_gradient_chol(X, B + 0.1 * np.triu(rng.standard_normal((4, 4))))
     check("jbld gradient finite", np.all(np.isfinite(G)))

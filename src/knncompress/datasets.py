@@ -7,6 +7,7 @@ ground metric inline for the histogram family.
 """
 from __future__ import annotations
 
+import copy
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from .errors import (
     ClassStarved,
     DimensionMismatch,
     EmptyInput,
+    NonFiniteInput,
     TooFewFeatures,
     TooFewInputs,
     ValidationError,
@@ -44,6 +46,18 @@ class LabeledDataset:
             raise DimensionMismatch("members and labels length mismatch")
         if self.family == "histogram" and self.ground_metric is None:
             raise ValidationError("histogram datasets need a ground metric")
+        # one check over every entry, so the distance kernels can trust it
+        if self.members:
+            try:
+                stack = np.asarray(self.members, dtype=float)
+            except ValueError:
+                raise DimensionMismatch(
+                    "members must be numeric arrays of one shape") from None
+            if not np.isfinite(stack).all():
+                raise NonFiniteInput("dataset members must be finite")
+        if (self.ground_metric is not None
+                and not np.isfinite(self.ground_metric).all()):
+            raise NonFiniteInput("the ground metric must be finite")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -54,14 +68,11 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=int)
-        return LabeledDataset(
-            family=self.family,
-            dim=self.dim,
-            members=[self.members[i] for i in indices],
-            labels=self.labels[indices],
-            ground_metric=self.ground_metric,
-            metadata=dict(self.metadata),
-        )
+        out = copy.copy(self)  # members checked when self was built
+        out.members = [self.members[i] for i in indices]
+        out.labels = self.labels[indices]
+        out.metadata = dict(self.metadata)
+        return out
 
 
 def stratified_indices(labels: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -258,7 +269,17 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
         f.write("\n")
 
 
+def _numeric(value, what: str, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape, or ValidationError."""
+    try:
+        return np.array(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be {' x '.join(map(str, shape))} "
+                              "numbers") from None
+
+
 def load_dataset(path: str) -> LabeledDataset:
+    """Read a save_dataset document; a malformed one raises ValidationError."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -267,20 +288,36 @@ def load_dataset(path: str) -> LabeledDataset:
                if k not in doc]
     if missing:
         raise ValidationError(f"{path}: missing key(s) {', '.join(missing)}")
-    family = doc["family"]
-    d = int(doc["dim"])
-    if family == "covariance":
-        members = [np.array(m, dtype=float).reshape(d, d) for m in doc["members"]]
-    elif family == "histogram":
-        members = [np.array(m, dtype=float) for m in doc["members"]]
-    else:
+    family, d = doc["family"], doc["dim"]
+    if family not in ("covariance", "histogram"):
         raise ValidationError(f"unknown family {family!r} in {path}")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValidationError(f"{path}: dim must be a positive integer, "
+                              f"got {d!r}")
+    if not isinstance(doc["members"], list):
+        raise ValidationError(f"{path}: members must be a list")
+    shape = (d, d) if family == "covariance" else (d,)
+    members = list(_numeric(doc["members"], f"{path}: each member",
+                            (len(doc["members"]),) + shape))
+    try:
+        labels = np.asarray(doc["labels"])
+    except (ValueError, OverflowError):
+        labels = None
+    if (labels is None or labels.ndim != 1
+            or (labels.size and (labels.dtype.kind not in "iu"
+                                 or labels.min() < 0))):
+        raise ValidationError(
+            f"{path}: labels must be a list of nonnegative integers")
     gm = doc.get("ground_metric")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValidationError(f"{path}: metadata must be a JSON object")
     return LabeledDataset(
         family=family,
         dim=d,
         members=members,
-        labels=np.array(doc["labels"], dtype=int),
-        ground_metric=np.array(gm, dtype=float) if gm is not None else None,
-        metadata=doc.get("metadata", {}),
+        labels=labels.astype(int),
+        ground_metric=(_numeric(gm, f"{path}: ground_metric", (d, d))
+                       if gm is not None else None),
+        metadata=metadata,
     )

@@ -15,13 +15,17 @@ import numpy as np
 
 from . import baselines, ot, shc, spd
 from .datasets import LabeledDataset, stratified_indices
-from .errors import BadParameters
+from .errors import BadParameters, DegeneratePi
 from .knn import evaluate, pairwise_distances
 from .neighborhood import gamma_sq_grid
 from .scc import SccConfig, jbld_distance_matrix, scc_compress, scc_init
 from .shc import ShcConfig, default_lambda, shc_compress
 
 FEW_CLASS_RATIOS = (0.02, 0.04, 0.08, 0.16)
+
+# bound at import: the covariance metric keeps its batched jbld.matrix even
+# where a wrapper (a profiler's) later replaces spd.jbld
+_JBLD = spd.jbld
 
 
 @dataclass
@@ -58,7 +62,7 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
                 sinkhorn_tol: float = 1e-6, sinkhorn_max_iter: int = 2000):
     """Distance callable for the dataset's family; returns (metric, lam)."""
     if dataset.family == "covariance":
-        return spd.jbld, None
+        return _JBLD, None
     M = dataset.ground_metric
     lam = lam if lam is not None else default_lambda(M)
 
@@ -186,9 +190,22 @@ def compress(method: str, train: LabeledDataset, ratio: float, seed: int,
 
 
 def _pick(configs, run, val, metric, k):
-    """The first config whose reference set run(config) errs least on val."""
-    errs = [evaluate(val, run(cfg), metric, k=k, reps=1).error_rate
-            for cfg in configs]
+    """The first config whose reference set run(config) errs least on val.
+
+    A config whose run raises DegeneratePi is discarded; if every one
+    does, the last such error propagates.
+    """
+    errs, failure = [], None
+    for cfg in configs:
+        try:
+            reference = run(cfg)
+        except DegeneratePi as e:
+            errs.append(np.inf)
+            failure = e
+            continue
+        errs.append(evaluate(val, reference, metric, k=k, reps=1).error_rate)
+    if min(errs) == np.inf:
+        raise failure
     return configs[int(np.argmin(errs))]
 
 
@@ -201,7 +218,7 @@ def _tune_scc(c: _Cell, cfg: SccConfig) -> float:
     configs = [SccConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g,
                          seed=c.seed) for g in gamma_sq_grid(D0)]
     return _pick(configs, lambda k: scc_compress(sub, m_sub, k).to_dataset(sub),
-                 val, spd.jbld, c.plan.k).gamma_sq
+                 val, c.metric, c.plan.k).gamma_sq
 
 
 def _tune_shc(c: _Cell, cfg: ShcConfig) -> tuple[float, float]:

@@ -141,6 +141,41 @@ class TestEval:
             json.dump([1, 2, 3], f)
         assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
 
+    @staticmethod
+    def edited(cov_file, tmp_path, edit):
+        with open(cov_file) as f:
+            doc = json.load(f)
+        edit(doc)
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as f:
+            json.dump(doc, f)
+        return bad
+
+    def test_nan_member_exit_2(self, cov_file, tmp_path, capsys):
+        bad = self.edited(cov_file, tmp_path,
+                          lambda doc: doc["members"][3].__setitem__(4, np.nan))
+        rc = cli.main(["eval", "--reference", cov_file, "--test", bad])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_dim_not_integer_exit_2(self, cov_file, tmp_path, capsys):
+        bad = self.edited(cov_file, tmp_path,
+                          lambda doc: doc.__setitem__("dim", "x"))
+        assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
+        assert "dim" in capsys.readouterr().err
+
+    def test_labels_not_integer_exit_2(self, cov_file, tmp_path, capsys):
+        bad = self.edited(cov_file, tmp_path,
+                          lambda doc: doc["labels"].__setitem__(0, 0.5))
+        assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
+        assert "labels" in capsys.readouterr().err
+
+    def test_member_wrong_size_exit_2(self, cov_file, tmp_path, capsys):
+        bad = self.edited(cov_file, tmp_path,
+                          lambda doc: doc["members"][0].pop())
+        assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
+        assert "member" in capsys.readouterr().err
+
     def test_family_mismatch_exit_2(self, cov_file, hist_file):
         rc = cli.main(["eval", "--reference", cov_file, "--test", hist_file])
         assert rc == 2

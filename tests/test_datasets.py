@@ -6,6 +6,7 @@ from knncompress.errors import (
     BadParameters,
     ClassStarved,
     DimensionMismatch,
+    NonFiniteInput,
     TooFewFeatures,
     TooFewInputs,
     ValidationError,
@@ -24,6 +25,20 @@ class TestLabeledDataset:
             ds.LabeledDataset(family="histogram", dim=2,
                               members=[np.array([0.5, 0.5])],
                               labels=np.array([0]), metadata={})
+
+    def test_non_finite_member(self):
+        X = np.eye(2)
+        X[0, 1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            ds.LabeledDataset(family="covariance", dim=2,
+                              members=[np.eye(2), X], labels=np.array([0, 1]))
+
+    def test_non_finite_ground_metric(self):
+        M = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(NonFiniteInput):
+            ds.LabeledDataset(family="histogram", dim=2,
+                              members=[np.array([0.5, 0.5])],
+                              labels=np.array([0]), ground_metric=M)
 
     def test_subset(self):
         data = ds.gen_covariance_dataset(2, 5, 3, wishart_dof=10,

@@ -6,7 +6,7 @@ import pytest
 
 from knncompress import harness
 from knncompress.datasets import gen_covariance_dataset, gen_histogram_dataset
-from knncompress.errors import BadParameters
+from knncompress.errors import BadParameters, DegeneratePi
 
 
 def cov_data(seed=0):
@@ -156,6 +156,39 @@ class TestRunExperiment:
         assert len(records) == 1
         assert records[0]["m_actual"] == round(0.2 * 21)
         assert 0.0 <= records[0]["error_rate"] <= 1.0
+
+
+class TestPick:
+    def plan(self):
+        return harness.ExperimentPlan(ratios=(0.2,), methods=("shc",),
+                                      seeds=(0,), shc_max_iter=8, lam=2.0,
+                                      rmhc_steps=0, tune=True)
+
+    def test_degenerate_candidate_discarded(self, monkeypatch):
+        real = harness.shc_compress
+        tried = []
+
+        def first_candidate_fails(train, m, config):
+            tried.append(config.gamma_sq)
+            if config.gamma_sq == tried[0]:
+                raise DegeneratePi("every p_i underflowed")
+            return real(train, m, config=config)
+
+        monkeypatch.setattr(harness, "shc_compress", first_candidate_fails)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = harness.run_experiment(self.plan(), hist_data())
+        assert len(records) == 1
+        assert 0.0 <= records[0]["error_rate"] <= 1.0
+        assert len(set(tried)) > 1
+
+    def test_every_candidate_failing_raises(self, monkeypatch):
+        def always_fails(train, m, config):
+            raise DegeneratePi("every p_i underflowed")
+
+        monkeypatch.setattr(harness, "shc_compress", always_fails)
+        with pytest.raises(DegeneratePi):
+            harness.run_experiment(self.plan(), hist_data())
 
 
 class TestCompress:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from knncompress import knn
-from knncompress.datasets import LabeledDataset
-from knncompress.errors import EmptyReference, TooFewInputs
+from knncompress import knn, spd
+from knncompress.datasets import LabeledDataset, gen_covariance_dataset
+from knncompress.errors import EmptyReference, NumericalError, TooFewInputs
 
 
 def euclid(x, y):
@@ -101,3 +101,68 @@ class TestLooError:
     def test_too_few(self):
         with pytest.raises(TooFewInputs):
             knn.loo_train_error(make_ds([1.0], [0]), euclid)
+
+
+def per_pair(metric):
+    """metric without its batched form, so knn loops over pairs."""
+    return lambda x, y: metric(x, y)
+
+
+class TestBatched:
+    def setup_method(self):
+        data = gen_covariance_dataset(3, 14, 4, wishart_dof=6,
+                                      separation=0.5, seed=4)
+        self.ref = data.subset(np.arange(0, len(data), 2))
+        self.test = data.subset(np.arange(1, len(data), 2))
+
+    def test_distance_matrix_uses_matrix_form(self):
+        calls = []
+
+        def metric(x, y):
+            return 0.0
+
+        def matrix(A, B):
+            calls.append((len(A), len(B)))
+            return np.zeros((len(A), len(B)))
+
+        metric.matrix = matrix
+        D = knn.distance_matrix(self.test.members, self.ref.members, metric)
+        assert D.shape == (len(self.test), len(self.ref))
+        assert calls == [(len(self.test), len(self.ref))]
+
+    def test_distance_matrix_equals_pair_loop(self):
+        assert np.array_equal(
+            knn.distance_matrix(self.test.members, self.ref.members, spd.jbld),
+            knn.distance_matrix(self.test.members, self.ref.members,
+                                per_pair(spd.jbld)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_evaluate_predictions_match_vote(self, k):
+        # per query, the old path: jbld over the reference, then _vote
+        expected = [knn._vote(np.array([spd.jbld(q, x)
+                                        for x in self.ref.members]),
+                              self.ref.labels, k)
+                    for q in self.test.members]
+        err = float(np.mean(np.array(expected) != self.test.labels))
+        rep = knn.evaluate(self.test, self.ref, spd.jbld, k=k, reps=1)
+        assert rep.error_rate == err
+        assert rep.error_rate == knn.evaluate(
+            self.test, self.ref, per_pair(spd.jbld), k=k, reps=1).error_rate
+        for q, lab in zip(self.test.members, expected):
+            assert knn.knn_classify(q, self.ref, spd.jbld, k=k) == lab
+
+    def test_pairwise_symmetric_zero_diagonal(self):
+        D = knn.pairwise_distances(self.ref.members, spd.jbld)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
+        assert np.array_equal(
+            D, knn.pairwise_distances(self.ref.members, per_pair(spd.jbld)))
+
+    def test_non_finite_distance_raises(self):
+        def metric(x, y):
+            return np.nan if x[0, 0] == 9.0 else float(abs(x - y).sum())
+
+        ref = make_ds([1.0, 10.0], [0, 1])
+        test = make_ds([1.5, 9.0], [0, 1])
+        with pytest.raises(NumericalError):
+            knn.evaluate(test, ref, metric, reps=1)

@@ -81,6 +81,45 @@ class TestJbld:
             spd.jbld(np.eye(2), np.eye(3))
 
 
+class TestJbldMatrix:
+    def test_equals_per_pair_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 3, 5, 12):
+            A = [random_spd(rng, d, 0.1) for _ in range(9)]
+            B = [random_spd(rng, d, 0.1) for _ in range(6)]
+            D = spd.jbld_matrix(A, B)
+            assert D.shape == (9, 6)
+            assert np.array_equal(
+                D, [[spd.jbld(x, y) for y in B] for x in A])
+
+    def test_jitter_retry_member(self):
+        # a singular PSD member fails the plain Cholesky and takes the
+        # jitter retry, in the stack as in jbld
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(4)
+        singular = np.outer(v, v) + np.diag([1.0, 1.0, 1.0, 0.0])
+        singular[:, 3] = singular[3, :] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular)
+        A = [random_spd(rng, 4), singular, random_spd(rng, 4)]
+        B = [singular, random_spd(rng, 4)]
+        D = spd.jbld_matrix(A, B)
+        assert np.all(np.isfinite(D))
+        assert np.array_equal(D, [[spd.jbld(x, y) for y in B] for x in A])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            spd.jbld_matrix([np.eye(2)], [np.eye(3)])
+        with pytest.raises(DimensionMismatch):
+            spd.jbld_matrix([np.ones((2, 3))], [np.ones((2, 3))])
+
+    def test_empty_side(self):
+        assert spd.jbld_matrix([], [np.eye(2)]).shape == (0, 1)
+
+    def test_carried_by_jbld(self):
+        assert spd.jbld.matrix is spd.jbld_matrix
+
+
 class TestAirm:
     def test_self_distance_zero(self):
         rng = np.random.default_rng(5)
