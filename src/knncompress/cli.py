@@ -182,6 +182,12 @@ def _cmd_selfcheck(_args) -> int:
     check("sinkhorn upper-bounds emd", sol.distance >= emd - 1e-6)
     check("sinkhorn close to emd at lam=200",
           (sol.distance - emd) / max(emd, 1e-6) < 0.05)
+    # exp(-lam*M) underflows at lam=200 (log domain), not at lam=50
+    H, hp, M = rng.dirichlet(np.ones(5), size=2), hp[:5] / hp[:5].sum(), M[:5, :5]
+    check("sinkhorn_batch equals per-pair sinkhorn", all(np.allclose(
+        ot.sinkhorn_batch(H, hp, M, lam)[0],
+        [ot.sinkhorn(x, hp, M, lam).distance for x in H], rtol=0, atol=1e-8)
+        for lam in (50.0, 200.0)))
     return 0 if failures == 0 else EXIT_NUMERICAL
 
 

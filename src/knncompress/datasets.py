@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spd
 from .errors import (
     BadParameters,
     ClassStarved,
@@ -25,6 +24,7 @@ from .errors import (
     TooFewInputs,
     ValidationError,
 )
+from .ot import check_ground_metric, check_histograms
 
 COV_JITTER_EPS = 1e-8
 
@@ -55,9 +55,10 @@ class LabeledDataset:
                     "members must be numeric arrays of one shape") from None
             if not np.isfinite(stack).all():
                 raise NonFiniteInput("dataset members must be finite")
-        if (self.ground_metric is not None
-                and not np.isfinite(self.ground_metric).all()):
-            raise NonFiniteInput("the ground metric must be finite")
+            if self.family == "histogram":
+                check_histograms(stack)
+        if self.ground_metric is not None:
+            check_ground_metric(self.ground_metric)
 
     def __len__(self) -> int:
         return len(self.members)

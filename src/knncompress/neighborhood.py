@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePi, EmptyPrototypeSet
+from .errors import DegeneratePi, DimensionMismatch, EmptyPrototypeSet
 
 P_FLOOR = 1e-300     # floor for p_i before taking logs
 P_DEGENERATE = 1e-30  # below this, gradient coefficients are meaningless
@@ -29,10 +29,10 @@ class NeighborhoodModel:
         self.train_labels = np.asarray(self.train_labels)
         self.distances = np.asarray(self.distances, dtype=float)
         if self.distances.ndim != 2:
-            raise ValueError("distances must be (n, m)")
+            raise DimensionMismatch("distances must be (n, m)")
         if self.distances.shape != (len(self.train_labels),
                                     len(self.prototype_labels)):
-            raise ValueError("distance matrix shape does not match labels")
+            raise DimensionMismatch("distances do not match the label counts")
 
     @property
     def label_match(self) -> np.ndarray:

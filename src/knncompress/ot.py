@@ -1,9 +1,11 @@
 """Histograms on the simplex: Sinkhorn distance, exact EMD, barycenters.
 
 Histograms are 1-D numpy arrays summing to one; the ground metric is a
-symmetric nonnegative ``(d, d)`` cost matrix with zero diagonal.  The
-Sinkhorn solver exposes the dual variables, whose centered second block is
-the approximate gradient of the distance w.r.t. the second marginal.
+finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
+One Sinkhorn solver, ``_scale_columns``, serves every caller: ``sinkhorn``
+is its one-column form and ``sinkhorn_batch`` its n-column form.  It
+exposes the dual variables, whose centered second block is the
+approximate gradient of the distance w.r.t. the second marginal.
 """
 from __future__ import annotations
 
@@ -14,10 +16,12 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import (
+    BadParameters,
     DimensionMismatch,
     EmptyInput,
     InfeasibleMarginals,
     NoConvergence,
+    NonFiniteInput,
     NotConverged,
     NumericalError,
     NumericalUnderflow,
@@ -28,15 +32,23 @@ from .errors import (
 CLAMP_EPS = 1e-10
 
 
+def check_histograms(H: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Check every row of the (n, d) stack H as a histogram, in one pass."""
+    H = np.ascontiguousarray(H, dtype=float)
+    if H.ndim != 2:
+        raise DimensionMismatch(
+            f"histograms must be 1-D, got shape {H.shape[1:]}")
+    if not (H >= 0).all():  # also false for NaN
+        raise InfeasibleMarginals("histogram has negative or NaN mass")
+    mass = H.sum(axis=1)
+    off = np.abs(mass - 1.0) > tol
+    if off.any():
+        raise InfeasibleMarginals(f"histogram mass {mass[off][0]} != 1")
+    return H
+
+
 def check_histogram(h: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1:
-        raise DimensionMismatch(f"histogram must be 1-D, got shape {h.shape}")
-    if np.any(h < 0):
-        raise InfeasibleMarginals("histogram has negative mass")
-    if abs(h.sum() - 1.0) > tol:
-        raise InfeasibleMarginals(f"histogram mass {h.sum()} != 1")
-    return h
+    return check_histograms(np.asarray(h, dtype=float)[None], tol)[0]
 
 
 def check_ground_metric(M: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -46,15 +58,20 @@ def check_ground_metric(M: np.ndarray, dim: int | None = None) -> np.ndarray:
     if dim is not None and M.shape[0] != dim:
         raise DimensionMismatch(
             f"ground metric dim {M.shape[0]} != histogram dim {dim}")
+    if not np.isfinite(M).all():
+        raise NonFiniteInput("the ground metric must be finite")
     if np.any(M < 0) or np.any(np.abs(np.diag(M)) > 0):
         raise InfeasibleMarginals("ground metric needs M >= 0 and zero diagonal")
+    if np.any(np.abs(M - M.T) > 1e-9 * M.max(initial=0.0)):
+        raise InfeasibleMarginals("ground metric must be symmetric")
     return M
 
 
 def clamp_histogram(h: np.ndarray, eps: float = CLAMP_EPS) -> np.ndarray:
-    """Lift zero bins to eps and renormalize (Sinkhorn stalls on exact zeros)."""
+    """Lift zero bins to eps and renormalize (Sinkhorn stalls on exact
+    zeros); a 2-D stack is clamped row by row."""
     h = np.maximum(np.asarray(h, dtype=float), eps)
-    return h / h.sum()
+    return h / h.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -67,84 +84,106 @@ class SinkhornSolution:
     converged: bool
 
 
+def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
+    """Sinkhorn scaling of the first marginals H (n, d), as the columns of
+    one (d, n) block, against the shared second marginal hp.
+
+    Marginals are checked and clamped once per call.  Alternating scaling
+    iterations on K = exp(-lam * M) run for all columns at once until each
+    column's L1 marginal violation is below tol; the K @ V of that check is
+    the next iteration's denominator.  A column whose distance or scalings
+    end non-finite is solved again, from a cold start, in the log domain.
+    When K underflows, every column runs there, warm-started from log V0.
+    A finite column that did not converge is returned as it is: the log
+    domain runs the same iteration at several times the cost.  Returns
+    (distances (n,), log scalings F and G (d, n), V (d, n) to seed a warm
+    start, converged (n,), iterations run in both domains).
+    """
+    HT = clamp_histogram(check_histograms(H)).T
+    hp = clamp_histogram(check_histogram(hp))
+    d, n = HT.shape
+    if d != hp.shape[0]:
+        raise DimensionMismatch(f"marginal dims {d} vs {hp.shape[0]}")
+    M = check_ground_metric(M, d)
+    if lam <= 0:
+        raise InfeasibleMarginals("lambda must be positive")
+    if max_iter < 1:
+        raise BadParameters("max_iter must be at least 1")
+    K = np.exp(-lam * M)
+    if np.all(K == 0.0):
+        raise NumericalUnderflow("exp(-lam*M) underflowed everywhere; lam too large")
+    V = np.ones((d, n)) if V0 is None else np.array(V0, dtype=float)
+    with np.errstate(all="ignore"):
+        if np.any(K == 0.0):
+            G0, it, V = np.log(V).T, 0, np.ones((d, n))
+            dists, F, G = np.empty(n), np.empty_like(V), np.empty_like(V)
+            conv, redo = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+        else:
+            KV = K @ V
+            for it in range(1, max_iter + 1):
+                U = HT / KV
+                V = hp[:, None] / (K.T @ U)
+                KV = K @ V
+                err = np.abs(U * KV - HT).sum(axis=0)
+                if not (err >= tol).any():  # a NaN column is not active
+                    break
+            dists = np.sum(U * ((K * M) @ V), axis=0)
+            F, G, conv, G0 = np.log(U), np.log(V), err < tol, None
+            redo = ~(np.isfinite(dists) & np.isfinite(F).all(axis=0)
+                     & np.isfinite(G).all(axis=0))
+    if redo.any():
+        d_log, F_log, G_log, conv[redo], it_log = _log_scaling(
+            HT[:, redo], hp, M, lam, tol, max_iter, G0)
+        dists[redo], F[:, redo], G[:, redo] = d_log, F_log.T, G_log.T
+        V[:, redo] = 1.0
+        it += it_log
+    return dists, F, G, V, conv, it
+
+
+def _log_scaling(HT, hp, M, lam, tol, max_iter, G0=None):
+    """The scaling iteration on f = log u, g = log v for the (d, p) block
+    HT of clamped marginals, each logsumexp over a (p, d, d) stack; the
+    row logsumexp of the marginal check is the next iteration's.  Returns
+    (distances (p,), F and G (p, d), converged (p,), iterations).
+    """
+    logK = -lam * M
+    H = HT.T
+    logH, loghp = np.log(H), np.log(hp)
+    G = np.zeros_like(H) if G0 is None else G0
+    L = logsumexp(logK + G[:, None, :], axis=2)
+    for it in range(1, max_iter + 1):
+        F = logH - L
+        G = loghp - logsumexp(logK + F[:, :, None], axis=1)
+        L = logsumexp(logK + G[:, None, :], axis=2)
+        err = np.abs(np.exp(F + L) - H).sum(axis=1)
+        if not (err >= tol).any():
+            break
+    T = np.exp(F[:, :, None] + logK + G[:, None, :])
+    return (T * M).sum(axis=(1, 2)), F, G, err < tol, it
+
+
 def sinkhorn(h: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
              tol: float = 1e-9, max_iter: int = 10000,
              v0: np.ndarray | None = None) -> SinkhornSolution:
     """Entropy-regularized transport distance between h and hp.
 
-    Alternating scaling iterations on K = exp(-lam * M) until the L1
-    marginal violation drops below tol.  The duals are recovered from the
-    scalings (alpha = log u / lam, beta = log v / lam, each up to an
-    additive constant); the distance is tr(T M), an upper bound on the
-    exact EMD that tightens as lam grows.  Falls back to log-domain
-    scaling when any kernel entry underflows.
+    The one-column form of ``_scale_columns``.  The duals are recovered
+    from the scalings (alpha = log u / lam, beta = log v / lam, each up to
+    an additive constant); the distance is tr(T M), an upper bound on the
+    exact EMD that tightens as lam grows.
     """
-    h = clamp_histogram(check_histogram(h))
-    hp = clamp_histogram(check_histogram(hp))
-    if h.shape != hp.shape:
-        raise DimensionMismatch(f"marginal dims {h.shape} vs {hp.shape}")
-    M = check_ground_metric(M, h.shape[0])
-    if lam <= 0:
-        raise InfeasibleMarginals("lambda must be positive")
-
-    K = np.exp(-lam * M)
-    if np.all(K == 0.0):
-        raise NumericalUnderflow("exp(-lam*M) underflowed everywhere; lam too large")
-    if np.any(K == 0.0):
-        return _sinkhorn_log(h, hp, M, lam, tol, max_iter, v0)
-
-    v = np.ones_like(hp) if v0 is None else np.asarray(v0, dtype=float)
-    u = np.ones_like(h)
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        Kv = K @ v
-        if np.any(Kv <= 0) or not np.all(np.isfinite(Kv)):
-            return _sinkhorn_log(h, hp, M, lam, tol, max_iter, None)
-        u = h / Kv
-        KTu = K.T @ u
-        if np.any(KTu <= 0) or not np.all(np.isfinite(KTu)):
-            return _sinkhorn_log(h, hp, M, lam, tol, max_iter, None)
-        v = hp / KTu
-        err = np.abs(u * (K @ v) - h).sum()
-        if err < tol:
-            converged = True
-            break
-    T = u[:, None] * K * v[None, :]
+    V0 = None if v0 is None else np.asarray(v0, dtype=float)[:, None]
+    dists, F, G, _, conv, it = _scale_columns(
+        np.asarray(h, dtype=float)[None], hp, M, lam, tol, max_iter, V0)
+    f, g = F[:, 0], G[:, 0]
     return SinkhornSolution(
-        distance=float(np.sum(T * M)),
-        transport=T,
-        dual_alpha=np.log(u) / lam,
-        dual_beta=np.log(v) / lam,
-        iterations=it,
-        converged=converged,
-    )
-
-
-def _sinkhorn_log(h, hp, M, lam, tol, max_iter, v0):
-    """Log-domain scaling, used when exp(-lam*M) underflows."""
-    logK = -lam * M
-    logh = np.log(h)
-    loghp = np.log(hp)
-    g = np.zeros_like(hp) if v0 is None else np.log(np.asarray(v0, dtype=float))
-    f = np.zeros_like(h)
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        f = logh - logsumexp(logK + g[None, :], axis=1)
-        g = loghp - logsumexp(logK + f[:, None], axis=0)
-        row = np.exp(logsumexp(f[:, None] + logK + g[None, :], axis=1))
-        if np.abs(row - h).sum() < tol:
-            converged = True
-            break
-    T = np.exp(f[:, None] + logK + g[None, :])
-    return SinkhornSolution(
-        distance=float(np.sum(T * M)),
-        transport=T,
+        distance=float(dists[0]),
+        transport=np.exp(f[:, None] - lam * np.asarray(M, dtype=float)
+                         + g[None, :]),
         dual_alpha=f / lam,
         dual_beta=g / lam,
         iterations=it,
-        converged=converged,
+        converged=bool(conv[0]),
     )
 
 
@@ -165,58 +204,14 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
                    V0: np.ndarray | None = None):
     """Solve sinkhorn(H[i], hp) for all rows of H at once.
 
-    The scaling updates share the kernel, so the whole batch reduces to
-    matrix products.  Returns (distances (n,), betas (n, d), V (d, n),
-    converged (n,), iterations).  V seeds warm starts of later calls.
+    The n-column form of ``_scale_columns``: the scaling updates share
+    the kernel, so the whole batch reduces to matrix products.  Returns
+    (distances (n,), betas (n, d), V (d, n), converged (n,), iterations).
+    V seeds warm starts of later calls.
     """
-    H = np.asarray(H, dtype=float)
-    hp = clamp_histogram(check_histogram(hp))
-    M = check_ground_metric(M, hp.shape[0])
-    n, d = H.shape
-    Hc = np.stack([clamp_histogram(check_histogram(h)) for h in H])
-
-    K = np.exp(-lam * M)
-    if np.any(K == 0.0):
-        # rare at training-scale lambda; defer to the single-pair solver
-        out_d = np.empty(n)
-        out_b = np.empty((n, d))
-        conv = np.zeros(n, dtype=bool)
-        its = 0
-        for i in range(n):
-            v0 = V0[:, i] if V0 is not None else None
-            sol = sinkhorn(Hc[i], hp, M, lam, tol, max_iter, v0=v0)
-            out_d[i] = sol.distance
-            out_b[i] = sol.dual_beta
-            conv[i] = sol.converged
-            its = max(its, sol.iterations)
-        return out_d, out_b, np.ones((d, n)), conv, its
-
-    KM = K * M
-    HT = Hc.T  # (d, n)
-    V = np.ones((d, n)) if V0 is None else np.array(V0, dtype=float)
-    U = np.ones((d, n))
-    it = 0
-    active = np.ones(n, dtype=bool)
-    for it in range(1, max_iter + 1):
-        U = HT / (K @ V)
-        V = hp[:, None] / (K.T @ U)
-        err = np.abs(U * (K @ V) - HT).sum(axis=0)
-        active = err >= tol
-        if not active.any():
-            break
-        if not np.all(np.isfinite(U)) or not np.all(np.isfinite(V)):
-            break
-    converged = ~active
-    dists = np.sum(U * (KM @ V), axis=0)
-    betas = (np.log(V) / lam).T
-    bad = ~converged | ~np.isfinite(dists)
-    if bad.any():
-        for i in np.where(bad)[0]:
-            sol = sinkhorn(Hc[i], hp, M, lam, tol, max_iter)
-            dists[i] = sol.distance
-            betas[i] = sol.dual_beta
-            converged[i] = sol.converged
-    return dists, betas, V, converged, it
+    dists, _, G, V, conv, it = _scale_columns(H, hp, M, lam, tol, max_iter,
+                                              V0)
+    return dists, (G / lam).T, V, conv, it
 
 
 def sinkhorn_pairwise(H: np.ndarray, M: np.ndarray, lam: float,
@@ -225,12 +220,9 @@ def sinkhorn_pairwise(H: np.ndarray, M: np.ndarray, lam: float,
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
     D = np.zeros((n, n))
-    for j in range(n):
-        if j == 0:
-            continue
-        dists, _, _, _, _ = sinkhorn_batch(H[:j], H[j], M, lam, tol, max_iter)
-        D[:j, j] = dists
-        D[j, :j] = dists
+    for j in range(1, n):
+        D[:j, j] = D[j, :j] = sinkhorn_batch(H[:j], H[j], M, lam, tol,
+                                             max_iter)[0]
     return D
 
 
@@ -379,7 +371,7 @@ def sinkhorn_barycenter(members: list[np.ndarray], M: np.ndarray, lam: float,
     """
     if len(members) == 0:
         raise EmptyInput("barycenter of an empty set")
-    H = np.stack([clamp_histogram(check_histogram(h)) for h in members])
+    H = clamp_histogram(check_histograms(members))
     N, d = H.shape
     M = check_ground_metric(M, d)
     if N == 1:

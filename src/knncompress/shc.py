@@ -20,7 +20,7 @@ from .neighborhood import (
     kl_loss,
     select_gamma_sq,
 )
-from .ot import CLAMP_EPS, sinkhorn_batch, sinkhorn_pairwise
+from .ot import clamp_histogram, sinkhorn_batch, sinkhorn_pairwise
 
 
 @dataclass
@@ -96,10 +96,8 @@ def shc_init(train: LabeledDataset, m: int, seed: int,
                                         max_iter=sinkhorn_max_iter)
     picked = rmhc_reduce(train, m, metric=None, steps=rmhc_steps, seed=seed,
                          dist_matrix=dist_matrix)
-    logits = np.stack([
-        np.log(np.maximum(train.members[i], CLAMP_EPS)
-               / np.maximum(train.members[i], CLAMP_EPS).sum())
-        for i in picked.indices])
+    logits = np.log(clamp_histogram(np.stack(
+        [train.members[i] for i in picked.indices])))
     return ShcState(logits=logits, labels=picked.labels.copy(),
                     gamma_sq=1.0, lam=lam)
 

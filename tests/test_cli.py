@@ -176,6 +176,15 @@ class TestEval:
         assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
         assert "member" in capsys.readouterr().err
 
+    def test_off_simplex_member_exit_2(self, hist_file, tmp_path, capsys):
+        # subsample computes no distance, so only the load can catch it
+        bad = self.edited(hist_file, tmp_path,
+                          lambda doc: doc["members"][2].__setitem__(0, 0.9))
+        rc = cli.main(["compress", "--method", "subsample", "--ratio", "0.2",
+                       "--in", bad, "--out", str(tmp_path / "ref.json")])
+        assert rc == 2
+        assert "histogram mass" in capsys.readouterr().err
+
     def test_family_mismatch_exit_2(self, cov_file, hist_file):
         rc = cli.main(["eval", "--reference", cov_file, "--test", hist_file])
         assert rc == 2

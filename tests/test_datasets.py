@@ -6,6 +6,7 @@ from knncompress.errors import (
     BadParameters,
     ClassStarved,
     DimensionMismatch,
+    InfeasibleMarginals,
     NonFiniteInput,
     TooFewFeatures,
     TooFewInputs,
@@ -36,6 +37,23 @@ class TestLabeledDataset:
     def test_non_finite_ground_metric(self):
         M = np.array([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(NonFiniteInput):
+            ds.LabeledDataset(family="histogram", dim=2,
+                              members=[np.array([0.5, 0.5])],
+                              labels=np.array([0]), ground_metric=M)
+
+    @pytest.mark.parametrize("member", [[0.6, 0.6], [1.2, -0.2],
+                                        [0.5, 0.5 + 1e-8]])
+    def test_histogram_off_simplex(self, member):
+        M = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InfeasibleMarginals):
+            ds.LabeledDataset(family="histogram", dim=2,
+                              members=[np.array([0.5, 0.5]),
+                                       np.array(member)],
+                              labels=np.array([0, 1]), ground_metric=M)
+
+    def test_asymmetric_ground_metric(self):
+        M = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(InfeasibleMarginals):
             ds.LabeledDataset(family="histogram", dim=2,
                               members=[np.array([0.5, 0.5])],
                               labels=np.array([0]), ground_metric=M)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from knncompress import neighborhood as nb
+from knncompress.errors import DimensionMismatch
 
 
 def make_model(gamma_sq=1.0):
@@ -10,6 +11,15 @@ def make_model(gamma_sq=1.0):
                   [2.0, 0.3, 0.1]])
     return nb.NeighborhoodModel(gamma_sq, np.array([0, 1, 1]),
                                 np.array([0, 1, 1]), D)
+
+
+class TestModel:
+    @pytest.mark.parametrize("D", [np.zeros(3), np.zeros((3, 2))])
+    def test_bad_distance_shape(self, D):
+        # a ValidationError, so the CLI exits 2 instead of a traceback
+        with pytest.raises(DimensionMismatch):
+            nb.NeighborhoodModel(1.0, np.array([0, 1, 1]),
+                                 np.array([0, 1, 1]), D)
 
 
 class TestAssignmentProbs:

@@ -5,6 +5,7 @@ from knncompress import ot
 from knncompress.errors import (
     DimensionMismatch,
     InfeasibleMarginals,
+    NonFiniteInput,
     NotConverged,
 )
 
@@ -36,6 +37,18 @@ class TestValidation:
     def test_metric_nonzero_diagonal(self):
         with pytest.raises(InfeasibleMarginals):
             ot.check_ground_metric(np.ones((2, 2)))
+
+    def test_metric_non_finite(self):
+        M = line_metric(3)
+        M[0, 2] = M[2, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            ot.check_ground_metric(M)
+
+    def test_metric_asymmetric(self):
+        M = line_metric(3)
+        M[0, 2] = 3.0
+        with pytest.raises(InfeasibleMarginals):
+            ot.check_ground_metric(M)
 
     def test_metric_dim(self):
         with pytest.raises(DimensionMismatch):
@@ -81,10 +94,12 @@ class TestSinkhorn:
         rng = np.random.default_rng(3)
         h, hp = random_pair(rng, 5)
         M = line_metric(5)
-        # lam * max(M) = 3200 underflows exp, forcing the log-domain path
+        # lam * max(M) = 600: `lin` runs the linear-domain loop, `log` the
+        # log-domain loop on the same pair
         lin = ot.sinkhorn(h, hp, M, lam=150.0, tol=1e-11, max_iter=50000)
-        log = ot._sinkhorn_log(h, hp, M, 150.0, 1e-11, 50000, None)
-        assert lin.distance == pytest.approx(log.distance, abs=1e-6)
+        log, _, _, _, _ = ot._log_scaling(h[:, None], hp, M, 150.0, 1e-11,
+                                          50000)
+        assert lin.distance == pytest.approx(log[0], abs=1e-6)
         # lam * max(M) = 1000 underflows exp(-lam*M), forcing the fallback
         big = ot.sinkhorn(h, hp, M, lam=250.0, tol=1e-9, max_iter=100000)
         assert big.converged
@@ -160,6 +175,73 @@ class TestBatch:
             bc = betas[i] - betas[i].mean()
             sc = sol.dual_beta - sol.dual_beta.mean()
             assert np.allclose(bc, sc, atol=1e-6)
+
+    def test_underflow_matches_single_calls(self):
+        # lam * max(M) = 900 underflows exp(-lam*M): the whole block runs
+        # in the log domain, where single pairs do too
+        rng = np.random.default_rng(8)
+        d, n, lam = 4, 4, 300.0
+        M = line_metric(d)
+        assert np.any(np.exp(-lam * M) == 0.0)
+        H = np.stack([ot.clamp_histogram(rng.dirichlet(np.ones(d)))
+                      for _ in range(n)])
+        hp = ot.clamp_histogram(rng.dirichlet(np.ones(d)))
+        dists, betas, V, conv, _ = ot.sinkhorn_batch(H, hp, M, lam, tol=1e-9,
+                                                     max_iter=100000)
+        assert conv.all()
+        assert np.all(V == 1.0)
+        for i in range(n):
+            sol = ot.sinkhorn(H[i], hp, M, lam, tol=1e-9, max_iter=100000)
+            assert sol.converged
+            assert dists[i] == pytest.approx(sol.distance, abs=1e-8)
+            bc = betas[i] - betas[i].mean()
+            sc = sol.dual_beta - sol.dual_beta.mean()
+            assert np.allclose(bc, sc, atol=1e-6)
+
+    def test_non_finite_column_solved_in_log_domain(self, monkeypatch):
+        # lam * max(M) = 740: K does not underflow, but moving the point
+        # mass at bin 2 to bin 0 drives that column's scalings out of
+        # range; only it is solved again, in the log domain
+        d, lam = 3, 370.0
+        M = line_metric(d)
+        assert np.all(np.exp(-lam * M) > 0.0)
+        hp = ot.clamp_histogram(np.eye(d)[0])
+        H = ot.clamp_histogram(np.vstack([np.eye(d), np.full(d, 1 / d)]))
+        redone = []
+        log_scaling = ot._log_scaling
+
+        def spy(HT, *args):
+            redone.append(HT.shape[1])
+            return log_scaling(HT, *args)
+
+        monkeypatch.setattr(ot, "_log_scaling", spy)
+        dists, _, _, conv, _ = ot.sinkhorn_batch(H, hp, M, lam, tol=1e-9,
+                                                 max_iter=20000)
+        assert redone == [1]
+        assert conv.all()
+        for i in range(len(H)):
+            sol = ot.sinkhorn(H[i], hp, M, lam, tol=1e-9, max_iter=20000)
+            assert dists[i] == pytest.approx(sol.distance, abs=1e-8)
+
+    @pytest.mark.parametrize("row", [np.array([0.7, -0.1, 0.4]),
+                                     np.array([0.5, 0.3, 0.3]),
+                                     np.array([np.nan, 0.5, 0.5])])
+    def test_bad_row_in_stack_raises(self, row):
+        rng = np.random.default_rng(9)
+        H = np.stack([rng.dirichlet(np.ones(3)) for _ in range(4)])
+        H[2] = row
+        with pytest.raises(InfeasibleMarginals):
+            ot.sinkhorn_batch(H, np.full(3, 1 / 3), line_metric(3), 5.0)
+        with pytest.raises(InfeasibleMarginals):
+            ot.check_histograms(H)
+
+    def test_stack_clamp_equals_per_row(self):
+        rng = np.random.default_rng(10)
+        H = rng.dirichlet(np.full(20, 0.05), size=30)
+        # the per-row arithmetic the batched clamp replaced
+        want = np.stack([np.maximum(h, ot.CLAMP_EPS)
+                         / np.maximum(h, ot.CLAMP_EPS).sum() for h in H])
+        assert np.array_equal(ot.clamp_histogram(ot.check_histograms(H)), want)
 
     def test_pairwise_symmetric_zero_diag(self):
         rng = np.random.default_rng(7)
