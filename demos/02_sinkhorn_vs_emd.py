@@ -28,7 +28,7 @@ h = rng.dirichlet(np.ones(d))
 hp = rng.dirichlet(np.ones(d))
 
 # ---------------------------------------------------------------------------
-# Exact EMD via the transportation simplex
+# Exact EMD as a HiGHS linear program
 # ---------------------------------------------------------------------------
 # On a line metric the optimum has a closed form (the L1 distance between
 # the cumulative sums), which makes a convenient cross-check.

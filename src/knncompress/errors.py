@@ -74,19 +74,7 @@ class NotConverged(NumericalError):
     pass
 
 
-class SinkhornNotConverged(NotConverged):
-    pass
-
-
 class DegeneratePi(NumericalError):
-    pass
-
-
-class CentroidFailure(NumericalError):
-    pass
-
-
-class LineSearchFailure(NumericalError):
     pass
 
 

@@ -45,22 +45,22 @@ class _FgCache:
 
 
 def _backtrack(cache: _FgCache, x, p, f0, g0, c1=1e-4, max_halvings=40):
-    """Armijo backtracking; returns (alpha, f_new) or (None, None)."""
+    """Armijo backtracking; returns alpha, or None."""
     slope = float(np.dot(g0, p))
     if slope >= 0:
-        return None, None
+        return None
     alpha = 1.0
     for _ in range(max_halvings):
         f_new = cache.f(x + alpha * p)
         if np.isfinite(f_new) and f_new <= f0 + c1 * alpha * slope:
-            return alpha, f_new
+            return alpha
         alpha *= 0.5
-    return None, None
+    return None
 
 
 def ncg_minimize(fg: Callable, x0: np.ndarray, max_iter: int = 200,
-                 gtol: float = 1e-6, c1: float = 1e-4, c2: float = 0.1,
-                 callback: Callable | None = None) -> NcgResult:
+                 gtol: float = 1e-6, c1: float = 1e-4,
+                 c2: float = 0.1) -> NcgResult:
     """Minimize f via Polak-Ribiere+ conjugate gradient.
 
     fg(x) must return (value, gradient).  gtol is relative to the initial
@@ -75,6 +75,16 @@ def ncg_minimize(fg: Callable, x0: np.ndarray, max_iter: int = 200,
     history = [f]
     best_x, best_f = x.copy(), f
 
+    def wolfe_step(p):
+        """Strong-Wolfe step along p from the current x; alpha, or None."""
+        with np.errstate(all="ignore"):
+            try:
+                return line_search(cache.f, cache.g, x, p, gfk=g, old_fval=f,
+                                   old_old_fval=old_old_fval, c1=c1, c2=c2,
+                                   maxiter=25)[0]
+            except Exception:
+                return None
+
     p = -g
     old_old_fval = f + np.linalg.norm(g) / 2
     restart_period = max(10 * len(x), 1)
@@ -87,30 +97,16 @@ def ncg_minimize(fg: Callable, x0: np.ndarray, max_iter: int = 200,
         if it % restart_period == 0 or np.dot(g, p) >= 0:
             p = -g
 
-        alpha = None
-        with np.errstate(all="ignore"):
-            try:
-                alpha, _, _, f_new, old_f, g_new = line_search(
-                    cache.f, cache.g, x, p, gfk=g, old_fval=f,
-                    old_old_fval=old_old_fval, c1=c1, c2=c2, maxiter=25)
-            except Exception:
-                alpha = None
+        alpha = wolfe_step(p)
         if alpha is None and not np.array_equal(p, -g):
             # restart with steepest descent before giving up
             p = -g
-            with np.errstate(all="ignore"):
-                try:
-                    alpha, _, _, f_new, old_f, g_new = line_search(
-                        cache.f, cache.g, x, p, gfk=g, old_fval=f,
-                        old_old_fval=old_old_fval, c1=c1, c2=c2, maxiter=25)
-                except Exception:
-                    alpha = None
+            alpha = wolfe_step(p)
         if alpha is None:
-            alpha, f_new = _backtrack(cache, x, -g, f, g)
+            alpha = _backtrack(cache, x, -g, f, g)
             if alpha is None:
                 break
             p = -g
-            g_new = None
 
         old_old_fval = f
         x = x + alpha * p
@@ -119,8 +115,6 @@ def ncg_minimize(fg: Callable, x0: np.ndarray, max_iter: int = 200,
         history.append(f)
         if f < best_f:
             best_f, best_x = f, x.copy()
-        if callback is not None:
-            callback(x, f)
 
         # Polak-Ribiere+ with automatic reset on negative beta
         denom = float(np.dot(g_prev, g_prev))

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from .errors import (
@@ -226,16 +227,16 @@ def sinkhorn_pairwise(H: np.ndarray, M: np.ndarray, lam: float,
     return D
 
 
-# --- exact EMD via the transportation simplex -------------------------------
+# --- exact EMD --------------------------------------------------------------
 
-def emd_exact(h: np.ndarray, hp: np.ndarray, M: np.ndarray,
-              max_pivots: int = 100000) -> float:
+def emd_exact(h: np.ndarray, hp: np.ndarray, M: np.ndarray) -> float:
     """Exact optimum of the transportation LP min tr(T M), T1 = h, T'1 = hp.
 
-    Transportation simplex with north-west-corner initialization and
-    Bland's (lowest-index) entering rule.  Meant as an oracle at small d;
-    for a 1-D line metric it must equal the L1 distance between the
-    cumulative sums.
+    One HiGHS linear program over the d*d entries of T; the last column
+    sum follows from the others and is dropped.  Both marginals are
+    divided by their sums first: a mass error the check accepts would
+    otherwise move the optimum.  Meant as an oracle at small d; for a 1-D
+    line metric it must equal the L1 distance between the cumulative sums.
     """
     h = check_histogram(h)
     hp = check_histogram(hp)
@@ -243,119 +244,14 @@ def emd_exact(h: np.ndarray, hp: np.ndarray, M: np.ndarray,
         raise DimensionMismatch(f"marginal dims {h.shape} vs {hp.shape}")
     M = check_ground_metric(M, h.shape[0])
     d = h.shape[0]
-
-    a = h / h.sum()
-    b = hp / hp.sum()
-    T, basis = _northwest_corner(a, b)
-    basis_set = set(basis)
-
-    for _ in range(max_pivots):
-        u, v = _potentials(basis, M, d)
-        entering = None
-        # Bland's rule: lowest (i, j) with negative reduced cost
-        R = M - u[:, None] - v[None, :]
-        for i in range(d):
-            neg = np.where(R[i] < -1e-12)[0]
-            for j in neg:
-                if (i, int(j)) not in basis_set:
-                    entering = (i, int(j))
-                    break
-            if entering is not None:
-                break
-        if entering is None:
-            return float(np.sum(T * M))
-
-        cycle = _find_cycle(basis, entering)
-        minus = cycle[1::2]
-        theta = min(T[c] for c in minus)
-        leaving = min((c for c in minus if T[c] <= theta), default=minus[0])
-        for c in cycle[0::2]:
-            T[c] += theta
-        for c in minus:
-            T[c] -= theta
-        T[leaving] = 0.0
-        basis.remove(leaving)
-        basis_set.remove(leaving)
-        basis.append(entering)
-        basis_set.add(entering)
-    raise NumericalError("transportation simplex exceeded pivot cap")
-
-
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution; returns (T, basis of 2d-1 cells)."""
-    a = a.copy()
-    b = b.copy()
-    d = a.shape[0]
-    T = np.zeros((d, d))
-    basis: list[tuple[int, int]] = []
-    i = j = 0
-    while True:
-        t = min(a[i], b[j])
-        T[i, j] = t
-        basis.append((i, j))
-        a[i] -= t
-        b[j] -= t
-        if i == d - 1 and j == d - 1:
-            break
-        # advance one index at a time so the basis keeps 2d-1 cells even
-        # under degeneracy
-        if (a[i] <= b[j] and i < d - 1) or j == d - 1:
-            i += 1
-        else:
-            j += 1
-    return T, basis
-
-
-def _potentials(basis, M, d):
-    """Dual potentials u, v from the basis spanning tree (u[0] = 0)."""
-    u = np.full(d, np.nan)
-    v = np.full(d, np.nan)
-    row_cells: list[list[int]] = [[] for _ in range(d)]
-    col_cells: list[list[int]] = [[] for _ in range(d)]
-    for (i, j) in basis:
-        row_cells[i].append(j)
-        col_cells[j].append(i)
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in row_cells[k]:
-                if np.isnan(v[j]):
-                    v[j] = M[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in col_cells[k]:
-                if np.isnan(u[i]):
-                    u[i] = M[i, k] - v[k]
-                    stack.append(("r", i))
-    return u, v
-
-
-def _find_cycle(basis, entering):
-    """Unique cycle formed by the entering cell and the basis tree.
-
-    Returned as [entering, c1, c2, ...] with alternating +/- signs in that
-    order.
-    """
-    i0, j0 = entering
-    adj: dict[tuple[str, int], list[tuple[tuple[str, int], tuple[int, int]]]] = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append((("c", j), (i, j)))
-        adj.setdefault(("c", j), []).append((("r", i), (i, j)))
-    # DFS from row i0 to col j0 through the basis tree
-    start, goal = ("r", i0), ("c", j0)
-    stack = [(start, [])]
-    seen = {start}
-    while stack:
-        node, path = stack.pop()
-        if node == goal:
-            return [entering] + path
-        for (nxt, cell) in adj.get(node, []):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, path + [cell]))
-    raise NumericalError("degenerate basis: no cycle found")  # unreachable
+    sums = np.vstack([np.kron(np.eye(d), np.ones(d)),   # rows of T
+                      np.kron(np.ones(d), np.eye(d))])  # columns of T
+    res = linprog(M.ravel(), A_eq=sums[:-1],
+                  b_eq=np.concatenate([h / h.sum(), hp / hp.sum()])[:-1],
+                  bounds=(0, None), method="highs")
+    if not res.success:
+        raise NumericalError(f"EMD linear program failed: {res.message}")
+    return float(res.fun)
 
 
 # --- barycenter --------------------------------------------------------------

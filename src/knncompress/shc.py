@@ -33,7 +33,6 @@ class ShcConfig:
     seed: int = 0
     sinkhorn_tol: float = 1e-6
     sinkhorn_max_iter: int = 2000
-    diagonal_jacobian: bool = False  # ablation: drop the softmax cross terms
 
 
 @dataclass
@@ -130,8 +129,7 @@ def shc_loss_grad(state: ShcState, train: LabeledDataset,
                   M: np.ndarray | None = None,
                   warm: dict | None = None,
                   sinkhorn_tol: float = 1e-6,
-                  sinkhorn_max_iter: int = 2000,
-                  diagonal_jacobian: bool = False):
+                  sinkhorn_max_iter: int = 2000):
     """KL loss under Sinkhorn distances and its gradient in logit space.
 
     The per-pair distance gradient is the centered dual beta*, mapped to
@@ -155,11 +153,8 @@ def shc_loss_grad(state: ShcState, train: LabeledDataset,
         h = softmax_decode(state.logits[j])
         B = betas[j]
         B = B - B.mean(axis=1, keepdims=True)  # center the duals
-        if diagonal_jacobian:
-            contrib = B * (h - h * h)[None, :]
-        else:
-            t = B * h[None, :]
-            contrib = t - t.sum(axis=1, keepdims=True) * h[None, :]
+        t = B * h[None, :]
+        contrib = t - t.sum(axis=1, keepdims=True) * h[None, :]
         w = np.where(conv[:, j], C[:, j], 0.0)
         grads[j] = w @ contrib
     return loss, grads, D
@@ -189,8 +184,7 @@ def shc_compress(train: LabeledDataset, m: int,
 
     warm: dict = {}
     kw = dict(M=M, warm=warm, sinkhorn_tol=config.sinkhorn_tol,
-              sinkhorn_max_iter=config.sinkhorn_max_iter,
-              diagonal_jacobian=config.diagonal_jacobian)
+              sinkhorn_max_iter=config.sinkhorn_max_iter)
     loss, grad, D = shc_loss_grad(state, train, **kw)
     if config.gamma_sq is not None:
         state.gamma_sq = config.gamma_sq

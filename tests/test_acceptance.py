@@ -294,7 +294,7 @@ def test_04_emd_oracle_exactness():
         got = emd_exact(h, hp, M)
         want = float(np.abs(np.cumsum(h) - np.cumsum(hp))[:-1].sum())
         worst = max(worst, abs(got - want))
-    report(4, f"transportation simplex equals CDF closed form "
+    report(4, f"exact EMD equals CDF closed form "
               f"(max dev {worst:.1e})", worst < 1e-10)
 
 

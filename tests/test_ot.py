@@ -7,6 +7,7 @@ from knncompress.errors import (
     InfeasibleMarginals,
     NonFiniteInput,
     NotConverged,
+    NumericalError,
 )
 
 
@@ -274,24 +275,38 @@ class TestEmdExact:
             want = emd_line_closed_form(h, hp)
             assert got == pytest.approx(want, abs=1e-10)
 
-    def test_general_metric_against_scipy_lp(self):
-        from scipy.optimize import linprog
+    def test_uniform_on_k_bins_equals_assignment_cost(self):
+        # mass 1/k on k bins of each histogram: an optimal plan is a
+        # permutation (Birkhoff), so EMD = assignment cost / k
+        from scipy.optimize import linear_sum_assignment
         rng = np.random.default_rng(13)
-        d = 5
-        for _ in range(20):
+        d, k = 8, 4
+        for _ in range(25):
             pts = rng.standard_normal((d, 3))
             M = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            h = rng.dirichlet(np.ones(d))
-            hp = rng.dirichlet(np.ones(d))
-            A_eq = np.zeros((2 * d, d * d))
-            for i in range(d):
-                A_eq[i, i * d:(i + 1) * d] = 1.0
-                A_eq[d + i, i::d] = 1.0
-            res = linprog(M.ravel(), A_eq=A_eq[:-1],
-                          b_eq=np.concatenate([h, hp])[:-1],
-                          bounds=(0, None), method="highs")
-            assert res.success
-            assert ot.emd_exact(h, hp, M) == pytest.approx(res.fun, abs=1e-9)
+            rows = rng.choice(d, k, replace=False)
+            cols = rng.choice(d, k, replace=False)
+            h, hp = np.zeros(d), np.zeros(d)
+            h[rows] = hp[cols] = 1.0 / k
+            C = M[np.ix_(rows, cols)]
+            want = C[linear_sum_assignment(C)].sum() / k
+            assert ot.emd_exact(h, hp, M) == pytest.approx(want, abs=1e-9)
+
+    def test_mass_within_tolerance_is_renormalized(self):
+        rng = np.random.default_rng(23)
+        M = line_metric(8)
+        h = rng.dirichlet(np.ones(8)) * (1 + 8e-10)
+        hp = rng.dirichlet(np.ones(8))
+        assert ot.emd_exact(h, hp, M) == pytest.approx(
+            ot.emd_exact(h / h.sum(), hp, M), abs=1e-12)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        from types import SimpleNamespace
+        monkeypatch.setattr(ot, "linprog", lambda *a, **k: SimpleNamespace(
+            success=False, message="iteration limit reached"))
+        h = np.array([0.25, 0.25, 0.5])
+        with pytest.raises(NumericalError):
+            ot.emd_exact(h, h, line_metric(3))
 
 
 class TestSinkhornEmdGap:

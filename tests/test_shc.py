@@ -195,14 +195,3 @@ class TestCompress:
         assert len(calls) == 2 + cfg.max_iter
         assert np.all(np.isfinite(state.loss_history))
         assert np.isfinite(state.best_snapshot[1])
-
-    def test_diagonal_jacobian_flag_changes_gradient(self):
-        train, state = fd_instance(1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, g_full, _ = shc.shc_loss_grad(state, train,
-                                             sinkhorn_tol=1e-10)
-            _, g_diag, _ = shc.shc_loss_grad(state, train,
-                                             sinkhorn_tol=1e-10,
-                                             diagonal_jacobian=True)
-        assert not np.allclose(g_full, g_diag)
