@@ -66,10 +66,6 @@ class NotPositiveDefinite(NumericalError):
     pass
 
 
-class NumericalUnderflow(NumericalError):
-    pass
-
-
 class NotConverged(NumericalError):
     pass
 

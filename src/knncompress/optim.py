@@ -59,8 +59,7 @@ def _backtrack(cache: _FgCache, x, p, f0, g0, c1=1e-4, max_halvings=40):
 
 
 def ncg_minimize(fg: Callable, x0: np.ndarray, max_iter: int = 200,
-                 gtol: float = 1e-6, c1: float = 1e-4,
-                 c2: float = 0.1) -> NcgResult:
+                 gtol: float = 1e-6) -> NcgResult:
     """Minimize f via Polak-Ribiere+ conjugate gradient.
 
     fg(x) must return (value, gradient).  gtol is relative to the initial
@@ -80,7 +79,7 @@ def ncg_minimize(fg: Callable, x0: np.ndarray, max_iter: int = 200,
         with np.errstate(all="ignore"):
             try:
                 return line_search(cache.f, cache.g, x, p, gfk=g, old_fval=f,
-                                   old_old_fval=old_old_fval, c1=c1, c2=c2,
+                                   old_old_fval=old_old_fval, c1=1e-4, c2=0.1,
                                    maxiter=25)[0]
             except Exception:
                 return None

@@ -5,7 +5,8 @@ finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
 One Sinkhorn solver, ``_scale_columns``, serves every caller: ``sinkhorn``
 is its one-column form and ``sinkhorn_batch`` its n-column form.  It
 exposes the dual variables, whose centered second block is the
-approximate gradient of the distance w.r.t. the second marginal.
+approximate gradient of the distance w.r.t. the second marginal.  Its log
+domain and the barycenter use a hand-written max-shifted log-sum-exp.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .errors import (
     BadParameters,
@@ -25,7 +25,6 @@ from .errors import (
     NonFiniteInput,
     NotConverged,
     NumericalError,
-    NumericalUnderflow,
 )
 
 # entries below this are clamped before Sinkhorn scaling (exact zeros stall
@@ -106,14 +105,16 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
     if d != hp.shape[0]:
         raise DimensionMismatch(f"marginal dims {d} vs {hp.shape[0]}")
     M = check_ground_metric(M, d)
-    if lam <= 0:
-        raise InfeasibleMarginals("lambda must be positive")
+    if not 0 < lam < np.inf:  # also false for NaN
+        raise InfeasibleMarginals("lambda must be positive and finite")
     if max_iter < 1:
         raise BadParameters("max_iter must be at least 1")
     K = np.exp(-lam * M)
-    if np.all(K == 0.0):
-        raise NumericalUnderflow("exp(-lam*M) underflowed everywhere; lam too large")
     V = np.ones((d, n)) if V0 is None else np.array(V0, dtype=float)
+    if V.shape != (d, n):
+        raise DimensionMismatch(f"warm start shape {V.shape} != {(d, n)}")
+    if not ((V > 0) & np.isfinite(V)).all():
+        raise BadParameters("warm start must be finite and positive")
     with np.errstate(all="ignore"):
         if np.any(K == 0.0):
             G0, it, V = np.log(V).T, 0, np.ones((d, n))
@@ -132,30 +133,36 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
             F, G, conv, G0 = np.log(U), np.log(V), err < tol, None
             redo = ~(np.isfinite(dists) & np.isfinite(F).all(axis=0)
                      & np.isfinite(G).all(axis=0))
-    if redo.any():
-        d_log, F_log, G_log, conv[redo], it_log = _log_scaling(
-            HT[:, redo], hp, M, lam, tol, max_iter, G0)
-        dists[redo], F[:, redo], G[:, redo] = d_log, F_log.T, G_log.T
-        V[:, redo] = 1.0
-        it += it_log
+        if redo.any():
+            d_log, F_log, G_log, conv[redo], it_log = _log_scaling(
+                HT[:, redo], hp, M, lam, tol, max_iter, G0)
+            dists[redo], F[:, redo], G[:, redo] = d_log, F_log.T, G_log.T
+            V[:, redo] = 1.0
+            it += it_log
     return dists, F, G, V, conv, it
+
+
+def _logsumexp(A, axis):
+    """log(exp(A).sum(axis)), shifted by A's max along axis; A finite."""
+    m = A.max(axis, keepdims=True)
+    return np.log(np.exp(A - m).sum(axis)) + m.squeeze(axis)
 
 
 def _log_scaling(HT, hp, M, lam, tol, max_iter, G0=None):
     """The scaling iteration on f = log u, g = log v for the (d, p) block
-    HT of clamped marginals, each logsumexp over a (p, d, d) stack; the
-    row logsumexp of the marginal check is the next iteration's.  Returns
-    (distances (p,), F and G (p, d), converged (p,), iterations).
+    HT of clamped marginals, each a hand-written max-shifted log-sum-exp
+    over a (p, d, d) stack; the row one of the marginal check is the next
+    iteration's.  Returns (distances (p,), F, G (p, d), converged (p,), it).
     """
     logK = -lam * M
     H = HT.T
     logH, loghp = np.log(H), np.log(hp)
     G = np.zeros_like(H) if G0 is None else G0
-    L = logsumexp(logK + G[:, None, :], axis=2)
+    L = _logsumexp(logK + G[:, None, :], 2)
     for it in range(1, max_iter + 1):
         F = logH - L
-        G = loghp - logsumexp(logK + F[:, :, None], axis=1)
-        L = logsumexp(logK + G[:, None, :], axis=2)
+        G = loghp - _logsumexp(logK + F[:, :, None], 1)
+        L = _logsumexp(logK + G[:, None, :], 2)
         err = np.abs(np.exp(F + L) - H).sum(axis=1)
         if not (err >= tol).any():
             break
@@ -278,11 +285,11 @@ def sinkhorn_barycenter(members: list[np.ndarray], M: np.ndarray, lam: float,
     b = np.full(d, 1.0 / d)
     for _ in range(max_iter):
         # F[i] = log u_i projecting onto the fixed marginals h_i
-        F = np.log(H) - logsumexp(logK[None, :, :] + G[:, None, :], axis=2)
+        F = np.log(H) - _logsumexp(logK[None, :, :] + G[:, None, :], 2)
         # free marginals log(K^T u_i); barycenter = geometric mean
-        logm = logsumexp(logK.T[None, :, :] + F[:, None, :], axis=2)
+        logm = _logsumexp(logK.T[None, :, :] + F[:, None, :], 2)
         logb = logm.mean(axis=0) + G.mean(axis=0)
-        logb -= logsumexp(logb)
+        logb -= _logsumexp(logb, None)
         G = logb[None, :] - logm
         b_new = np.exp(logb)
         if np.abs(b_new - b).sum() < tol:

@@ -113,8 +113,6 @@ def _distances_and_betas(state: ShcState, H: np.ndarray, M: np.ndarray,
     for j in range(m):
         hj = softmax_decode(state.logits[j])
         V0 = warm.get(j) if warm is not None else None
-        if V0 is not None and V0.shape != (d, n):
-            V0 = None
         dists, b, V, ok, _ = sinkhorn_batch(H, hj, M, state.lam, tol=tol,
                                             max_iter=max_iter, V0=V0)
         D[:, j] = dists

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from knncompress import ot
 from knncompress.errors import (
+    BadParameters,
     DimensionMismatch,
     InfeasibleMarginals,
+    NoConvergence,
     NonFiniteInput,
     NotConverged,
     NumericalError,
@@ -54,6 +58,12 @@ class TestValidation:
     def test_metric_dim(self):
         with pytest.raises(DimensionMismatch):
             ot.check_ground_metric(line_metric(3), dim=4)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_lambda_not_positive_finite(self, lam):
+        h = np.array([0.5, 0.5])
+        with pytest.raises(InfeasibleMarginals):
+            ot.sinkhorn(h, h, line_metric(2), lam)
 
     def test_clamp(self):
         h = ot.clamp_histogram(np.array([1.0, 0.0, 0.0]))
@@ -115,6 +125,96 @@ class TestSinkhorn:
         warm = ot.sinkhorn(h, hp, M, lam=60.0, tol=1e-11, v0=u0)
         assert warm.distance == pytest.approx(cold.distance, abs=1e-9)
         assert warm.iterations <= cold.iterations
+
+
+    # lam 2 runs the linear domain on line_metric(5); lam 800 underflows
+    # exp(-lam*M) and runs the log domain from log v0
+    @pytest.mark.parametrize("lam", [2.0, 800.0])
+    @pytest.mark.parametrize("bad", [0.0, np.nan, -1.0, np.inf])
+    def test_warm_start_not_finite_positive_raises(self, lam, bad):
+        h, hp = random_pair(np.random.default_rng(4), 5)
+        v0 = np.ones(5)
+        v0[2] = bad
+        with pytest.raises(BadParameters):
+            ot.sinkhorn(h, hp, line_metric(5), lam, v0=v0)
+        with pytest.raises(BadParameters):
+            ot.sinkhorn_batch(np.stack([h, hp]), hp, line_metric(5), lam,
+                              V0=np.column_stack([v0, np.ones(5)]))
+
+    @pytest.mark.parametrize("lam", [2.0, 800.0])
+    def test_warm_start_wrong_shape_raises(self, lam):
+        h, hp = random_pair(np.random.default_rng(4), 5)
+        with pytest.raises(DimensionMismatch):
+            ot.sinkhorn(h, hp, line_metric(5), lam, v0=np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            ot.sinkhorn_batch(np.stack([h, hp]), hp, line_metric(5), lam,
+                              V0=np.ones((5, 3)))
+
+
+class TestLogSumExp:
+    """The max-shifted log-sum-exp against scipy's as the oracle."""
+
+    @pytest.mark.parametrize("A, axis", [
+        (np.array([3.5]), None),
+        (np.array([[[-2.0]]]), 2),
+        (np.array([700.0, 699.5, -700.0]), None),
+        (np.array([[-700.0, -699.0], [-650.0, 700.0]]), 1),
+        (np.array([[[750.0, 749.0]], [[-800.0, -801.0]]]), 2),
+        (np.random.default_rng(0).normal(0, 300, (3, 4, 5)), 1),
+        (np.random.default_rng(1).normal(0, 300, (3, 4, 5)), 2),
+        (np.random.default_rng(2).normal(0, 300, (3, 4, 5)), None),
+    ])
+    def test_matches_scipy(self, A, axis):
+        from scipy.special import logsumexp
+        got, want = ot._logsumexp(A, axis), logsumexp(A, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @staticmethod
+    def scipy_patched(monkeypatch):
+        from scipy.special import logsumexp
+        monkeypatch.setattr(ot, "_logsumexp",
+                            lambda A, axis: logsumexp(A, axis=axis))
+
+    def test_log_scaling_matches_scipy_reduction(self, monkeypatch):
+        # four lam = 200, d = 20 pairs: three converge within 300
+        # iterations (58, 93, 209), one stops at the cap
+        from knncompress.datasets import gen_histogram_dataset
+        data = gen_histogram_dataset(2, 4, 20, 1.0, 1)
+        H, M = ot.clamp_histogram(np.stack(data.members)), data.ground_metric
+        assert np.any(np.exp(-200.0 * M) == 0.0)
+
+        def solve():
+            return [ot._log_scaling(H[[i]].T, H[i + 4], M, 200.0, 1e-6, 300)
+                    for i in range(4)]
+
+        ours = solve()
+        self.scipy_patched(monkeypatch)
+        for (d, _, _, conv, it), (d_ref, _, _, conv_ref, it_ref) in zip(
+                ours, solve()):
+            assert abs(d[0] - d_ref[0]) <= 1e-12 * abs(d_ref[0])
+            assert (it, conv[0]) == (it_ref, conv_ref[0])
+        assert sorted(int(conv[0]) for _, _, _, conv, _ in ours) == [0, 1, 1, 1]
+
+    @pytest.mark.parametrize("lam", [10.0, 50.0])
+    def test_barycenter_matches_scipy_reduction(self, monkeypatch, lam):
+        # lam 10 converges in 178 iterations, lam 50 stops at the cap
+        from knncompress.datasets import gen_histogram_dataset
+        data = gen_histogram_dataset(2, 4, 20, 1.0, 1)
+        members, M = data.members[:4], data.ground_metric
+
+        def solve():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", NoConvergence)
+                b = ot.sinkhorn_barycenter(members, M, lam, tol=1e-9,
+                                           max_iter=300)
+            return b, len(caught)
+
+        ours, warned = solve()
+        self.scipy_patched(monkeypatch)
+        ref, warned_ref = solve()
+        assert np.all(np.abs(ours - ref) <= 1e-12 * np.abs(ref))
+        assert warned == warned_ref == (lam == 50.0)
 
 
 class TestGradDual:
