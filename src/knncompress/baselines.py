@@ -50,29 +50,33 @@ class _DistCache:
                                                 self.members[key[1]]))
         return self._memo[key]
 
-    def row(self, i: int, cols: np.ndarray) -> np.ndarray:
+    def block(self, rows, cols) -> np.ndarray:
+        """(len(rows), len(cols)) distances: a slice of the matrix when
+        there is one, else filled from the memo."""
         if self.matrix is not None:
-            return self.matrix[i, cols]
-        return np.array([self(i, j) for j in cols])
+            return self.matrix[np.ix_(rows, cols)]
+        return np.array([[self(i, j) for j in cols] for i in rows])
 
 
-def _nearest(dist: _DistCache, i: int, candidates: np.ndarray) -> int:
-    """Index (into the training set) of i's nearest candidate.
+def _nearest(dist: _DistCache, rows, candidates: np.ndarray) -> np.ndarray:
+    """Index (into the training set) of each row's nearest candidate.
 
     Equidistant ties go to the lowest training index; candidates are kept
     sorted so argmin's first-hit rule implements that.
     """
-    d = dist.row(i, candidates)
-    return int(candidates[np.argmin(d)])
+    return candidates[np.argmin(dist.block(rows, candidates), axis=1)]
+
+
+def _one_nn_wrong(dist: _DistCache, labels: np.ndarray,
+                  indices: np.ndarray) -> np.ndarray:
+    """Which training points 1-NN on the reduced set misclassifies."""
+    return labels[_nearest(dist, np.arange(len(labels)), indices)] != labels
 
 
 def _is_consistent(dist: _DistCache, labels: np.ndarray,
                    indices: np.ndarray) -> bool:
     """1-NN on the reduced set classifies every training point correctly."""
-    for i in range(len(labels)):
-        if labels[_nearest(dist, i, indices)] != labels[i]:
-            return False
-    return True
+    return not _one_nn_wrong(dist, labels, indices).any()
 
 
 def _snapshot(snapshots: dict, ratios, size: int, n: int, indices) -> None:
@@ -112,7 +116,7 @@ def cnn_reduce(train: LabeledDataset, metric, seed: int,
             i = int(i)
             if i in selected:
                 continue
-            if labels[_nearest(dist, i, cand)] != labels[i]:
+            if labels[_nearest(dist, [i], cand)[0]] != labels[i]:
                 selected.append(i)
                 cand = np.sort(np.array(selected))
                 changed = True
@@ -175,8 +179,7 @@ def fcnn_reduce(train: LabeledDataset, metric, centroid,
     _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
 
     while True:
-        cand = np.array(selected)
-        owner = np.array([_nearest(dist, i, cand) for i in range(n)])
+        owner = _nearest(dist, np.arange(n), np.array(selected))
         wrong = labels[owner] != labels
         if not wrong.any():
             break
@@ -185,8 +188,7 @@ def fcnn_reduce(train: LabeledDataset, metric, centroid,
             cell = np.where((owner == s) & wrong)[0]
             if len(cell) == 0:
                 continue
-            d = dist.row(s, cell)
-            additions.add(int(cell[np.argmin(d)]))
+            additions.add(int(_nearest(dist, [s], cell)[0]))
         additions -= set(selected)
         if not additions:
             break
@@ -198,15 +200,6 @@ def fcnn_reduce(train: LabeledDataset, metric, centroid,
     return ReducedSet(indices=idx, labels=labels[idx], method="fcnn",
                       consistent=_is_consistent(dist, labels, idx),
                       snapshots=snapshots)
-
-
-def _one_nn_error(dist: _DistCache, labels: np.ndarray,
-                  indices: np.ndarray) -> float:
-    wrong = 0
-    for i in range(len(labels)):
-        if labels[_nearest(dist, i, indices)] != labels[i]:
-            wrong += 1
-    return wrong / len(labels)
 
 
 def rmhc_reduce(train: LabeledDataset, m: int, metric, steps: int, seed: int,
@@ -231,14 +224,14 @@ def rmhc_reduce(train: LabeledDataset, m: int, metric, steps: int, seed: int,
         if m == n:
             break
         if err is None:
-            err = _one_nn_error(dist, labels, selected)
+            err = _one_nn_wrong(dist, labels, selected).mean()
         out_pos = int(rng.integers(m))
         unselected = np.setdiff1d(np.arange(n), selected, assume_unique=False)
         new = int(unselected[rng.integers(len(unselected))])
         trial = selected.copy()
         trial[out_pos] = new
         trial = np.sort(trial)
-        trial_err = _one_nn_error(dist, labels, trial)
+        trial_err = _one_nn_wrong(dist, labels, trial).mean()
         if trial_err <= err:
             selected, err = trial, trial_err
     return ReducedSet(indices=selected, labels=labels[selected], method="rmhc")

@@ -19,6 +19,7 @@ from .errors import (
     ClassStarved,
     DimensionMismatch,
     EmptyInput,
+    InconsistentInput,
     NonFiniteInput,
     TooFewFeatures,
     TooFewInputs,
@@ -44,6 +45,8 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=int)
         if len(self.members) != len(self.labels):
             raise DimensionMismatch("members and labels length mismatch")
+        if (self.labels < 0).any():
+            raise ValidationError("labels must be nonnegative integers")
         if self.family == "histogram" and self.ground_metric is None:
             raise ValidationError("histogram datasets need a ground metric")
         # one check over every entry, so the distance kernels can trust it
@@ -57,6 +60,12 @@ class LabeledDataset:
                 raise NonFiniteInput("dataset members must be finite")
             if self.family == "histogram":
                 check_histograms(stack)
+            elif stack.shape[1:] != (self.dim, self.dim):
+                raise DimensionMismatch(f"covariance members must be "
+                                        f"{self.dim} x {self.dim}")
+            elif (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+                  > 1e-9 * np.abs(stack).max(axis=(1, 2))).any():
+                raise InconsistentInput("covariance members must be symmetric")
         if self.ground_metric is not None:
             check_ground_metric(self.ground_metric)
 
@@ -305,10 +314,8 @@ def load_dataset(path: str) -> LabeledDataset:
     except (ValueError, OverflowError):
         labels = None
     if (labels is None or labels.ndim != 1
-            or (labels.size and (labels.dtype.kind not in "iu"
-                                 or labels.min() < 0))):
-        raise ValidationError(
-            f"{path}: labels must be a list of nonnegative integers")
+            or (labels.size and labels.dtype.kind not in "iu")):
+        raise ValidationError(f"{path}: labels must be a list of integers")
     gm = doc.get("ground_metric")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -60,7 +60,13 @@ class ExperimentPlan:
 
 def make_metric(dataset: LabeledDataset, lam: float | None = None,
                 sinkhorn_tol: float = 1e-6, sinkhorn_max_iter: int = 2000):
-    """Distance callable for the dataset's family; returns (metric, lam)."""
+    """Distance callable for the dataset's family; returns (metric, lam).
+
+    Both families' callables carry the batched form
+    ``.matrix(queries, members)``.  The Sinkhorn one makes one
+    ``ot.sinkhorn_batch`` call per member, over all queries at once; the
+    core's per-column exit makes it equal the per-pair distances.
+    """
     if dataset.family == "covariance":
         return _JBLD, None
     M = dataset.ground_metric
@@ -70,6 +76,17 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
         return ot.sinkhorn(h, hp, M, lam, tol=sinkhorn_tol,
                            max_iter=sinkhorn_max_iter).distance
 
+    def matrix(queries, members):
+        D = np.empty((len(queries), len(members)))
+        if len(queries):
+            Q = np.stack(queries)
+            # looked up on ot at each call, so a wrapper put there sees it
+            for j, x in enumerate(members):
+                D[:, j] = ot.sinkhorn_batch(Q, x, M, lam, sinkhorn_tol,
+                                            sinkhorn_max_iter)[0]
+        return D
+
+    metric.matrix = matrix
     return metric, lam
 
 

@@ -46,7 +46,8 @@ def distance_matrix(queries, members, metric) -> np.ndarray:
     """(len(queries), len(members)) matrix of metric(query, member).
 
     Calls metric.matrix(queries, members) when the metric carries that
-    batched form (spd.jbld does), else loops over the pairs.
+    batched form (both families' metrics from harness.make_metric do),
+    else loops over the pairs.
     """
     batched = getattr(metric, "matrix", None)
     if batched is not None:
@@ -60,12 +61,12 @@ def distance_matrix(queries, members, metric) -> np.ndarray:
 
 def pairwise_distances(members, metric) -> np.ndarray:
     """Symmetric (n, n) matrix of metric(members[i], members[j]), zero on
-    the diagonal.  A per-pair metric is called for i < j only."""
+    the diagonal.  A per-pair metric is called for i < j only, and a
+    batched one's upper triangle is mirrored."""
     batched = getattr(metric, "matrix", None)
     if batched is not None:
-        D = batched(members, members)
-        np.fill_diagonal(D, 0.0)
-        return D
+        D = np.triu(batched(members, members), 1)
+        return D + D.T
     n = len(members)
     D = np.zeros((n, n))
     for i in range(n):

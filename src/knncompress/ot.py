@@ -89,15 +89,18 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
     one (d, n) block, against the shared second marginal hp.
 
     Marginals are checked and clamped once per call.  Alternating scaling
-    iterations on K = exp(-lam * M) run for all columns at once until each
-    column's L1 marginal violation is below tol; the K @ V of that check is
-    the next iteration's denominator.  A column whose distance or scalings
-    end non-finite is solved again, from a cold start, in the log domain.
-    When K underflows, every column runs there, warm-started from log V0.
-    A finite column that did not converge is returned as it is: the log
-    domain runs the same iteration at several times the cost.  Returns
-    (distances (n,), log scalings F and G (d, n), V (d, n) to seed a warm
-    start, converged (n,), iterations run in both domains).
+    iterations on K = exp(-lam * M) run on a working block of the active
+    columns; the K @ V of each iteration's L1 marginal check is the next
+    one's denominator.  A column leaves the block, with its scalings, once
+    its violation is below tol or NaN, so its result does not depend on
+    the other columns, and the block is compacted only when one leaves.
+    A column whose distance or scalings end non-finite is solved again,
+    from a cold start, in the log domain.  When K underflows, every column
+    runs there, warm-started from log V0.  A finite column that did not
+    converge is returned as it is: the log domain runs the same iteration
+    at several times the cost.  Returns (distances (n,), log scalings F
+    and G (d, n), V (d, n) to seed a warm start, converged (n,), loop
+    passes run in both domains).
     """
     HT = clamp_histogram(check_histograms(H)).T
     hp = clamp_histogram(check_histogram(hp))
@@ -121,16 +124,22 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
             dists, F, G = np.empty(n), np.empty_like(V), np.empty_like(V)
             conv, redo = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
         else:
-            KV = K @ V
-            for it in range(1, max_iter + 1):
-                U = HT / KV
-                V = hp[:, None] / (K.T @ U)
-                KV = K @ V
-                err = np.abs(U * KV - HT).sum(axis=0)
-                if not (err >= tol).any():  # a NaN column is not active
-                    break
+            U, conv = np.empty_like(V), np.zeros(n, dtype=bool)
+            act, Ha, KV, it = np.arange(n), HT, K @ V, 0
+            while act.size and it < max_iter:
+                it += 1
+                Ua = Ha / KV
+                Va = hp[:, None] / (K.T @ Ua)
+                KV = K @ Va
+                err = np.abs(Ua * KV - Ha).sum(axis=0)
+                out = ~(err >= tol) | (it == max_iter)  # NaN leaves too
+                if out.any():
+                    j, keep = act[out], ~out
+                    U[:, j], V[:, j] = Ua[:, out], Va[:, out]
+                    conv[j] = err[out] < tol
+                    act, Ha, KV = act[keep], Ha[:, keep], KV[:, keep]
             dists = np.sum(U * ((K * M) @ V), axis=0)
-            F, G, conv, G0 = np.log(U), np.log(V), err < tol, None
+            F, G, G0 = np.log(U), np.log(V), None
             redo = ~(np.isfinite(dists) & np.isfinite(F).all(axis=0)
                      & np.isfinite(G).all(axis=0))
         if redo.any():
@@ -152,22 +161,30 @@ def _log_scaling(HT, hp, M, lam, tol, max_iter, G0=None):
     """The scaling iteration on f = log u, g = log v for the (d, p) block
     HT of clamped marginals, each a hand-written max-shifted log-sum-exp
     over a (p, d, d) stack; the row one of the marginal check is the next
-    iteration's.  Returns (distances (p,), F, G (p, d), converged (p,), it).
+    iteration's.  Each row leaves the working block once it converges, as
+    in _scale_columns.  Returns (distances (p,), F, G (p, d), converged
+    (p,), loop passes).
     """
     logK = -lam * M
-    H = HT.T
-    logH, loghp = np.log(H), np.log(hp)
-    G = np.zeros_like(H) if G0 is None else G0
+    Ha = HT.T
+    logHa, loghp = np.log(Ha), np.log(hp)
+    G = np.zeros_like(Ha) if G0 is None else G0
+    F, conv = np.empty_like(Ha), np.zeros(len(Ha), dtype=bool)
+    act, it = np.arange(len(Ha)), 0
     L = _logsumexp(logK + G[:, None, :], 2)
-    for it in range(1, max_iter + 1):
-        F = logH - L
-        G = loghp - _logsumexp(logK + F[:, :, None], 1)
-        L = _logsumexp(logK + G[:, None, :], 2)
-        err = np.abs(np.exp(F + L) - H).sum(axis=1)
-        if not (err >= tol).any():
-            break
+    while act.size and it < max_iter:
+        it += 1
+        Fa = logHa - L
+        Ga = loghp - _logsumexp(logK + Fa[:, :, None], 1)
+        L = _logsumexp(logK + Ga[:, None, :], 2)
+        err = np.abs(np.exp(Fa + L) - Ha).sum(axis=1)
+        out = ~(err >= tol) | (it == max_iter)
+        if out.any():
+            j, keep = act[out], ~out
+            F[j], G[j], conv[j] = Fa[out], Ga[out], err[out] < tol
+            act, Ha, logHa, L = act[keep], Ha[keep], logHa[keep], L[keep]
     T = np.exp(F[:, :, None] + logK + G[:, None, :])
-    return (T * M).sum(axis=(1, 2)), F, G, err < tol, it
+    return (T * M).sum(axis=(1, 2)), F, G, conv, it
 
 
 def sinkhorn(h: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
@@ -213,7 +230,8 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
     """Solve sinkhorn(H[i], hp) for all rows of H at once.
 
     The n-column form of ``_scale_columns``: the scaling updates share
-    the kernel, so the whole batch reduces to matrix products.  Returns
+    the kernel, so the whole batch reduces to matrix products, and each
+    column stops when it converges, as it would alone.  Returns
     (distances (n,), betas (n, d), V (d, n), converged (n,), iterations).
     V seeds warm starts of later calls.
     """

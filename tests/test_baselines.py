@@ -74,13 +74,29 @@ class TestCnn:
         assert np.array_equal(a.indices, b.indices)
 
     def test_matrix_matches_metric(self):
-        train = blob_train(seed=4, per_class=8)
+        # each method picks the same members from the matrix as from the
+        # metric's memo: one block accessor serves both
+        train = blob_train(seed=4, per_class=8, spread=1.0)
         n = len(train)
         Dm = np.array([[euclid(train.members[i], train.members[j])
                         for j in range(n)] for i in range(n)])
         a = bl.cnn_reduce(train, euclid, seed=1)
         b = bl.cnn_reduce(train, None, seed=1, dist_matrix=Dm)
         assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(bl.rnn_reduce(a, train, euclid).indices,
+                              bl.rnn_reduce(b, train, None,
+                                            dist_matrix=Dm).indices)
+
+        def centroid(ms):
+            return np.mean(ms, axis=0)
+
+        assert np.array_equal(
+            bl.fcnn_reduce(train, euclid, centroid).indices,
+            bl.fcnn_reduce(train, euclid, centroid, dist_matrix=Dm).indices)
+        assert np.array_equal(
+            bl.rmhc_reduce(train, 5, euclid, steps=30, seed=2).indices,
+            bl.rmhc_reduce(train, 5, None, steps=30, seed=2,
+                           dist_matrix=Dm).indices)
 
     def test_snapshots_monotone(self):
         train = blob_train(seed=5, spread=1.2)

@@ -176,6 +176,22 @@ class TestEval:
         assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
         assert "member" in capsys.readouterr().err
 
+    def test_asymmetric_member_exit_2(self, cov_file, tmp_path, capsys):
+        def raise_upper_triangle(doc):
+            member = doc["members"][3]  # row-major 3 x 3
+            for k in (1, 2, 5):
+                member[k] += 5.0
+
+        bad = self.edited(cov_file, tmp_path, raise_upper_triangle)
+        assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
+        assert "symmetric" in capsys.readouterr().err
+
+    def test_negative_label_exit_2(self, cov_file, tmp_path, capsys):
+        bad = self.edited(cov_file, tmp_path,
+                          lambda doc: doc["labels"].__setitem__(0, -1))
+        assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
+        assert "labels" in capsys.readouterr().err
+
     def test_off_simplex_member_exit_2(self, hist_file, tmp_path, capsys):
         # subsample computes no distance, so only the load can catch it
         bad = self.edited(hist_file, tmp_path,

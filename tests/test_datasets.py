@@ -6,6 +6,7 @@ from knncompress.errors import (
     BadParameters,
     ClassStarved,
     DimensionMismatch,
+    InconsistentInput,
     InfeasibleMarginals,
     NonFiniteInput,
     TooFewFeatures,
@@ -57,6 +58,34 @@ class TestLabeledDataset:
             ds.LabeledDataset(family="histogram", dim=2,
                               members=[np.array([0.5, 0.5])],
                               labels=np.array([0]), ground_metric=M)
+
+    def test_asymmetric_covariance_member(self):
+        # a member whose upper triangle moved: the Cholesky would read
+        # only the lower one, so the answer would be for another matrix
+        X = np.eye(3) + 0.5 + np.triu(np.full((3, 3), 5.0), 1)
+        with pytest.raises(InconsistentInput):
+            ds.LabeledDataset(family="covariance", dim=3,
+                              members=[np.eye(3), X], labels=np.array([0, 1]))
+
+    def test_symmetric_within_tolerance_accepted(self):
+        X = np.eye(3) * 1e3
+        X[0, 1] += 1e-7  # 1e-10 of max|X|
+        data = ds.LabeledDataset(family="covariance", dim=3, members=[X],
+                                 labels=np.array([0]))
+        assert len(data) == 1
+
+    def test_covariance_member_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            ds.LabeledDataset(family="covariance", dim=3,
+                              members=[np.eye(2)], labels=np.array([0]))
+
+    @pytest.mark.parametrize("family", ["covariance", "histogram"])
+    def test_negative_label(self, family):
+        member = np.eye(2) if family == "covariance" else np.full(2, 0.5)
+        with pytest.raises(ValidationError, match="labels"):
+            ds.LabeledDataset(family=family, dim=2, members=[member] * 2,
+                              labels=np.array([0, -1]),
+                              ground_metric=1.0 - np.eye(2))
 
     def test_subset(self):
         data = ds.gen_covariance_dataset(2, 5, 3, wishart_dof=10,

@@ -73,6 +73,15 @@ class TestMakeMetric:
         assert d > 0
         assert metric(data.members[0], data.members[0]) < d
 
+    @pytest.mark.parametrize("lam", [2.0, 200.0])
+    def test_histogram_matrix_equals_per_pair(self, lam):
+        data = gen_histogram_dataset(3, 3, 20, concentration=5.0, seed=1)
+        metric, _ = harness.make_metric(data, lam, sinkhorn_max_iter=300)
+        Q, R = data.members[:6], data.members[6:]
+        want = np.array([[metric(q, x) for x in R] for q in Q])
+        np.testing.assert_allclose(metric.matrix(Q, R), want, rtol=1e-12)
+        assert metric.matrix([], R).shape == (0, 3)
+
 
 class TestRunExperiment:
     def test_covariance_smoke(self, tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from knncompress import knn, spd
-from knncompress.datasets import LabeledDataset, gen_covariance_dataset
+from knncompress import harness, knn, ot, spd
+from knncompress.datasets import (
+    LabeledDataset, gen_covariance_dataset, gen_histogram_dataset)
 from knncompress.errors import EmptyReference, NumericalError, TooFewInputs
 
 
@@ -166,3 +167,36 @@ class TestBatched:
         test = make_ds([1.5, 9.0], [0, 1])
         with pytest.raises(NumericalError):
             knn.evaluate(test, ref, metric, reps=1)
+
+
+class TestSinkhornMetric:
+    def test_one_batch_per_reference_member(self, monkeypatch):
+        # the query axis is batched, the reference set looped over: the
+        # cost stays linear in the reference set
+        data = gen_histogram_dataset(2, 6, 8, concentration=20.0, seed=3)
+        ref, test = data.subset([0, 5, 6]), data.subset(range(1, 5))
+        metric, _ = harness.make_metric(data, 2.0)
+        batches, sinkhorn_batch = [], ot.sinkhorn_batch
+
+        def counting(H, *args, **kwargs):
+            batches.append(len(H))
+            return sinkhorn_batch(H, *args, **kwargs)
+
+        def per_pair(*args, **kwargs):
+            raise AssertionError("per-pair sinkhorn called")
+
+        monkeypatch.setattr(ot, "sinkhorn_batch", counting)
+        monkeypatch.setattr(ot, "sinkhorn", per_pair)
+        rep = knn.evaluate(test, ref, metric, reps=1)
+        assert batches == [len(test)] * len(ref)
+        assert rep.distance_evals == len(test) * len(ref)
+
+    def test_pairwise_symmetric_and_equal_to_pair_loop(self):
+        data = gen_histogram_dataset(2, 3, 8, concentration=20.0, seed=3)
+        metric, _ = harness.make_metric(data, 2.0)
+        D = knn.pairwise_distances(data.members, metric)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
+        np.testing.assert_allclose(
+            D, knn.pairwise_distances(data.members, per_pair(metric)),
+            rtol=1e-12)

@@ -324,6 +324,29 @@ class TestBatch:
             sol = ot.sinkhorn(H[i], hp, M, lam, tol=1e-9, max_iter=20000)
             assert dists[i] == pytest.approx(sol.distance, abs=1e-8)
 
+    @pytest.mark.parametrize("lam, max_iter", [(2.0, 40), (300.0, 600)])
+    def test_column_independent_of_block_mates(self, lam, max_iter):
+        # a peaked column converges well within max_iter; one close to hp
+        # does not.  At lam = 300 exp(-lam * M) underflows, so both run in
+        # the log domain.  The first's distance, beta and flag are those
+        # it gets alone, wherever it sits in the block.
+        d = 6
+        M = line_metric(d)
+        hp = np.random.default_rng(11).dirichlet(np.ones(d))
+        peaked = ot.clamp_histogram(np.eye(d)[-1] * 0.98 + 0.02 / d)
+        slow = 0.9 * hp + 0.1 / d
+        alone = ot.sinkhorn_batch(peaked[None], hp, M, lam, tol=1e-9,
+                                  max_iter=max_iter)
+        assert alone[3][0]
+        for H, i in (([peaked, slow], 0), ([slow, peaked], 1)):
+            dists, betas, _, conv, _ = ot.sinkhorn_batch(
+                np.stack(H), hp, M, lam, tol=1e-9, max_iter=max_iter)
+            assert not conv[1 - i]
+            assert conv[i]
+            np.testing.assert_allclose(dists[i], alone[0][0], rtol=1e-12)
+            np.testing.assert_allclose(betas[i], alone[1][0], rtol=1e-12,
+                                       atol=1e-12)
+
     @pytest.mark.parametrize("row", [np.array([0.7, -0.1, 0.4]),
                                      np.array([0.5, 0.3, 0.3]),
                                      np.array([np.nan, 0.5, 0.5])])
