@@ -21,11 +21,14 @@ from .errors import (
     EmptyInput,
     InconsistentInput,
     NonFiniteInput,
+    NotPositiveDefinite,
+    NotSpdInput,
     TooFewFeatures,
     TooFewInputs,
     ValidationError,
 )
 from .ot import check_ground_metric, check_histograms
+from .spd import logdets
 
 COV_JITTER_EPS = 1e-8
 
@@ -58,16 +61,23 @@ class LabeledDataset:
                     "members must be numeric arrays of one shape") from None
             if not np.isfinite(stack).all():
                 raise NonFiniteInput("dataset members must be finite")
+            shape = (self.dim,) * (1 if self.family == "histogram" else 2)
+            if stack.shape[1:] != shape:
+                raise DimensionMismatch(
+                    f"{self.family} members must have shape {shape}")
             if self.family == "histogram":
                 check_histograms(stack)
-            elif stack.shape[1:] != (self.dim, self.dim):
-                raise DimensionMismatch(f"covariance members must be "
-                                        f"{self.dim} x {self.dim}")
             elif (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
                   > 1e-9 * np.abs(stack).max(axis=(1, 2))).any():
                 raise InconsistentInput("covariance members must be symmetric")
+            else:
+                try:  # the kernels' stacked Cholesky and jitter retry
+                    logdets(stack)
+                except NotPositiveDefinite:
+                    raise NotSpdInput("covariance members must be positive "
+                                      "definite") from None
         if self.ground_metric is not None:
-            check_ground_metric(self.ground_metric)
+            check_ground_metric(self.ground_metric, self.dim)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -60,6 +60,10 @@ class NonFiniteInput(ValidationError):
     pass
 
 
+class NotSpdInput(ValidationError):
+    pass
+
+
 # --- numerical --------------------------------------------------------------
 
 class NotPositiveDefinite(NumericalError):

@@ -63,9 +63,9 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
     """Distance callable for the dataset's family; returns (metric, lam).
 
     Both families' callables carry the batched form
-    ``.matrix(queries, members)``.  The Sinkhorn one makes one
-    ``ot.sinkhorn_batch`` call per member, over all queries at once; the
-    core's per-column exit makes it equal the per-pair distances.
+    ``.matrix(queries, members)``; the Sinkhorn one is
+    ``ot.sinkhorn_matrix``, whose per-column exit makes it equal the
+    per-pair distances.
     """
     if dataset.family == "covariance":
         return _JBLD, None
@@ -77,24 +77,11 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
                            max_iter=sinkhorn_max_iter).distance
 
     def matrix(queries, members):
-        D = np.empty((len(queries), len(members)))
-        if len(queries):
-            Q = np.stack(queries)
-            # looked up on ot at each call, so a wrapper put there sees it
-            for j, x in enumerate(members):
-                D[:, j] = ot.sinkhorn_batch(Q, x, M, lam, sinkhorn_tol,
-                                            sinkhorn_max_iter)[0]
-        return D
+        return ot.sinkhorn_matrix(queries, members, M, lam, sinkhorn_tol,
+                                  sinkhorn_max_iter)[0]
 
     metric.matrix = matrix
     return metric, lam
-
-
-def _pairwise_matrix(ds: LabeledDataset, metric, lam: float | None):
-    if ds.family == "histogram":
-        return ot.sinkhorn_pairwise(np.stack(ds.members), ds.ground_metric,
-                                    lam, tol=1e-6, max_iter=2000)
-    return pairwise_distances(ds.members, metric)
 
 
 def split_dataset(dataset: LabeledDataset, seed: int, test_frac: float = 0.3):
@@ -132,8 +119,8 @@ class _Cell:
         return self.cache[key]
 
     def dist(self) -> np.ndarray:
-        return self.cached("dist", lambda: _pairwise_matrix(
-            self.train, self.metric, self.lam))
+        return self.cached("dist", lambda: pairwise_distances(
+            self.train.members, self.metric))
 
     def select(self, rs: baselines.ReducedSet) -> LabeledDataset:
         """The members rs picked, or its snapshot at the cell's ratio."""

@@ -61,18 +61,15 @@ def distance_matrix(queries, members, metric) -> np.ndarray:
 
 def pairwise_distances(members, metric) -> np.ndarray:
     """Symmetric (n, n) matrix of metric(members[i], members[j]), zero on
-    the diagonal.  A per-pair metric is called for i < j only, and a
-    batched one's upper triangle is mirrored."""
-    batched = getattr(metric, "matrix", None)
-    if batched is not None:
-        D = np.triu(batched(members, members), 1)
-        return D + D.T
+    the diagonal.  Column j of the upper triangle is
+    distance_matrix(members[:j], members[j:j+1], metric), so a per-pair
+    metric is called for i < j only; the triangle is then mirrored."""
+    members = np.asarray(members)
     n = len(members)
     D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = metric(members[i], members[j])
-    return D
+    for j in range(1, n):
+        D[:j, j] = distance_matrix(members[:j], members[j:j + 1], metric)[:, 0]
+    return D + D.T
 
 
 def _predict(D: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:

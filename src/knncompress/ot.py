@@ -3,10 +3,11 @@
 Histograms are 1-D numpy arrays summing to one; the ground metric is a
 finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
 One Sinkhorn solver, ``_scale_columns``, serves every caller: ``sinkhorn``
-is its one-column form and ``sinkhorn_batch`` its n-column form.  It
-exposes the dual variables, whose centered second block is the
-approximate gradient of the distance w.r.t. the second marginal.  Its log
-domain and the barycenter use a hand-written max-shifted log-sum-exp.
+is its one-column form, ``sinkhorn_batch`` its n-column form, and
+``sinkhorn_matrix`` loops that over second marginals.  It exposes the dual
+variables, whose centered second block is the approximate gradient of the
+distance w.r.t. the second marginal.  Its log domain and the barycenter
+use a hand-written max-shifted log-sum-exp.
 """
 from __future__ import annotations
 
@@ -238,6 +239,26 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
     dists, _, G, V, conv, it = _scale_columns(H, hp, M, lam, tol, max_iter,
                                               V0)
     return dists, (G / lam).T, V, conv, it
+
+
+def sinkhorn_matrix(Q, P, M: np.ndarray, lam: float, tol: float = 1e-9,
+                    max_iter: int = 10000, warm: dict | None = None):
+    """Sinkhorn distances between the rows of Q (n, d) and of P (m, d).
+
+    One ``sinkhorn_batch(Q, P[j])`` per row of P, looked up in this module
+    when called.  ``warm`` maps j to the V of P[j]'s last call, which seeds
+    this one and is replaced by it.  Returns (distances (n, m), betas
+    (m, n, d), converged (n, m)).
+    """
+    Q, P = np.asarray(Q, dtype=float), np.asarray(P, dtype=float)
+    n, m = len(Q), len(P)
+    D, conv = np.empty((n, m)), np.empty((n, m), dtype=bool)
+    betas = np.empty((m, n, P.shape[-1]))
+    warm = {} if warm is None else warm
+    for j in range(m if n else 0):
+        D[:, j], betas[j], warm[j], conv[:, j], _ = sinkhorn_batch(
+            Q, P[j], M, lam, tol, max_iter, warm.get(j))
+    return D, betas, conv
 
 
 def sinkhorn_pairwise(H: np.ndarray, M: np.ndarray, lam: float,

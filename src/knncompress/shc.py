@@ -20,7 +20,9 @@ from .neighborhood import (
     kl_loss,
     select_gamma_sq,
 )
-from .ot import clamp_histogram, sinkhorn_batch, sinkhorn_pairwise
+from .ot import clamp_histogram, sinkhorn_matrix, sinkhorn_pairwise
+# unused here, but profilers (perfbench/tracer.py) wrap this name on shc
+from .ot import sinkhorn_batch  # noqa: F401
 
 
 @dataclass
@@ -101,30 +103,7 @@ def shc_init(train: LabeledDataset, m: int, seed: int,
                     gamma_sq=1.0, lam=lam)
 
 
-def _distances_and_betas(state: ShcState, H: np.ndarray, M: np.ndarray,
-                         tol: float, max_iter: int,
-                         warm: dict | None = None):
-    """Sinkhorn distances (n, m), duals (m, n, d), convergence mask."""
-    n, d = H.shape
-    m = state.m
-    D = np.empty((n, m))
-    betas = np.empty((m, n, d))
-    conv = np.empty((n, m), dtype=bool)
-    for j in range(m):
-        hj = softmax_decode(state.logits[j])
-        V0 = warm.get(j) if warm is not None else None
-        dists, b, V, ok, _ = sinkhorn_batch(H, hj, M, state.lam, tol=tol,
-                                            max_iter=max_iter, V0=V0)
-        D[:, j] = dists
-        betas[j] = b
-        conv[:, j] = ok
-        if warm is not None:
-            warm[j] = V
-    return D, betas, conv
-
-
 def shc_loss_grad(state: ShcState, train: LabeledDataset,
-                  M: np.ndarray | None = None,
                   warm: dict | None = None,
                   sinkhorn_tol: float = 1e-6,
                   sinkhorn_max_iter: int = 2000):
@@ -136,10 +115,10 @@ def shc_loss_grad(state: ShcState, train: LabeledDataset,
     gradient with a warning.  Returns (loss, (m, d) gradient, (n, m)
     distance matrix).
     """
-    M = M if M is not None else train.ground_metric
-    H = np.stack(train.members)
-    D, betas, conv = _distances_and_betas(state, H, M, sinkhorn_tol,
-                                          sinkhorn_max_iter, warm)
+    P = state.prototypes()
+    D, betas, conv = sinkhorn_matrix(train.members, P, train.ground_metric,
+                                     state.lam, sinkhorn_tol,
+                                     sinkhorn_max_iter, warm)
     if not conv.all():
         warnings.warn(f"{(~conv).sum()} Sinkhorn pairs did not converge; "
                       "skipped in the gradient", stacklevel=2)
@@ -147,8 +126,7 @@ def shc_loss_grad(state: ShcState, train: LabeledDataset,
     loss = kl_loss(model)
     C = gradient_coeffs(model)
     grads = np.zeros_like(state.logits)
-    for j in range(state.m):
-        h = softmax_decode(state.logits[j])
+    for j, h in enumerate(P):
         B = betas[j]
         B = B - B.mean(axis=1, keepdims=True)  # center the duals
         t = B * h[None, :]
@@ -165,7 +143,6 @@ def _train_error(D: np.ndarray, proto_labels: np.ndarray,
 
 
 def shc_compress(train: LabeledDataset, m: int,
-                 M: np.ndarray | None = None,
                  config: ShcConfig | None = None) -> ShcState:
     """Gradient descent with an adaptive step size on the SHC objective.
 
@@ -175,13 +152,12 @@ def shc_compress(train: LabeledDataset, m: int,
     KL loss).
     """
     config = config or ShcConfig()
-    M = M if M is not None else train.ground_metric
     state = shc_init(train, m, config.seed, rmhc_steps=config.rmhc_steps,
                      lam=config.lam, sinkhorn_tol=config.sinkhorn_tol,
                      sinkhorn_max_iter=config.sinkhorn_max_iter)
 
     warm: dict = {}
-    kw = dict(M=M, warm=warm, sinkhorn_tol=config.sinkhorn_tol,
+    kw = dict(warm=warm, sinkhorn_tol=config.sinkhorn_tol,
               sinkhorn_max_iter=config.sinkhorn_max_iter)
     loss, grad, D = shc_loss_grad(state, train, **kw)
     if config.gamma_sq is not None:

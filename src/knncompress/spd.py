@@ -87,7 +87,7 @@ def _as_stack(A, name: str) -> np.ndarray:
     return A
 
 
-def _logdets(S: np.ndarray) -> np.ndarray:
+def logdets(S: np.ndarray) -> np.ndarray:
     """log|S_i| of each matrix of a stack, each as :func:`logdet` gives it.
 
     One stacked Cholesky; if any member fails it, every member goes
@@ -114,10 +114,10 @@ def jbld_matrix(A, B) -> np.ndarray:
     if A.shape[1:] != B.shape[1:]:
         raise DimensionMismatch(
             f"shape mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-    ld_a, ld_b = _logdets(A), _logdets(B)
+    ld_a, ld_b = logdets(A), logdets(B)
     D = np.empty((len(A), len(B)))
     for j in range(len(B)):
-        D[:, j] = _logdets(0.5 * (A + B[j])) - 0.5 * (ld_a + ld_b[j])
+        D[:, j] = logdets(0.5 * (A + B[j])) - 0.5 * (ld_a + ld_b[j])
     return D
 
 

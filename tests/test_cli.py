@@ -186,6 +186,12 @@ class TestEval:
         assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_indefinite_member_exit_2(self, cov_file, tmp_path, capsys):
+        bad = self.edited(cov_file, tmp_path, lambda doc: doc["members"]
+                          .__setitem__(3, (-np.eye(3)).ravel().tolist()))
+        assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
+        assert "positive definite" in capsys.readouterr().err
+
     def test_negative_label_exit_2(self, cov_file, tmp_path, capsys):
         bad = self.edited(cov_file, tmp_path,
                           lambda doc: doc["labels"].__setitem__(0, -1))

@@ -9,6 +9,7 @@ from knncompress.errors import (
     InconsistentInput,
     InfeasibleMarginals,
     NonFiniteInput,
+    NotSpdInput,
     TooFewFeatures,
     TooFewInputs,
     ValidationError,
@@ -78,6 +79,33 @@ class TestLabeledDataset:
         with pytest.raises(DimensionMismatch):
             ds.LabeledDataset(family="covariance", dim=3,
                               members=[np.eye(2)], labels=np.array([0]))
+
+    def test_histogram_members_not_dim_wide(self):
+        with pytest.raises(DimensionMismatch):
+            ds.LabeledDataset(family="histogram", dim=5,
+                              members=[np.full(20, 0.05)],
+                              labels=np.array([0]),
+                              ground_metric=1.0 - np.eye(5))
+
+    def test_ground_metric_not_dim_square(self):
+        with pytest.raises(DimensionMismatch):
+            ds.LabeledDataset(family="histogram", dim=20,
+                              members=[np.full(20, 0.05)],
+                              labels=np.array([0]),
+                              ground_metric=1.0 - np.eye(3))
+
+    def test_indefinite_covariance_member(self):
+        with pytest.raises(NotSpdInput):
+            ds.LabeledDataset(family="covariance", dim=2,
+                              members=[np.eye(2), -np.eye(2)],
+                              labels=np.array([0, 1]))
+
+    def test_singular_member_within_jitter_accepted(self):
+        # spd.logdet's jitter retry factors it, so the kernels accept it
+        X = np.ones((3, 3))
+        data = ds.LabeledDataset(family="covariance", dim=3,
+                                 members=[np.eye(3), X], labels=[0, 1])
+        assert len(data) == 2
 
     @pytest.mark.parametrize("family", ["covariance", "histogram"])
     def test_negative_label(self, family):

@@ -132,13 +132,13 @@ class TestRunExperiment:
 
     def test_train_matrix_built_once_per_seed(self, monkeypatch):
         calls = []
-        real = harness._pairwise_matrix
+        real = harness.pairwise_distances
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(harness, "_pairwise_matrix", counting)
+        monkeypatch.setattr(harness, "pairwise_distances", counting)
         plan = harness.ExperimentPlan(ratios=(0.1, 0.2),
                                       methods=("cnn", "rnn", "fcnn", "rmhc"),
                                       seeds=(0, 1), rmhc_steps=5)

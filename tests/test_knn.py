@@ -159,6 +159,17 @@ class TestBatched:
         assert np.array_equal(
             D, knn.pairwise_distances(self.ref.members, per_pair(spd.jbld)))
 
+    def test_per_pair_metric_called_once_per_pair(self):
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return spd.jbld(x, y)
+
+        n = len(self.ref.members)
+        knn.pairwise_distances(self.ref.members, counting)
+        assert len(calls) == n * (n - 1) // 2
+
     def test_non_finite_distance_raises(self):
         def metric(x, y):
             return np.nan if x[0, 0] == 9.0 else float(abs(x - y).sum())
@@ -200,3 +211,12 @@ class TestSinkhornMetric:
         np.testing.assert_allclose(
             D, knn.pairwise_distances(data.members, per_pair(metric)),
             rtol=1e-12)
+
+    def test_pairwise_equals_sinkhorn_pairwise(self):
+        data = gen_histogram_dataset(2, 4, 8, concentration=20.0, seed=5)
+        metric, lam = harness.make_metric(data, 2.0)
+        want = ot.sinkhorn_pairwise(np.stack(data.members),
+                                    data.ground_metric, lam, tol=1e-6,
+                                    max_iter=2000)
+        assert np.array_equal(knn.pairwise_distances(data.members, metric),
+                              want)

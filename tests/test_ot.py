@@ -377,6 +377,48 @@ class TestBatch:
         assert np.all(D[~np.eye(5, dtype=bool)] > 0)
 
 
+class TestMatrix:
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.M = line_metric(6)
+        self.Q = rng.dirichlet(np.ones(6), size=5)
+        self.P = rng.dirichlet(np.ones(6), size=3)
+
+    def test_equals_per_column_batches(self):
+        D, betas, conv = ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0,
+                                            1e-6, 2000)
+        assert D.shape == conv.shape == (5, 3)
+        for j, hp in enumerate(self.P):
+            dists, b, _, ok, _ = ot.sinkhorn_batch(self.Q, hp, self.M, 2.0,
+                                                   1e-6, 2000)
+            assert np.array_equal(D[:, j], dists)
+            assert np.array_equal(betas[j], b)
+            assert np.array_equal(conv[:, j], ok)
+
+    def test_warm_dict_seeds_and_takes_each_column(self):
+        warm: dict = {}
+        ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0, 1e-6, 2000, warm)
+        assert sorted(warm) == [0, 1, 2]
+        P2 = ot.clamp_histogram(self.P + 0.05)
+        seeds = {j: V.copy() for j, V in warm.items()}
+        D, betas, _ = ot.sinkhorn_matrix(self.Q, P2, self.M, 2.0, 1e-6, 2000,
+                                         warm)
+        for j, hp in enumerate(P2):
+            dists, b, V, _, _ = ot.sinkhorn_batch(self.Q, hp, self.M, 2.0,
+                                                  1e-6, 2000, seeds[j])
+            assert np.array_equal(D[:, j], dists)
+            assert np.array_equal(betas[j], b)
+            assert np.array_equal(warm[j], V)
+
+    def test_empty_side_makes_no_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("sinkhorn_batch called")
+
+        monkeypatch.setattr(ot, "sinkhorn_batch", no_solve)
+        assert ot.sinkhorn_matrix([], self.P, self.M, 2.0)[0].shape == (0, 3)
+        assert ot.sinkhorn_matrix(self.Q, [], self.M, 2.0)[0].shape == (5, 0)
+
+
 class TestEmdExact:
     def test_identical(self):
         h = np.array([0.25, 0.25, 0.5])
