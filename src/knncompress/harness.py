@@ -18,7 +18,7 @@ from .datasets import LabeledDataset, stratified_indices
 from .errors import BadParameters, DegeneratePi
 from .knn import evaluate, pairwise_distances
 from .neighborhood import gamma_sq_grid
-from .scc import SccConfig, jbld_distance_matrix, scc_compress, scc_init
+from .scc import SccConfig, jbld_midpoints, scc_compress, scc_init
 from .shc import ShcConfig, default_lambda, shc_compress
 
 FEW_CLASS_RATIOS = (0.02, 0.04, 0.08, 0.16)
@@ -218,7 +218,7 @@ def _tune_scc(c: _Cell, cfg: SccConfig) -> float:
     sub, val = split_dataset(c.train, c.seed + 1, test_frac=0.2)
     m_sub = min(c.m, len(sub))
     st = scc_init(sub, m_sub, c.seed)
-    D0 = jbld_distance_matrix(st.factors, sub.members)
+    D0 = jbld_midpoints(st.factors, sub.members)[0]
     configs = [SccConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g,
                          seed=c.seed) for g in gamma_sq_grid(D0)]
     return _pick(configs, lambda k: scc_compress(sub, m_sub, k).to_dataset(sub),

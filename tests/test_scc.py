@@ -5,7 +5,8 @@ from knncompress import scc
 from knncompress.datasets import LabeledDataset, gen_covariance_dataset
 from knncompress.errors import TooFewInputs, ValidationError
 from knncompress.knn import loo_train_error
-from knncompress.spd import jbld
+from knncompress.neighborhood import NeighborhoodModel, gradient_coeffs
+from knncompress.spd import jbld, jbld_gradient_chol, jbld_matrix
 
 
 def small_train(seed=0, classes=2, per_class=5, d=3):
@@ -65,11 +66,27 @@ class TestDistanceMatrix:
     def test_matches_jbld(self):
         train = small_train()
         state = scc.scc_init(train, 3, seed=1)
-        D = scc.jbld_distance_matrix(state.factors, train.members)
+        D = scc.jbld_midpoints(state.factors, train.members)[0]
         protos = state.prototypes()
         for i, X in enumerate(train.members):
             for j, P in enumerate(protos):
                 assert D[i, j] == pytest.approx(jbld(X, P), abs=1e-10)
+
+    def test_matches_jbld_matrix(self):
+        train = small_train(seed=3)
+        state = scc.scc_init(train, 4, seed=2)
+        D = scc.jbld_midpoints(state.factors, train.members)[0]
+        ref = jbld_matrix(train.members, state.prototypes())
+        # relative to the largest entry: the prototypes are members, so
+        # their own distances are rounding-level zeros
+        assert np.max(np.abs(D - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_tril_inv_matches_inv(self):
+        rng = np.random.default_rng(0)
+        L = np.tril(rng.standard_normal((4, 6, 5, 5)), -1)
+        L += np.eye(5) * rng.uniform(0.5, 2.0, (4, 6, 1, 5))
+        assert np.allclose(scc._tril_inv(L), np.linalg.inv(L),
+                           rtol=1e-12, atol=1e-12)
 
 
 class TestLossGrad:
@@ -80,6 +97,19 @@ class TestLossGrad:
         _, grads = scc.scc_loss_grad(state, train)
         if loo_error_free(state, train):
             assert max(np.max(np.abs(G)) for G in grads) < 1e-4
+
+    def test_gradient_matches_per_pair(self):
+        train = small_train(seed=3)
+        state = scc.scc_init(train, 4, seed=2)
+        state.gamma_sq = 2.0
+        _, grads = scc.scc_loss_grad(state, train)
+        D = jbld_matrix(train.members, state.prototypes())
+        C = gradient_coeffs(NeighborhoodModel(
+            state.gamma_sq, state.labels, train.labels, D))
+        for j, B in enumerate(state.factors):
+            ref = sum(C[i, j] * jbld_gradient_chol(X, B)
+                      for i, X in enumerate(train.members))
+            assert np.allclose(grads[j], ref, rtol=1e-10, atol=1e-10)
 
     def test_tiny_instance_fd(self):
         train = small_train(seed=7, classes=2, per_class=1, d=1)
@@ -103,7 +133,7 @@ class TestLossGrad:
 
 
 def loo_error_free(state, train):
-    D = scc.jbld_distance_matrix(state.factors, train.members)
+    D = scc.jbld_midpoints(state.factors, train.members)[0]
     pred = state.labels[np.argmin(D, axis=1)]
     return np.array_equal(pred, train.labels)
 
@@ -152,3 +182,33 @@ class TestCompress:
         li, _ = scc.scc_loss_grad(init, train)
         lf, _ = scc.scc_loss_grad(final, train)
         assert lf <= li + 1e-12
+
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_jitter_factorable_member(self, m):
+        # all-ones is singular but passes spd.logdet's jitter retry, so
+        # LabeledDataset accepts it; SCC must start from it too
+        train = gen_covariance_dataset(2, 6, 3, 5, 1.0, 0)
+        train.members[0] = np.ones((3, 3))
+        state = scc.scc_compress(train, m, scc.SccConfig(max_iter=3, seed=0))
+        assert np.all(np.isfinite(state.loss_history))
+        for P in state.prototypes():
+            np.linalg.cholesky(P)  # must not raise
+
+    @pytest.mark.parametrize("part", ["loss", "grad"])
+    def test_non_finite_trial_point_rejected(self, part, monkeypatch):
+        train = small_train()
+        calls, orig = [0], scc.scc_loss_grad
+
+        def poisoned(state, tr):
+            loss, grads = orig(state, tr)
+            calls[0] += 1
+            if calls[0] == 2:  # the first trial point of the first step
+                if part == "loss":
+                    return np.nan, grads
+                return loss, np.full_like(grads, np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(scc, "scc_loss_grad", poisoned)
+        state = scc.scc_compress(train, 4, scc.SccConfig(max_iter=15, seed=0))
+        assert calls[0] > 2
+        assert np.all(np.isfinite(state.loss_history))
