@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .ot import check_ground_metric, check_histograms
-from .spd import logdets
+from .spd import chol_logdets
 
 COV_JITTER_EPS = 1e-8
 
@@ -72,7 +72,7 @@ class LabeledDataset:
                 raise InconsistentInput("covariance members must be symmetric")
             else:
                 try:  # the kernels' stacked Cholesky and jitter retry
-                    logdets(stack)
+                    chol_logdets(stack)
                 except NotPositiveDefinite:
                     raise NotSpdInput("covariance members must be positive "
                                       "definite") from None

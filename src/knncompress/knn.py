@@ -33,13 +33,10 @@ def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
     """
     order = np.argsort(dists, kind="stable")[:k]
     votes = labels[order]
-    counts = np.bincount(votes)
-    top = counts.max()
-    winners = set(np.where(counts == top)[0])
-    for lab in votes:  # ordered nearest-first
-        if lab in winners:
-            return int(lab)
-    return int(votes[0])
+    # np.unique, not np.bincount, whose size is the largest label's
+    values, counts = np.unique(votes, return_counts=True)
+    winners = set(values[counts == counts.max()].tolist())
+    return next(lab for lab in votes.tolist() if lab in winners)  # nearest-first
 
 
 def distance_matrix(queries, members, metric) -> np.ndarray:

@@ -20,7 +20,7 @@ from .neighborhood import (
     select_gamma_sq,
 )
 from .optim import ncg_minimize
-from .spd import _chol_logdet, logdets
+from .spd import chol_logdets, tril_inv
 
 # steps taking a factor below this diagonal conditioning are rejected
 _COND_FLOOR = 1e-14
@@ -65,7 +65,8 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
     rng = np.random.default_rng(seed)
     idx = stratified_indices(train.labels, m, rng)
     # with logdet's jitter retry: a dataset accepts what that can factor
-    factors = [_chol_logdet(train.members[i])[0].T.copy() for i in idx]
+    L, _ = chol_logdets(np.asarray(train.members)[idx])
+    factors = list(np.ascontiguousarray(L.transpose(0, 2, 1)))
     return SccState(factors=factors, labels=train.labels[idx].copy(),
                     gamma_sq=1.0)
 
@@ -73,34 +74,18 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
 def jbld_midpoints(factors, members) -> tuple[np.ndarray, np.ndarray]:
     """(n, m) JBLD distances between members X_i and prototypes B_j.T B_j,
     and the (m, n, d, d) lower Cholesky factors of their midpoints, all
-    from one stacked Cholesky.  Member log-dets go through spd.logdets
-    and its jitter retry, as in spd.jbld_matrix."""
+    from one spd.chol_logdets call (the member log-dets from another)."""
     B, X = np.asarray(factors), np.asarray(members)
     S = B.transpose(0, 2, 1) @ B
-    try:
-        L = np.linalg.cholesky(0.5 * (X + S[:, None]))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("a midpoint is not SPD") from None
-    mid = 2.0 * np.log(np.diagonal(L, axis1=2, axis2=3)).sum(axis=2)
+    L, mid = chol_logdets(0.5 * (X + S[:, None]))
     ld_S = 2.0 * np.log(np.abs(np.diagonal(B, axis1=1, axis2=2))).sum(axis=1)
-    D = mid - 0.5 * (logdets(X) + ld_S[:, None])
+    D = mid - 0.5 * (chol_logdets(X)[1] + ld_S[:, None])
     return np.ascontiguousarray(D.T), L  # rows contiguous, as kl_loss sums
 
 
 def jbld_distance_matrix(factors, members) -> np.ndarray:
     """Distances of jbld_midpoints; kept while perfbench's tracer wraps it."""
     return jbld_midpoints(factors, members)[0]
-
-
-def _tril_inv(L: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of lower-triangular matrices by forward
-    substitution, one row per step over the stack held stack-last."""
-    Lt = np.ascontiguousarray(np.moveaxis(L, (-2, -1), (0, 1)))
-    M = np.zeros_like(Lt)
-    for k in range(L.shape[-1]):
-        M[k, k] = 1.0 / Lt[k, k]
-        M[k, :k] = -(Lt[k, :k, None] * M[:k, :k]).sum(axis=0) * M[k, k]
-    return np.moveaxis(M, (0, 1), (-2, -1))
 
 
 def scc_loss_grad(state: SccState, train: LabeledDataset):
@@ -118,9 +103,9 @@ def scc_loss_grad(state: SccState, train: LabeledDataset):
     loss = kl_loss(model)
     C = gradient_coeffs(model).T  # (m, n)
     # A[j, a, (k, i)] = L_ij^-1[k, a], so W_j = 1/2 A_j diag(c_j) A_j^T
-    A = _tril_inv(L).transpose(0, 3, 2, 1).reshape(*B.shape[:2], -1)
+    A = tril_inv(L).transpose(0, 3, 2, 1).reshape(*B.shape[:2], -1)
     W = 0.5 * (A @ (A * np.tile(C, B.shape[1])[:, None]).transpose(0, 2, 1))
-    Binv_T = _tril_inv(B.transpose(0, 2, 1))
+    Binv_T = tril_inv(B.transpose(0, 2, 1))
     G = 2.0 * (B @ W) - C.sum(axis=1)[:, None, None] * Binv_T
     return loss, np.triu(G)
 

@@ -40,24 +40,47 @@ def reconstruct(B: np.ndarray) -> np.ndarray:
     return B.T @ B
 
 
-def _chol_logdet(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor (lower) and log-determinant, with one jitter retry."""
+def chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors and log-determinants of one matrix or of a
+    stack of any leading shape, from one stacked Cholesky.
+
+    If the stacked call fails, every member is factored alone, and one
+    that fails again is retried once with a jitter of 1e-12 of its mean
+    diagonal; NotPositiveDefinite if that fails too.
+    """
+    S = np.asarray(S, dtype=float)
     try:
-        L = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        d = A.shape[0]
-        jitter = _JITTER_EPS * np.trace(A) / d
-        try:
-            L = np.linalg.cholesky(A + jitter * np.eye(d))
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                "matrix not positive definite even after jitter") from None
-    return L, 2.0 * np.sum(np.log(np.diag(L)))
+        d = S.shape[-1]
+        L = np.empty(S.shape)  # C order, so the reshape below is a view
+        for A, out in zip(S.reshape(-1, d, d), L.reshape(-1, d, d)):
+            try:
+                out[...] = np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                jitter = _JITTER_EPS * np.trace(A) / d
+                try:
+                    out[...] = np.linalg.cholesky(A + jitter * np.eye(d))
+                except np.linalg.LinAlgError:
+                    raise NotPositiveDefinite(
+                        "matrix not positive definite even after jitter") from None
+    return L, 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices by forward
+    substitution, one row per step over the stack held stack-last."""
+    Lt = np.ascontiguousarray(np.moveaxis(L, (-2, -1), (0, 1)))
+    M = np.zeros_like(Lt)
+    for k in range(L.shape[-1]):
+        M[k, k] = 1.0 / Lt[k, k]
+        M[k, :k] = -(Lt[k, :k, None] * M[:k, :k]).sum(axis=0) * M[k, k]
+    return np.moveaxis(M, (0, 1), (-2, -1))
 
 
 def logdet(X: np.ndarray) -> float:
     """log |X| via Cholesky; raises NotPositiveDefinite for non-SPD input."""
-    return _chol_logdet(_as_square(X))[1]
+    return chol_logdets(_as_square(X))[1]
 
 
 def _check_pair(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,24 +103,14 @@ def jbld(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _as_stack(A, name: str) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
+    try:
+        A = np.asarray(A, dtype=float)
+    except ValueError:
+        raise DimensionMismatch(f"{name} must share one shape") from None
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise DimensionMismatch(
             f"{name} must be a stack of square matrices, got shape {A.shape}")
     return A
-
-
-def logdets(S: np.ndarray) -> np.ndarray:
-    """log|S_i| of each matrix of a stack, each as :func:`logdet` gives it.
-
-    One stacked Cholesky; if any member fails it, every member goes
-    through _chol_logdet and its jitter retry.
-    """
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return np.array([_chol_logdet(M)[1] for M in S])
-    return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
 
 
 def jbld_matrix(A, B) -> np.ndarray:
@@ -114,10 +127,10 @@ def jbld_matrix(A, B) -> np.ndarray:
     if A.shape[1:] != B.shape[1:]:
         raise DimensionMismatch(
             f"shape mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-    ld_a, ld_b = logdets(A), logdets(B)
+    ld_a, ld_b = chol_logdets(A)[1], chol_logdets(B)[1]
     D = np.empty((len(A), len(B)))
     for j in range(len(B)):
-        D[:, j] = logdets(0.5 * (A + B[j])) - 0.5 * (ld_a + ld_b[j])
+        D[:, j] = chol_logdets(0.5 * (A + B[j]))[1] - 0.5 * (ld_a + ld_b[j])
     return D
 
 
@@ -150,7 +163,7 @@ def jbld_gradient_chol(X: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     X, B = _check_pair(X, B)
     S = B.T @ B
-    L, _ = _chol_logdet(X + S)
+    L, _ = chol_logdets(X + S)
     # 2 B (X+S)^-1, via the Cholesky factor of X+S
     W = scipy.linalg.cho_solve((L, True), B.T)
     Binv_T = scipy.linalg.solve_triangular(B, np.eye(B.shape[0]), lower=False).T
@@ -169,20 +182,14 @@ def jbld_centroid(members: list[np.ndarray], tol: float = 1e-10,
     """
     if len(members) == 0:
         raise EmptyInput("centroid of an empty set")
-    members = [_as_square(M, "member") for M in members]
-    d = members[0].shape[0]
-    for M in members:
-        if M.shape != (d, d):
-            raise DimensionMismatch("centroid members must share a dimension")
-    X = np.mean(members, axis=0)
+    members = _as_stack(members, "centroid members")
+    X = members.mean(axis=0)
     for _ in range(max_iter):
-        acc = np.zeros((d, d))
-        for M in members:
-            L, _ = _chol_logdet(0.5 * (X + M))
-            acc += scipy.linalg.cho_solve((L, True), np.eye(d))
-        acc /= len(members)
-        L, _ = _chol_logdet(acc)
-        X_new = scipy.linalg.cho_solve((L, True), np.eye(d))
+        # ((X + X_i)/2)^-1 = L_i^-T L_i^-1, L_i the midpoint factor
+        Linv = tril_inv(chol_logdets(0.5 * (X + members))[0])
+        mean_inv = (Linv.transpose(0, 2, 1) @ Linv).mean(axis=0)
+        Linv = tril_inv(chol_logdets(mean_inv)[0])
+        X_new = Linv.T @ Linv
         X_new = 0.5 * (X_new + X_new.T)
         if np.linalg.norm(X_new - X, "fro") < tol:
             return X_new

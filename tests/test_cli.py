@@ -192,6 +192,15 @@ class TestEval:
         assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
         assert "positive definite" in capsys.readouterr().err
 
+    def test_large_label_k3(self, cov_file, tmp_path, capsys):
+        ref = self.edited(cov_file, tmp_path,
+                          lambda doc: doc["labels"].__setitem__(0, 2**62))
+        rc = cli.main(["eval", "--reference", ref, "--test", cov_file,
+                       "--k", "3", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert 0.0 <= doc["error_rate"] <= 1.0
+
     def test_negative_label_exit_2(self, cov_file, tmp_path, capsys):
         bad = self.edited(cov_file, tmp_path,
                           lambda doc: doc["labels"].__setitem__(0, -1))

@@ -37,6 +37,11 @@ class TestVote:
         # two votes each; label 0 owns the overall nearest member
         assert knn._vote(d, labels, k=4) == 0
 
+    def test_label_far_beyond_count(self):
+        # a count array indexed by label would need 2**62 entries
+        d = np.array([0.1, 0.2, 0.3])
+        assert knn._vote(d, np.array([2**62, 0, 2**62]), k=3) == 2**62
+
 
 class TestClassify:
     def test_nearest_neighbor(self):

@@ -81,13 +81,6 @@ class TestDistanceMatrix:
         # their own distances are rounding-level zeros
         assert np.max(np.abs(D - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_tril_inv_matches_inv(self):
-        rng = np.random.default_rng(0)
-        L = np.tril(rng.standard_normal((4, 6, 5, 5)), -1)
-        L += np.eye(5) * rng.uniform(0.5, 2.0, (4, 6, 1, 5))
-        assert np.allclose(scc._tril_inv(L), np.linalg.inv(L),
-                           rtol=1e-12, atol=1e-12)
-
 
 class TestLossGrad:
     def test_saturated_gradient_zero(self):

@@ -47,6 +47,37 @@ class TestCholesky:
             spd.cholesky(np.ones((2, 3)))
 
 
+class TestCholLogdets:
+    def test_jitter_member_in_two_leading_dims(self):
+        # one singular PSD member fails the stacked call; every member is
+        # then factored alone and that one takes the jitter retry
+        rng = np.random.default_rng(4)
+        S = np.array([[random_spd(rng, 4) for _ in range(3)]
+                      for _ in range(2)])
+        S[1, 2] = np.diag([1.0, 2.0, 3.0, 0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+        L, ld = spd.chol_logdets(S)
+        assert L.shape == S.shape and ld.shape == (2, 3)
+        assert np.allclose(L @ L.transpose(0, 1, 3, 2), S, atol=1e-10)
+        assert np.array_equal(
+            ld, [[spd.logdet(X) for X in row] for row in S])
+        assert np.all(np.isfinite(ld))
+
+    def test_negative_identity_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            spd.chol_logdets(-np.eye(3))
+        with pytest.raises(NotPositiveDefinite):
+            spd.chol_logdets(np.array([np.eye(3), -np.eye(3)]))
+
+    def test_tril_inv_matches_inv(self):
+        rng = np.random.default_rng(0)
+        L = np.tril(rng.standard_normal((4, 6, 5, 5)), -1)
+        L += np.eye(5) * rng.uniform(0.5, 2.0, (4, 6, 1, 5))
+        assert np.allclose(spd.tril_inv(L), np.linalg.inv(L),
+                           rtol=1e-12, atol=1e-12)
+
+
 class TestJbld:
     def test_self_divergence_zero(self):
         rng = np.random.default_rng(0)
@@ -224,3 +255,15 @@ class TestJbldCentroid:
         from knncompress.errors import EmptyInput
         with pytest.raises(EmptyInput):
             spd.jbld_centroid([])
+
+    def test_fixed_point_d5(self):
+        rng = np.random.default_rng(10)
+        members = [random_spd(rng, 5, 0.2) for _ in range(7)]
+        X = spd.jbld_centroid(members, tol=1e-13)
+        inv = np.linalg.inv
+        rhs = inv(np.mean([inv(0.5 * (X + M)) for M in members], axis=0))
+        assert np.linalg.norm(rhs - X) <= 1e-8 * np.linalg.norm(X)
+
+    def test_mixed_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            spd.jbld_centroid([np.eye(2), np.eye(3)])
