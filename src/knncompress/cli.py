@@ -188,6 +188,10 @@ def _cmd_selfcheck(_args) -> int:
         ot.sinkhorn_batch(H, hp, M, lam)[0],
         [ot.sinkhorn(x, hp, M, lam).distance for x in H], rtol=0, atol=1e-8)
         for lam in (50.0, 200.0)))
+    check("sinkhorn_matrix equals per-pair sinkhorn", all(np.allclose(
+        ot.sinkhorn_matrix(H, H[::-1], M, lam)[0],
+        [[ot.sinkhorn(x, y, M, lam).distance for y in H[::-1]] for x in H],
+        rtol=0, atol=1e-8) for lam in (50.0, 200.0)))
     return 0 if failures == 0 else EXIT_NUMERICAL
 
 

@@ -84,7 +84,7 @@ class LabeledDataset:
 
     @property
     def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
+        return len(np.unique(self.labels))
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=int)

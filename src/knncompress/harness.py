@@ -64,8 +64,8 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
 
     Both families' callables carry the batched form
     ``.matrix(queries, members)``; the Sinkhorn one is
-    ``ot.sinkhorn_matrix``, whose per-column exit makes it equal the
-    per-pair distances.
+    ``ot.sinkhorn_matrix``, one solve over all query-member pairs whose
+    per-column exit makes it equal the per-pair distances to rounding.
     """
     if dataset.family == "covariance":
         return _JBLD, None
@@ -76,11 +76,8 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
         return ot.sinkhorn(h, hp, M, lam, tol=sinkhorn_tol,
                            max_iter=sinkhorn_max_iter).distance
 
-    def matrix(queries, members):
-        return ot.sinkhorn_matrix(queries, members, M, lam, sinkhorn_tol,
-                                  sinkhorn_max_iter)[0]
-
-    metric.matrix = matrix
+    metric.matrix = lambda queries, members: ot.sinkhorn_matrix(
+        queries, members, M, lam, sinkhorn_tol, sinkhorn_max_iter)[0]
     return metric, lam
 
 

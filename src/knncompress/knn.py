@@ -1,9 +1,10 @@
 """Brute-force kNN classification, error measurement, and timing.
 
 No acceleration structures: speedups come entirely from reference-set
-shrinkage.  Distances are batched over the queries and looped over the
-reference set, so their cost is linear in it, and wall time is measured
-over that (median of three repetitions on a monotonic clock).
+shrinkage.  Distances are batched (JBLD per reference member, Sinkhorn
+over all query-reference pairs at once, each pair stopping as it would
+alone), so their cost is linear in the reference set, and wall time is
+measured over that (median of three repetitions on a monotonic clock).
 """
 from __future__ import annotations
 
@@ -126,8 +127,6 @@ def loo_train_error(train: LabeledDataset, metric, k: int = 1,
     D = dist_matrix.astype(float).copy()
     np.fill_diagonal(D, np.inf)
     kk = min(k, n - 1)
-    wrong = 0
-    for i in range(n):
-        if _vote(D[i], train.labels, kk) != train.labels[i]:
-            wrong += 1
+    wrong = sum(_vote(D[i], train.labels, kk) != train.labels[i]
+                for i in range(n))
     return wrong / n

@@ -4,10 +4,10 @@ Histograms are 1-D numpy arrays summing to one; the ground metric is a
 finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
 One Sinkhorn solver, ``_scale_columns``, serves every caller: ``sinkhorn``
 is its one-column form, ``sinkhorn_batch`` its n-column form, and
-``sinkhorn_matrix`` loops that over second marginals.  It exposes the dual
-variables, whose centered second block is the approximate gradient of the
-distance w.r.t. the second marginal.  Its log domain and the barycenter
-use a hand-written max-shifted log-sum-exp.
+``sinkhorn_matrix`` and ``sinkhorn_pairwise`` one batch over all their
+pairs.  It exposes the dual variables, whose centered second block is the
+approximate gradient of the distance w.r.t. the second marginal.  Its log
+domain and the barycenter use a hand-written max-shifted log-sum-exp.
 """
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ class SinkhornSolution:
 
 def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
     """Sinkhorn scaling of the first marginals H (n, d), as the columns of
-    one (d, n) block, against the shared second marginal hp.
+    one (d, n) block, against hp, a (d,) second marginal or one per row (n, d).
 
     Marginals are checked and clamped once per call.  Alternating scaling
     iterations on K = exp(-lam * M) run on a working block of the active
@@ -104,10 +104,11 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
     passes run in both domains).
     """
     HT = clamp_histogram(check_histograms(H)).T
-    hp = clamp_histogram(check_histogram(hp))
+    Hp = clamp_histogram(check_histograms(np.atleast_2d(hp)))
     d, n = HT.shape
-    if d != hp.shape[0]:
-        raise DimensionMismatch(f"marginal dims {d} vs {hp.shape[0]}")
+    if Hp.shape[1] != d or len(Hp) not in (1, n):
+        raise DimensionMismatch(f"second marginals {Hp.shape} vs {(n, d)}")
+    HpT = np.broadcast_to(Hp.T, (d, n))
     M = check_ground_metric(M, d)
     if not 0 < lam < np.inf:  # also false for NaN
         raise InfeasibleMarginals("lambda must be positive and finite")
@@ -126,11 +127,11 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
             conv, redo = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
         else:
             U, conv = np.empty_like(V), np.zeros(n, dtype=bool)
-            act, Ha, KV, it = np.arange(n), HT, K @ V, 0
+            act, Ha, Hpa, KV, it = np.arange(n), HT, HpT, K @ V, 0
             while act.size and it < max_iter:
                 it += 1
                 Ua = Ha / KV
-                Va = hp[:, None] / (K.T @ Ua)
+                Va = Hpa / (K.T @ Ua)
                 KV = K @ Va
                 err = np.abs(Ua * KV - Ha).sum(axis=0)
                 out = ~(err >= tol) | (it == max_iter)  # NaN leaves too
@@ -138,14 +139,15 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
                     j, keep = act[out], ~out
                     U[:, j], V[:, j] = Ua[:, out], Va[:, out]
                     conv[j] = err[out] < tol
-                    act, Ha, KV = act[keep], Ha[:, keep], KV[:, keep]
+                    act, Ha, Hpa, KV = (act[keep], Ha[:, keep], Hpa[:, keep],
+                                        KV[:, keep])
             dists = np.sum(U * ((K * M) @ V), axis=0)
             F, G, G0 = np.log(U), np.log(V), None
             redo = ~(np.isfinite(dists) & np.isfinite(F).all(axis=0)
                      & np.isfinite(G).all(axis=0))
         if redo.any():
             d_log, F_log, G_log, conv[redo], it_log = _log_scaling(
-                HT[:, redo], hp, M, lam, tol, max_iter, G0)
+                HT[:, redo], HpT[:, redo], M, lam, tol, max_iter, G0)
             dists[redo], F[:, redo], G[:, redo] = d_log, F_log.T, G_log.T
             V[:, redo] = 1.0
             it += it_log
@@ -160,15 +162,15 @@ def _logsumexp(A, axis):
 
 def _log_scaling(HT, hp, M, lam, tol, max_iter, G0=None):
     """The scaling iteration on f = log u, g = log v for the (d, p) block
-    HT of clamped marginals, each a hand-written max-shifted log-sum-exp
-    over a (p, d, d) stack; the row one of the marginal check is the next
-    iteration's.  Each row leaves the working block once it converges, as
-    in _scale_columns.  Returns (distances (p,), F, G (p, d), converged
-    (p,), loop passes).
+    HT of clamped marginals against hp, (d,) or (d, p), each a hand-written
+    max-shifted log-sum-exp over a (p, d, d) stack; the row one of the
+    marginal check is the next iteration's.  Each row leaves the working
+    block once it converges, as in _scale_columns.  Returns (distances
+    (p,), F, G (p, d), converged (p,), loop passes).
     """
     logK = -lam * M
     Ha = HT.T
-    logHa, loghp = np.log(Ha), np.log(hp)
+    logHa, loghp = np.log(Ha), np.log(np.broadcast_to(hp.T, Ha.shape))
     G = np.zeros_like(Ha) if G0 is None else G0
     F, conv = np.empty_like(Ha), np.zeros(len(Ha), dtype=bool)
     act, it = np.arange(len(Ha)), 0
@@ -183,7 +185,8 @@ def _log_scaling(HT, hp, M, lam, tol, max_iter, G0=None):
         if out.any():
             j, keep = act[out], ~out
             F[j], G[j], conv[j] = Fa[out], Ga[out], err[out] < tol
-            act, Ha, logHa, L = act[keep], Ha[keep], logHa[keep], L[keep]
+            act, Ha, logHa, loghp, L = (act[keep], Ha[keep], logHa[keep],
+                                        loghp[keep], L[keep])
     T = np.exp(F[:, :, None] + logK + G[:, None, :])
     return (T * M).sum(axis=(1, 2)), F, G, conv, it
 
@@ -228,7 +231,7 @@ def sinkhorn_grad_dual(sol: SinkhornSolution) -> np.ndarray:
 def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
                    tol: float = 1e-9, max_iter: int = 10000,
                    V0: np.ndarray | None = None):
-    """Solve sinkhorn(H[i], hp) for all rows of H at once.
+    """Solve sinkhorn(H[i], hp[i] or hp) for all rows of H at once.
 
     The n-column form of ``_scale_columns``: the scaling updates share
     the kernel, so the whole batch reduces to matrix products, and each
@@ -245,31 +248,33 @@ def sinkhorn_matrix(Q, P, M: np.ndarray, lam: float, tol: float = 1e-9,
                     max_iter: int = 10000, warm: dict | None = None):
     """Sinkhorn distances between the rows of Q (n, d) and of P (m, d).
 
-    One ``sinkhorn_batch(Q, P[j])`` per row of P, looked up in this module
-    when called.  ``warm`` maps j to the V of P[j]'s last call, which seeds
-    this one and is replaced by it.  Returns (distances (n, m), betas
+    One ``sinkhorn_batch`` over all n·m pairs, looked up in this module
+    when called; column j·n + i is the pair (Q[i], P[j]).  ``warm["V"]``,
+    the (d, n·m) V of the last call, seeds this one and is replaced by
+    it.  An empty side makes no solve.  Returns (distances (n, m), betas
     (m, n, d), converged (n, m)).
     """
     Q, P = np.asarray(Q, dtype=float), np.asarray(P, dtype=float)
-    n, m = len(Q), len(P)
-    D, conv = np.empty((n, m)), np.empty((n, m), dtype=bool)
-    betas = np.empty((m, n, P.shape[-1]))
+    n, m, d = len(Q), len(P), P.shape[-1]
+    if not (n and m):
+        return np.empty((n, m)), np.empty((m, n, d)), np.empty((n, m), bool)
     warm = {} if warm is None else warm
-    for j in range(m if n else 0):
-        D[:, j], betas[j], warm[j], conv[:, j], _ = sinkhorn_batch(
-            Q, P[j], M, lam, tol, max_iter, warm.get(j))
-    return D, betas, conv
+    dists, betas, warm["V"], conv, _ = sinkhorn_batch(
+        np.tile(Q, (m, 1)), np.repeat(P, n, axis=0), M, lam, tol, max_iter,
+        warm.get("V"))
+    return dists.reshape(m, n).T, betas.reshape(m, n, d), conv.reshape(m, n).T
 
 
 def sinkhorn_pairwise(H: np.ndarray, M: np.ndarray, lam: float,
                       tol: float = 1e-9, max_iter: int = 10000) -> np.ndarray:
-    """Symmetric (n, n) matrix of Sinkhorn distances among the rows of H."""
+    """Symmetric (n, n) matrix of Sinkhorn distances among the rows of H:
+    one ``sinkhorn_batch`` over the pairs (H[i], H[j]), i < j, mirrored."""
     H = np.asarray(H, dtype=float)
-    n = H.shape[0]
-    D = np.zeros((n, n))
-    for j in range(1, n):
-        D[:j, j] = D[j, :j] = sinkhorn_batch(H[:j], H[j], M, lam, tol,
-                                             max_iter)[0]
+    D = np.zeros((len(H), len(H)))
+    i, j = np.triu_indices(len(H), 1)
+    if i.size:
+        D[i, j] = D[j, i] = sinkhorn_batch(H[i], H[j], M, lam, tol,
+                                           max_iter)[0]
     return D
 
 

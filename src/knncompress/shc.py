@@ -124,15 +124,10 @@ def shc_loss_grad(state: ShcState, train: LabeledDataset,
                       "skipped in the gradient", stacklevel=2)
     model = NeighborhoodModel(state.gamma_sq, state.labels, train.labels, D)
     loss = kl_loss(model)
-    C = gradient_coeffs(model)
-    grads = np.zeros_like(state.logits)
-    for j, h in enumerate(P):
-        B = betas[j]
-        B = B - B.mean(axis=1, keepdims=True)  # center the duals
-        t = B * h[None, :]
-        contrib = t - t.sum(axis=1, keepdims=True) * h[None, :]
-        w = np.where(conv[:, j], C[:, j], 0.0)
-        grads[j] = w @ contrib
+    # the Jacobian is linear: applied once to S_j = sum_i C_ij B_ij, B centered
+    W = np.where(conv, gradient_coeffs(model), 0.0)
+    S = np.einsum("nm,mnd->md", W, betas - betas.mean(axis=2, keepdims=True))
+    grads = S * P - (S * P).sum(axis=1, keepdims=True) * P
     return loss, grads, D
 
 

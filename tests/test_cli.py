@@ -251,3 +251,4 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+        assert "sinkhorn_matrix equals per-pair sinkhorn" in out

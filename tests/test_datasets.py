@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,14 @@ class TestRoundTrip:
         for x, y in zip(back.members, data.members):
             assert np.array_equal(x, y)
         assert back.metadata == data.metadata
+
+    def test_large_label_counts_classes(self, tmp_path):
+        # classes are counted, not read off the largest label
+        data = ds.gen_histogram_dataset(2, 3, 4, 40.0, seed=17)
+        data.labels = np.where(data.labels == 1, 2**62, 0)
+        assert data.n_classes == 2
+        p = str(tmp_path / "hist.json")
+        ds.save_dataset(data, p)
+        with open(p) as f:
+            assert json.load(f)["classes"] == 2
+        assert ds.load_dataset(p).n_classes == 2

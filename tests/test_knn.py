@@ -186,9 +186,10 @@ class TestBatched:
 
 
 class TestSinkhornMetric:
-    def test_one_batch_per_reference_member(self, monkeypatch):
-        # the query axis is batched, the reference set looped over: the
-        # cost stays linear in the reference set
+    def test_one_batch_per_repetition(self, monkeypatch):
+        # each repetition is one batch over every test-by-reference pair,
+        # each pair leaving it when it converges: the cost stays the sum
+        # over n_test * len(reference) pairs, linear in the reference set
         data = gen_histogram_dataset(2, 6, 8, concentration=20.0, seed=3)
         ref, test = data.subset([0, 5, 6]), data.subset(range(1, 5))
         metric, _ = harness.make_metric(data, 2.0)
@@ -203,8 +204,8 @@ class TestSinkhornMetric:
 
         monkeypatch.setattr(ot, "sinkhorn_batch", counting)
         monkeypatch.setattr(ot, "sinkhorn", per_pair)
-        rep = knn.evaluate(test, ref, metric, reps=1)
-        assert batches == [len(test)] * len(ref)
+        rep = knn.evaluate(test, ref, metric, reps=2)
+        assert batches == [len(test) * len(ref)] * 2
         assert rep.distance_evals == len(test) * len(ref)
 
     def test_pairwise_symmetric_and_equal_to_pair_loop(self):
@@ -218,10 +219,16 @@ class TestSinkhornMetric:
             rtol=1e-12)
 
     def test_pairwise_equals_sinkhorn_pairwise(self):
+        # both take members[i] as the first marginal of the pair i < j
         data = gen_histogram_dataset(2, 4, 8, concentration=20.0, seed=5)
         metric, lam = harness.make_metric(data, 2.0)
-        want = ot.sinkhorn_pairwise(np.stack(data.members),
-                                    data.ground_metric, lam, tol=1e-6,
-                                    max_iter=2000)
-        assert np.array_equal(knn.pairwise_distances(data.members, metric),
-                              want)
+        M, n = data.ground_metric, len(data)
+        want = np.array([[ot.sinkhorn(data.members[min(i, j)],
+                                      data.members[max(i, j)], M, lam,
+                                      tol=1e-6, max_iter=2000).distance
+                          if i != j else 0.0 for j in range(n)]
+                         for i in range(n)])
+        for D in (knn.pairwise_distances(data.members, metric),
+                  ot.sinkhorn_pairwise(np.stack(data.members), M, lam,
+                                       tol=1e-6, max_iter=2000)):
+            np.testing.assert_allclose(D, want, rtol=1e-12)

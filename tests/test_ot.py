@@ -347,6 +347,38 @@ class TestBatch:
             np.testing.assert_allclose(betas[i], alone[1][0], rtol=1e-12,
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("lam", [2.0, 200.0])
+    def test_per_column_second_marginals_equal_per_pair(self, lam):
+        # at lam = 200 exp(-lam * M) underflows and the block runs in the
+        # log domain.  The columns leave at different passes (lam 2: 10,
+        # 28 and 14; lam 200: 382 and 372); column 1, close to its second
+        # marginal, stops at max_iter (at lam 200 column 2 does too).
+        d, max_iter = 6, {2.0: 40, 200.0: 600}[lam]
+        M = line_metric(d)
+        rng = np.random.default_rng(11)
+        HP = rng.dirichlet(np.ones(d), size=4)
+        H = np.stack([ot.clamp_histogram(np.eye(d)[-1] * 0.98 + 0.02 / d),
+                      0.9 * HP[1] + 0.1 / d, rng.dirichlet(np.ones(d)),
+                      ot.clamp_histogram(np.eye(d)[0] * 0.9 + 0.1 / d)])
+        dists, betas, _, conv, it = ot.sinkhorn_batch(H, HP, M, lam, 1e-9,
+                                                      max_iter)
+        sols = [ot.sinkhorn(h, hp, M, lam, 1e-9, max_iter)
+                for h, hp in zip(H, HP)]
+        assert len({s.iterations for s in sols}) >= 3
+        assert not sols[1].converged and it == max_iter
+        for k, sol in enumerate(sols):
+            np.testing.assert_allclose(dists[k], sol.distance, rtol=1e-12)
+            np.testing.assert_allclose(betas[k], sol.dual_beta, rtol=1e-12,
+                                       atol=1e-14)
+            assert conv[k] == sol.converged
+
+    def test_second_marginals_must_match_columns(self):
+        H = np.full((3, 4), 0.25)
+        with pytest.raises(DimensionMismatch):
+            ot.sinkhorn_batch(H, H[:2], line_metric(4), 2.0)
+        with pytest.raises(DimensionMismatch):
+            ot.sinkhorn_batch(H, np.full((3, 5), 0.2), line_metric(4), 2.0)
+
     @pytest.mark.parametrize("row", [np.array([0.7, -0.1, 0.4]),
                                      np.array([0.5, 0.3, 0.3]),
                                      np.array([np.nan, 0.5, 0.5])])
@@ -384,31 +416,58 @@ class TestMatrix:
         self.Q = rng.dirichlet(np.ones(6), size=5)
         self.P = rng.dirichlet(np.ones(6), size=3)
 
-    def test_equals_per_column_batches(self):
+    def assert_per_pair(self, Q, P, D, betas, conv, seeds=None):
+        """D, betas and conv equal per-pair sinkhorn, column j·n + i of
+        seeds warm-starting the pair (Q[i], P[j])."""
+        n = len(Q)
+        for j, hp in enumerate(P):
+            for i, h in enumerate(Q):
+                v0 = None if seeds is None else seeds[:, j * n + i]
+                sol = ot.sinkhorn(h, hp, self.M, 2.0, 1e-6, 2000, v0)
+                np.testing.assert_allclose(D[i, j], sol.distance, rtol=1e-12)
+                np.testing.assert_allclose(betas[j, i], sol.dual_beta,
+                                           rtol=1e-12, atol=1e-14)
+                assert conv[i, j] == sol.converged
+
+    def test_equals_per_pair_sinkhorn(self):
         D, betas, conv = ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0,
                                             1e-6, 2000)
         assert D.shape == conv.shape == (5, 3)
-        for j, hp in enumerate(self.P):
-            dists, b, _, ok, _ = ot.sinkhorn_batch(self.Q, hp, self.M, 2.0,
-                                                   1e-6, 2000)
-            assert np.array_equal(D[:, j], dists)
-            assert np.array_equal(betas[j], b)
-            assert np.array_equal(conv[:, j], ok)
+        assert betas.shape == (3, 5, 6)
+        self.assert_per_pair(self.Q, self.P, D, betas, conv)
 
-    def test_warm_dict_seeds_and_takes_each_column(self):
+    def test_one_batch_over_all_pairs(self, monkeypatch):
+        batches, sinkhorn_batch = [], ot.sinkhorn_batch
+
+        def counting(H, *args, **kwargs):
+            batches.append(len(H))
+            return sinkhorn_batch(H, *args, **kwargs)
+
+        monkeypatch.setattr(ot, "sinkhorn_batch", counting)
+        ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0)
+        ot.sinkhorn_pairwise(self.Q, self.M, 2.0)
+        assert batches == [5 * 3, 5 * 4 // 2]
+
+    def test_warm_V_seeds_and_takes_the_block(self, monkeypatch):
         warm: dict = {}
         ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0, 1e-6, 2000, warm)
-        assert sorted(warm) == [0, 1, 2]
+        assert sorted(warm) == ["V"]
+        assert warm["V"].shape == (6, 5 * 3)
+        seeds, seen, sinkhorn_batch = warm["V"].copy(), [], ot.sinkhorn_batch
+
+        def spy(*args):
+            seen.append(args[-1])
+            return sinkhorn_batch(*args)
+
+        monkeypatch.setattr(ot, "sinkhorn_batch", spy)
         P2 = ot.clamp_histogram(self.P + 0.05)
-        seeds = {j: V.copy() for j, V in warm.items()}
-        D, betas, _ = ot.sinkhorn_matrix(self.Q, P2, self.M, 2.0, 1e-6, 2000,
-                                         warm)
-        for j, hp in enumerate(P2):
-            dists, b, V, _, _ = ot.sinkhorn_batch(self.Q, hp, self.M, 2.0,
-                                                  1e-6, 2000, seeds[j])
-            assert np.array_equal(D[:, j], dists)
-            assert np.array_equal(betas[j], b)
-            assert np.array_equal(warm[j], V)
+        D, betas, conv = ot.sinkhorn_matrix(self.Q, P2, self.M, 2.0, 1e-6,
+                                            2000, warm)
+        assert len(seen) == 1 and np.array_equal(seen[0], seeds)
+        self.assert_per_pair(self.Q, P2, D, betas, conv, seeds)
+        # the V left behind is the linear-domain scaling exp(lam * beta)
+        np.testing.assert_allclose(
+            warm["V"], np.exp(2.0 * betas.reshape(-1, 6).T), rtol=1e-12)
 
     def test_empty_side_makes_no_solve(self, monkeypatch):
         def no_solve(*args):
@@ -417,6 +476,9 @@ class TestMatrix:
         monkeypatch.setattr(ot, "sinkhorn_batch", no_solve)
         assert ot.sinkhorn_matrix([], self.P, self.M, 2.0)[0].shape == (0, 3)
         assert ot.sinkhorn_matrix(self.Q, [], self.M, 2.0)[0].shape == (5, 0)
+        for n in (0, 1):
+            D = ot.sinkhorn_pairwise(self.Q[:n], self.M, 2.0)
+            assert np.array_equal(D, np.zeros((n, n)))
 
 
 class TestEmdExact:

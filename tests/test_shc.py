@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from knncompress import shc
+from knncompress import ot, shc
 from knncompress.datasets import LabeledDataset, gen_histogram_dataset
 from knncompress.errors import NonFiniteInput, TooFewInputs, ValidationError
+from knncompress.neighborhood import NeighborhoodModel, gradient_coeffs
 from knncompress.ot import clamp_histogram
 
 
@@ -113,6 +114,30 @@ class TestLossGrad:
                       - at(state.logits - h * v)) / (2 * h)
             errs.append(abs(fd - np.sum(g * v)) / max(abs(fd), 1e-12))
         assert max(errs) < 5e-2
+
+    def test_gradient_equals_per_prototype_loop(self):
+        # the loop over prototypes that the einsum replaced is the
+        # reference; max_iter 40 leaves 23 of the 48 pairs unconverged
+        train = small_train(seed=4)
+        state = shc.shc_init(train, 4, seed=0, rmhc_steps=0)
+        kw = dict(sinkhorn_tol=1e-4, sinkhorn_max_iter=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, g, _ = shc.shc_loss_grad(state, train, **kw)
+        P = state.prototypes()
+        D, betas, conv = ot.sinkhorn_matrix(
+            train.members, P, train.ground_metric, state.lam, 1e-4, 40)
+        assert 0 < conv.sum() < conv.size
+        C = gradient_coeffs(NeighborhoodModel(state.gamma_sq, state.labels,
+                                              train.labels, D))
+        want = np.zeros_like(g)
+        for j, h in enumerate(P):
+            B = betas[j] - betas[j].mean(axis=1, keepdims=True)
+            t = B * h[None, :]
+            contrib = t - t.sum(axis=1, keepdims=True) * h[None, :]
+            want[j] = np.where(conv[:, j], C[:, j], 0.0) @ contrib
+        np.testing.assert_allclose(g, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
     def test_saturated_gradient_small(self):
         # one exact same-label prototype, far wrong-label one, sharp gamma
