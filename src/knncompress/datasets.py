@@ -71,7 +71,7 @@ class LabeledDataset:
                   > 1e-9 * np.abs(stack).max(axis=(1, 2))).any():
                 raise InconsistentInput("covariance members must be symmetric")
             else:
-                try:  # the kernels' stacked Cholesky and jitter retry
+                try:  # the kernels' stacked Cholesky
                     chol_logdets(stack)
                 except NotPositiveDefinite:
                     raise NotSpdInput("covariance members must be positive "

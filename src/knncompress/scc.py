@@ -64,7 +64,6 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
         raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     rng = np.random.default_rng(seed)
     idx = stratified_indices(train.labels, m, rng)
-    # with logdet's jitter retry: a dataset accepts what that can factor
     L, _ = chol_logdets(np.asarray(train.members)[idx])
     factors = list(np.ascontiguousarray(L.transpose(0, 2, 1)))
     return SccState(factors=factors, labels=train.labels[idx].copy(),

@@ -7,14 +7,12 @@ diagonal reconstructs to an SPD matrix.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, EmptyInput, NoConvergence, NotPositiveDefinite
-
-import warnings
-
-_JITTER_EPS = 1e-12
 
 
 def _as_square(X: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -26,12 +24,7 @@ def _as_square(X: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def cholesky(X: np.ndarray) -> np.ndarray:
     """Upper-triangular B with positive diagonal such that B.T @ B = X."""
-    X = _as_square(X)
-    try:
-        L = np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("Cholesky failed: input not positive definite") from None
-    return L.T.copy()
+    return chol_logdets(_as_square(X))[0].T
 
 
 def reconstruct(B: np.ndarray) -> np.ndarray:
@@ -42,28 +35,13 @@ def reconstruct(B: np.ndarray) -> np.ndarray:
 
 def chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors and log-determinants of one matrix or of a
-    stack of any leading shape, from one stacked Cholesky.
-
-    If the stacked call fails, every member is factored alone, and one
-    that fails again is retried once with a jitter of 1e-12 of its mean
-    diagonal; NotPositiveDefinite if that fails too.
+    stack of any leading shape, from one stacked Cholesky;
+    NotPositiveDefinite if any member is not positive definite.
     """
-    S = np.asarray(S, dtype=float)
     try:
-        L = np.linalg.cholesky(S)
+        L = np.linalg.cholesky(np.asarray(S, dtype=float))
     except np.linalg.LinAlgError:
-        d = S.shape[-1]
-        L = np.empty(S.shape)  # C order, so the reshape below is a view
-        for A, out in zip(S.reshape(-1, d, d), L.reshape(-1, d, d)):
-            try:
-                out[...] = np.linalg.cholesky(A)
-            except np.linalg.LinAlgError:
-                jitter = _JITTER_EPS * np.trace(A) / d
-                try:
-                    out[...] = np.linalg.cholesky(A + jitter * np.eye(d))
-                except np.linalg.LinAlgError:
-                    raise NotPositiveDefinite(
-                        "matrix not positive definite even after jitter") from None
+        raise NotPositiveDefinite("Cholesky failed: input not positive definite") from None
     return L, 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
 
 

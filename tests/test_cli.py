@@ -192,6 +192,18 @@ class TestEval:
         assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
         assert "positive definite" in capsys.readouterr().err
 
+    def test_singular_member_exit_2(self, cov_file, tmp_path, capsys):
+        # all-ones is PSD but singular: plain Cholesky fails on it
+        bad = self.edited(cov_file, tmp_path, lambda doc: doc["members"]
+                          .__setitem__(0, np.ones(9).tolist()))
+        rc = cli.main(["compress", "--method", "scc", "--ratio", "0.5",
+                       "--max-iter", "3", "--in", bad,
+                       "--out", str(tmp_path / "ref.json")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert cli.main(["eval", "--reference", bad, "--test", bad]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_large_label_k3(self, cov_file, tmp_path, capsys):
         ref = self.edited(cov_file, tmp_path,
                           lambda doc: doc["labels"].__setitem__(0, 2**62))

@@ -1,0 +1,126 @@
+"""Hypothesis property tests: SPD stacks that the dataset accepts give
+well-formed JBLD matrices, and mutated dataset documents never make the
+CLI raise."""
+import contextlib
+import copy
+import io
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from knncompress import cli, spd
+from knncompress.datasets import LabeledDataset
+from knncompress.errors import NotSpdInput
+from knncompress.harness import COMPRESSORS
+from knncompress.scc import scc_init
+
+PROPERTY = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def psd_stacks(draw):
+    """(n, d, d) stacks A_i A_i^T + eps I, A_i of rank r <= d, eps >= 0."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    r = draw(st.integers(1, d))
+    A = draw(hnp.arrays(float, (n, d, r),
+                        elements=st.floats(-4.0, 4.0, width=32)))
+    eps = draw(st.just(0.0) | st.floats(1e-12, 1.0))
+    return A @ A.transpose(0, 2, 1) + eps * np.eye(d)
+
+
+@PROPERTY
+@given(psd_stacks())
+def test_accepted_spd_stack_gives_exact_jbld_matrix(S):
+    n, d = S.shape[:2]
+    try:
+        train = LabeledDataset(family="covariance", dim=d, members=list(S),
+                               labels=np.arange(n) % 2)
+    except NotSpdInput:
+        return
+    assert len(scc_init(train, n, 0).factors) == n
+    D = spd.jbld_matrix(S, S)
+    assert np.isfinite(D).all()
+    assert np.array_equal(D, D.T)
+    assert np.array_equal(np.diag(D), np.zeros(n))
+    assert np.array_equal(D, [[spd.jbld(x, y) for y in S] for x in S])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """Small saved documents of both families, and a scratch directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    docs = {}
+    for family, argv in (
+            ("covariance", ["gen-cov", "--classes", "2", "--per-class", "4",
+                            "--dim", "3", "--dof", "6"]),
+            ("histogram", ["gen-hist", "--classes", "2", "--per-class", "4",
+                           "--dim", "4"])):
+        path = str(root / f"{family}.json")
+        assert _run(argv + ["--out", path]) == 0
+        with open(path) as f:
+            docs[family] = (path, json.load(f))
+    return root, docs
+
+
+def _run(argv) -> int:
+    """cli.main's exit code, its output and warnings discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return cli.main(argv)
+
+
+@st.composite
+def mutations(draw, doc):
+    """doc with one key deleted, or one value, list entry or number
+    replaced."""
+    doc = copy.deepcopy(doc)
+    key = draw(st.sampled_from(sorted(doc)))
+    op = draw(st.sampled_from(["delete", "replace", "entry", "number"]))
+    if op == "delete":
+        del doc[key]
+        return doc
+    if op == "replace" or not isinstance(doc[key], list) or not doc[key]:
+        doc[key] = draw(JSON_VALUES)
+        return doc
+    parent, i = doc[key], draw(st.integers(0, len(doc[key]) - 1))
+    if isinstance(parent[i], list) and parent[i] and draw(st.booleans()):
+        parent, i = parent[i], draw(st.integers(0, len(parent[i]) - 1))
+    if op == "number" and isinstance(parent[i], (int, float)):
+        parent[i] = parent[i] * draw(st.floats()) + draw(st.floats())
+    else:
+        parent[i] = draw(JSON_VALUES)
+    return doc
+
+
+@PROPERTY
+@given(data=st.data(), family=st.sampled_from(["covariance", "histogram"]),
+       method=st.sampled_from(sorted(COMPRESSORS)))
+def test_mutated_document_exits_cleanly(documents, data, family, method):
+    root, docs = documents
+    good, doc = docs[family]
+    bad = str(root / "mutated.json")
+    with open(bad, "w") as f:
+        json.dump(data.draw(mutations(doc)), f)
+    codes = (
+        _run(["eval", "--reference", bad, "--test", good]),
+        _run(["eval", "--reference", good, "--test", bad]),
+        _run(["compress", "--method", method, "--ratio", "0.5",
+              "--max-iter", "2", "--rmhc-steps", "5", "--in", bad,
+              "--out", str(root / "out.json")]),
+    )
+    assert set(codes) <= {0, 2, 3}

@@ -176,17 +176,6 @@ class TestCompress:
         lf, _ = scc.scc_loss_grad(final, train)
         assert lf <= li + 1e-12
 
-    @pytest.mark.parametrize("m", [4, 12])
-    def test_jitter_factorable_member(self, m):
-        # all-ones is singular but passes spd.logdet's jitter retry, so
-        # LabeledDataset accepts it; SCC must start from it too
-        train = gen_covariance_dataset(2, 6, 3, 5, 1.0, 0)
-        train.members[0] = np.ones((3, 3))
-        state = scc.scc_compress(train, m, scc.SccConfig(max_iter=3, seed=0))
-        assert np.all(np.isfinite(state.loss_history))
-        for P in state.prototypes():
-            np.linalg.cholesky(P)  # must not raise
-
     @pytest.mark.parametrize("part", ["loss", "grad"])
     def test_non_finite_trial_point_rejected(self, part, monkeypatch):
         train = small_train()
