@@ -97,13 +97,17 @@ class TestLabeledDataset:
                               ground_metric=1.0 - np.eye(3))
 
     def test_indefinite_covariance_member(self):
-        # an indefinite member, and a singular PSD one that fails plain
-        # Cholesky
-        for bad in (-np.eye(3), np.ones((3, 3))):
-            with pytest.raises(NotSpdInput):
-                ds.LabeledDataset(family="covariance", dim=3,
-                                  members=[np.eye(3), bad],
-                                  labels=np.array([0, 1]))
+        with pytest.raises(NotSpdInput):
+            ds.LabeledDataset(family="covariance", dim=2,
+                              members=[np.eye(2), -np.eye(2)],
+                              labels=np.array([0, 1]))
+
+    def test_singular_member_rejected(self):
+        # PSD but singular: plain Cholesky fails, and no jitter rescues it
+        with pytest.raises(NotSpdInput):
+            ds.LabeledDataset(family="covariance", dim=3,
+                              members=[np.eye(3), np.ones((3, 3))],
+                              labels=np.array([0, 1]))
 
     @pytest.mark.parametrize("family", ["covariance", "histogram"])
     def test_negative_label(self, family):
