@@ -66,6 +66,6 @@ print(f"SCC ({m} prototypes)   error = {rep.error_rate:.3f}   "
 # The synthetic prototypes are not training members -- they are new SPD
 # matrices placed to preserve the decision boundary, which is why they beat
 # the subsample at the same budget.
-d_nearest = min(jbld(proto.members[0], x) for x in train.members)
+d_nearest = jbld.matrix(train.members, proto.members[:1]).min()
 print(f"\nnearest training member to prototype 0: jbld = {d_nearest:.4f} "
       "(strictly positive: a learned matrix, not a copy)")

@@ -40,10 +40,10 @@ print(f"train: {len(train)} members   test: {len(test)} members")
 
 def nn_error(ref_members, ref_labels):
     """1-NN test error; one batched Sinkhorn solve per reference column."""
-    H = np.stack(test.members)
     D = np.empty((len(test), len(ref_members)))
     for j, hp in enumerate(ref_members):
-        D[:, j] = sinkhorn_batch(H, hp, M, LAM, tol=TOL, max_iter=3000)[0]
+        D[:, j] = sinkhorn_batch(test.members, hp, M, LAM, tol=TOL,
+                                 max_iter=3000)[0]
     pred = np.asarray(ref_labels)[np.argmin(D, axis=1)]
     return float(np.mean(pred != test.labels))
 
@@ -58,10 +58,9 @@ print(f"\nfull 1-NN reference   error = "
 # accepting a swap only if the training 1-NN error does not increase.
 
 m = round(0.08 * len(train))
-dm = sinkhorn_pairwise(np.stack(train.members), M, LAM, tol=TOL,
-                       max_iter=3000)
+dm = sinkhorn_pairwise(train.members, M, LAM, tol=TOL, max_iter=3000)
 sel = rmhc_reduce(train, m, None, steps=100, seed=0, dist_matrix=dm)
-err = nn_error([train.members[i] for i in sel.indices], sel.labels)
+err = nn_error(train.members[sel.indices], sel.labels)
 print(f"RMHC ({m} members)     error = {err:.3f}")
 
 # ---------------------------------------------------------------------------
@@ -81,13 +80,12 @@ print(f"\nSHC: KL loss {state.loss_history[0]:.3f} -> "
       f"{state.loss_history[-1]:.3f} over {len(state.loss_history) - 1} "
       "accepted steps")
 
-protos = list(state.prototypes())
+protos = state.prototypes()
 err = nn_error(protos, state.labels)
 print(f"SHC ({m} prototypes)   error = {err:.3f}")
 
 # Every learned prototype is an exact probability vector: the softmax
 # parameterization cannot leave the simplex.
-sums = np.array([h.sum() for h in protos])
 print(f"\nprototype mass check: max |sum - 1| = "
-      f"{np.abs(sums - 1).max():.2e}, min entry = "
-      f"{min(h.min() for h in protos):.2e}")
+      f"{np.abs(protos.sum(axis=1) - 1).max():.2e}, min entry = "
+      f"{protos.min():.2e}")

@@ -170,9 +170,8 @@ def fcnn_reduce(train: LabeledDataset, metric, centroid,
     selected: list[int] = []
     for c in np.unique(labels):
         idx_c = np.where(labels == c)[0]
-        cen = centroid([train.members[i] for i in idx_c])
-        d_to_cen = distance_matrix([train.members[i] for i in idx_c], [cen],
-                                   metric)[:, 0]
+        cen = centroid(train.members[idx_c])
+        d_to_cen = distance_matrix(train.members[idx_c], [cen], metric)[:, 0]
         selected.append(int(idx_c[np.argmin(d_to_cen)]))
     selected = sorted(set(selected))
     snapshots: dict[float, np.ndarray] = {}

@@ -35,9 +35,11 @@ COV_JITTER_EPS = 1e-8
 
 @dataclass
 class LabeledDataset:
+    """Labeled descriptors; members is kept as one checked float stack,
+    (n, dim) histograms or (n, dim, dim) covariances."""
     family: str                      # "covariance" | "histogram"
     dim: int
-    members: list[np.ndarray]
+    members: np.ndarray
     labels: np.ndarray
     ground_metric: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
@@ -53,29 +55,31 @@ class LabeledDataset:
         if self.family == "histogram" and self.ground_metric is None:
             raise ValidationError("histogram datasets need a ground metric")
         # one check over every entry, so the distance kernels can trust it
-        if self.members:
-            try:
-                stack = np.asarray(self.members, dtype=float)
-            except ValueError:
-                raise DimensionMismatch(
-                    "members must be numeric arrays of one shape") from None
-            if not np.isfinite(stack).all():
-                raise NonFiniteInput("dataset members must be finite")
-            shape = (self.dim,) * (1 if self.family == "histogram" else 2)
-            if stack.shape[1:] != shape:
-                raise DimensionMismatch(
-                    f"{self.family} members must have shape {shape}")
-            if self.family == "histogram":
-                check_histograms(stack)
-            elif (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-                  > 1e-9 * np.abs(stack).max(axis=(1, 2))).any():
-                raise InconsistentInput("covariance members must be symmetric")
-            else:
-                try:  # the kernels' stacked Cholesky
-                    chol_logdets(stack)
-                except NotPositiveDefinite:
-                    raise NotSpdInput("covariance members must be positive "
-                                      "definite") from None
+        shape = (self.dim,) * (1 if self.family == "histogram" else 2)
+        try:
+            stack = np.asarray(self.members, dtype=float)
+        except ValueError:
+            raise DimensionMismatch(
+                "members must be numeric arrays of one shape") from None
+        if not len(stack):
+            stack = stack.reshape((0,) + shape)
+        if not np.isfinite(stack).all():
+            raise NonFiniteInput("dataset members must be finite")
+        if stack.shape[1:] != shape:
+            raise DimensionMismatch(
+                f"{self.family} members must have shape {shape}")
+        if self.family == "histogram":
+            check_histograms(stack)
+        elif (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+              > 1e-9 * np.abs(stack).max(axis=(1, 2))).any():
+            raise InconsistentInput("covariance members must be symmetric")
+        else:
+            try:  # the kernels' stacked Cholesky
+                chol_logdets(stack)
+            except NotPositiveDefinite:
+                raise NotSpdInput("covariance members must be positive "
+                                  "definite") from None
+        self.members = stack
         if self.ground_metric is not None:
             check_ground_metric(self.ground_metric, self.dim)
 
@@ -89,7 +93,7 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=int)
         out = copy.copy(self)  # members checked when self was built
-        out.members = [self.members[i] for i in indices]
+        out.members = self.members[indices]
         out.labels = self.labels[indices]
         out.metadata = dict(self.metadata)
         return out
@@ -280,7 +284,8 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
         "classes": ds.n_classes,
         "metadata": ds.metadata,
         "labels": ds.labels.tolist(),
-        "members": [np.asarray(m).ravel().tolist() for m in ds.members],
+        "members": (ds.members.reshape(len(ds), -1).tolist() if len(ds)
+                    else []),  # row-major; -1 cannot size an empty row
         "ground_metric": (ds.ground_metric.tolist()
                           if ds.ground_metric is not None else None),
     }
@@ -317,8 +322,8 @@ def load_dataset(path: str) -> LabeledDataset:
     if not isinstance(doc["members"], list):
         raise ValidationError(f"{path}: members must be a list")
     shape = (d, d) if family == "covariance" else (d,)
-    members = list(_numeric(doc["members"], f"{path}: each member",
-                            (len(doc["members"]),) + shape))
+    members = _numeric(doc["members"], f"{path}: each member",
+                       (len(doc["members"]),) + shape)
     try:
         labels = np.asarray(doc["labels"])
     except (ValueError, OverflowError):

@@ -59,7 +59,7 @@ class ExperimentPlan:
 
 
 def make_metric(dataset: LabeledDataset, lam: float | None = None,
-                sinkhorn_tol: float = 1e-6, sinkhorn_max_iter: int = 2000):
+                sinkhorn_max_iter: int = 2000):
     """Distance callable for the dataset's family; returns (metric, lam).
 
     Both families' callables carry the batched form
@@ -73,11 +73,11 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
     lam = lam if lam is not None else default_lambda(M)
 
     def metric(h, hp):
-        return ot.sinkhorn(h, hp, M, lam, tol=sinkhorn_tol,
+        return ot.sinkhorn(h, hp, M, lam, tol=1e-6,
                            max_iter=sinkhorn_max_iter).distance
 
     metric.matrix = lambda queries, members: ot.sinkhorn_matrix(
-        queries, members, M, lam, sinkhorn_tol, sinkhorn_max_iter)[0]
+        queries, members, M, lam, 1e-6, sinkhorn_max_iter)[0]
     return metric, lam
 
 

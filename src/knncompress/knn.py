@@ -62,7 +62,6 @@ def pairwise_distances(members, metric) -> np.ndarray:
     the diagonal.  Column j of the upper triangle is
     distance_matrix(members[:j], members[j:j+1], metric), so a per-pair
     metric is called for i < j only; the triangle is then mirrored."""
-    members = np.asarray(members)
     n = len(members)
     D = np.zeros((n, n))
     for j in range(1, n):

@@ -44,15 +44,15 @@ class _FgCache:
         return np.array(self._eval(x)[1])
 
 
-def _backtrack(cache: _FgCache, x, p, f0, g0, c1=1e-4, max_halvings=40):
+def _backtrack(cache: _FgCache, x, p, f0, g0):
     """Armijo backtracking; returns alpha, or None."""
     slope = float(np.dot(g0, p))
     if slope >= 0:
         return None
     alpha = 1.0
-    for _ in range(max_halvings):
+    for _ in range(40):
         f_new = cache.f(x + alpha * p)
-        if np.isfinite(f_new) and f_new <= f0 + c1 * alpha * slope:
+        if np.isfinite(f_new) and f_new <= f0 + 1e-4 * alpha * slope:
             return alpha
         alpha *= 0.5
     return None

@@ -33,7 +33,7 @@ from .errors import (
 CLAMP_EPS = 1e-10
 
 
-def check_histograms(H: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_histograms(H: np.ndarray) -> np.ndarray:
     """Check every row of the (n, d) stack H as a histogram, in one pass."""
     H = np.ascontiguousarray(H, dtype=float)
     if H.ndim != 2:
@@ -42,14 +42,14 @@ def check_histograms(H: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if not (H >= 0).all():  # also false for NaN
         raise InfeasibleMarginals("histogram has negative or NaN mass")
     mass = H.sum(axis=1)
-    off = np.abs(mass - 1.0) > tol
+    off = np.abs(mass - 1.0) > 1e-9
     if off.any():
         raise InfeasibleMarginals(f"histogram mass {mass[off][0]} != 1")
     return H
 
 
-def check_histogram(h: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    return check_histograms(np.asarray(h, dtype=float)[None], tol)[0]
+def check_histogram(h: np.ndarray) -> np.ndarray:
+    return check_histograms(np.asarray(h, dtype=float)[None])[0]
 
 
 def check_ground_metric(M: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -68,10 +68,10 @@ def check_ground_metric(M: np.ndarray, dim: int | None = None) -> np.ndarray:
     return M
 
 
-def clamp_histogram(h: np.ndarray, eps: float = CLAMP_EPS) -> np.ndarray:
-    """Lift zero bins to eps and renormalize (Sinkhorn stalls on exact
-    zeros); a 2-D stack is clamped row by row."""
-    h = np.maximum(np.asarray(h, dtype=float), eps)
+def clamp_histogram(h: np.ndarray) -> np.ndarray:
+    """Lift zero bins to CLAMP_EPS and renormalize (Sinkhorn stalls on
+    exact zeros); a 2-D stack is clamped row by row."""
+    h = np.maximum(np.asarray(h, dtype=float), CLAMP_EPS)
     return h / h.sum(axis=-1, keepdims=True)
 
 
@@ -307,14 +307,14 @@ def emd_exact(h: np.ndarray, hp: np.ndarray, M: np.ndarray) -> float:
 
 # --- barycenter --------------------------------------------------------------
 
-def sinkhorn_barycenter(members: list[np.ndarray], M: np.ndarray, lam: float,
+def sinkhorn_barycenter(members: np.ndarray, M: np.ndarray, lam: float,
                         tol: float = 1e-9, max_iter: int = 1000) -> np.ndarray:
-    """Histogram minimizing sum_i D_S(b, h_i), by iterative Bregman projections.
+    """Histogram minimizing sum_i D_S(b, h_i), h_i the rows of members.
 
-    Fixed point on the shared scaling: all members are projected onto their
-    marginal constraint, the barycenter is the geometric mean of the free
-    marginals, and the shared scalings are updated until the barycenter
-    stabilizes in L1.
+    Iterative Bregman projections, a fixed point on the shared scaling:
+    all members are projected onto their marginal constraint, the
+    barycenter is the geometric mean of the free marginals, and the shared
+    scalings are updated until the barycenter stabilizes in L1.
     """
     if len(members) == 0:
         raise EmptyInput("barycenter of an empty set")

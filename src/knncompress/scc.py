@@ -36,7 +36,7 @@ class SccConfig:
 
 @dataclass
 class SccState:
-    factors: list[np.ndarray]      # m upper-triangular (d, d)
+    factors: np.ndarray            # (m, d, d) upper-triangular
     labels: np.ndarray             # m prototype labels
     gamma_sq: float
     loss_history: list[float] = field(default_factory=list)
@@ -45,9 +45,9 @@ class SccState:
     def m(self) -> int:
         return len(self.factors)
 
-    def prototypes(self) -> list[np.ndarray]:
-        """Reconstructed SPD prototypes B_j.T @ B_j."""
-        return [B.T @ B for B in self.factors]
+    def prototypes(self) -> np.ndarray:
+        """(m, d, d) reconstructed SPD prototypes B_j.T @ B_j."""
+        return self.factors.transpose(0, 2, 1) @ self.factors
 
     def to_dataset(self, template: LabeledDataset) -> LabeledDataset:
         return LabeledDataset(
@@ -64,17 +64,16 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
         raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     rng = np.random.default_rng(seed)
     idx = stratified_indices(train.labels, m, rng)
-    L, _ = chol_logdets(np.asarray(train.members)[idx])
-    factors = list(np.ascontiguousarray(L.transpose(0, 2, 1)))
+    L, _ = chol_logdets(train.members[idx])
+    factors = np.ascontiguousarray(L.transpose(0, 2, 1))
     return SccState(factors=factors, labels=train.labels[idx].copy(),
                     gamma_sq=1.0)
 
 
-def jbld_midpoints(factors, members) -> tuple[np.ndarray, np.ndarray]:
+def jbld_midpoints(B: np.ndarray, X: np.ndarray):
     """(n, m) JBLD distances between members X_i and prototypes B_j.T B_j,
     and the (m, n, d, d) lower Cholesky factors of their midpoints, all
     from one spd.chol_logdets call (the member log-dets from another)."""
-    B, X = np.asarray(factors), np.asarray(members)
     S = B.transpose(0, 2, 1) @ B
     L, mid = chol_logdets(0.5 * (X + S[:, None]))
     ld_S = 2.0 * np.log(np.abs(np.diagonal(B, axis1=1, axis2=2))).sum(axis=1)
@@ -96,7 +95,7 @@ def scc_loss_grad(state: SccState, train: LabeledDataset):
     the midpoint factor of jbld_midpoints.  One pass over all pairs; the
     sum over i is one (d, d n) @ (d n, d) product per prototype.
     """
-    B = np.asarray(state.factors)
+    B = state.factors
     D, L = jbld_midpoints(B, train.members)
     model = NeighborhoodModel(state.gamma_sq, state.labels, train.labels, D)
     loss = kl_loss(model)
@@ -107,10 +106,6 @@ def scc_loss_grad(state: SccState, train: LabeledDataset):
     Binv_T = tril_inv(B.transpose(0, 2, 1))
     G = 2.0 * (B @ W) - C.sum(axis=1)[:, None, None] * Binv_T
     return loss, np.triu(G)
-
-
-def _pack(factors, iu) -> np.ndarray:
-    return np.asarray(factors)[:, iu[0], iu[1]].ravel()
 
 
 def _unpack(x: np.ndarray, m: int, d: int, iu) -> np.ndarray:
@@ -145,18 +140,18 @@ def scc_compress(train: LabeledDataset, m: int,
         lo, hi = diag.min(axis=1), diag.max(axis=1)
         if np.all(lo > 0.0) and np.all((lo / hi) ** 2 >= _COND_FLOOR):
             loss, grads = scc_loss_grad(
-                SccState(list(B), state.labels, state.gamma_sq), train)
-            g = _pack(grads, iu)
+                SccState(B, state.labels, state.gamma_sq), train)
+            g = grads[:, iu[0], iu[1]].ravel()
             if np.isfinite(loss) and np.isfinite(g).all():
                 return loss, g
         return np.inf, np.zeros_like(x)
 
-    result = ncg_minimize(fg, _pack(state.factors, iu),
+    result = ncg_minimize(fg, state.factors[:, iu[0], iu[1]].ravel(),
                           max_iter=config.max_iter, gtol=config.gtol)
-    B = _unpack(result.x, m, d, iu)
+    state = SccState(_unpack(result.x, m, d, iu), state.labels,
+                     state.gamma_sq, result.history)
     try:  # every returned factor must reconstruct to SPD
-        np.linalg.cholesky(B.transpose(0, 2, 1) @ B)
+        np.linalg.cholesky(state.prototypes())
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("optimizer returned a degenerate factor")
-    return SccState(factors=list(B), labels=state.labels,
-                    gamma_sq=state.gamma_sq, loss_history=result.history)
+    return state

@@ -52,24 +52,24 @@ class ShcState:
 
     def prototypes(self) -> np.ndarray:
         """(m, d) decoded histograms, exactly on the simplex."""
-        return np.stack([softmax_decode(w) for w in self.logits])
+        return softmax_decode(self.logits)
 
     def to_dataset(self, template: LabeledDataset) -> LabeledDataset:
         return LabeledDataset(
             family="histogram", dim=template.dim,
-            members=list(self.prototypes()), labels=self.labels.copy(),
+            members=self.prototypes(), labels=self.labels.copy(),
             ground_metric=template.ground_metric,
             metadata={"method": "shc", "gamma_sq": self.gamma_sq,
                       "lambda": self.lam})
 
 
 def softmax_decode(w: np.ndarray) -> np.ndarray:
-    """exp(w) / sum(exp(w)) with max-subtraction; shift invariant."""
+    """exp(w) / sum(exp(w)) on the last axis, max-shifted; shift invariant."""
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise NonFiniteInput("logits must be finite")
-    e = np.exp(w - w.max())
-    return e / e.sum()
+    e = np.exp(w - w.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def default_lambda(M: np.ndarray) -> float:
@@ -92,13 +92,11 @@ def shc_init(train: LabeledDataset, m: int, seed: int,
     lam = lam if lam is not None else default_lambda(M)
     dist_matrix = None
     if rmhc_steps > 0:
-        H = np.stack(train.members)
-        dist_matrix = sinkhorn_pairwise(H, M, lam, tol=sinkhorn_tol,
-                                        max_iter=sinkhorn_max_iter)
+        dist_matrix = sinkhorn_pairwise(train.members, M, lam, sinkhorn_tol,
+                                        sinkhorn_max_iter)
     picked = rmhc_reduce(train, m, metric=None, steps=rmhc_steps, seed=seed,
                          dist_matrix=dist_matrix)
-    logits = np.log(clamp_histogram(np.stack(
-        [train.members[i] for i in picked.indices])))
+    logits = np.log(clamp_histogram(train.members[picked.indices]))
     return ShcState(logits=logits, labels=picked.labels.copy(),
                     gamma_sq=1.0, lam=lam)
 

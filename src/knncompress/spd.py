@@ -149,14 +149,14 @@ def jbld_gradient_chol(X: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.triu(grad)
 
 
-def jbld_centroid(members: list[np.ndarray], tol: float = 1e-10,
+def jbld_centroid(members: np.ndarray, tol: float = 1e-10,
                   max_iter: int = 200) -> np.ndarray:
     """Frechet mean under jbld: approximate minimizer of sum_i jbld(X, X_i).
 
     Fixed-point iteration on the stationarity condition,
-    X <- [ mean_i ((X + X_i)/2)^-1 ]^-1, started at the arithmetic mean.
-    Emits a NoConvergence warning (and returns the last iterate) if the
-    iteration cap is hit.
+    X <- [ mean_i ((X + X_i)/2)^-1 ]^-1, started at the arithmetic mean
+    of the (n, d, d) stack.  Emits a NoConvergence warning (and returns
+    the last iterate) if the iteration cap is hit.
     """
     if len(members) == 0:
         raise EmptyInput("centroid of an empty set")

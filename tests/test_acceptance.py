@@ -189,7 +189,7 @@ def test_01_scc_gradient_correctness():
                         fd = 0.0
                         for sgn in (1.0, -1.0):
                             trial = scc.SccState(
-                                [B.copy() for B in state.factors],
+                                state.factors.copy(),
                                 state.labels, gsq)
                             trial.factors[j][a, b] += sgn * h
                             loss, _ = scc.scc_loss_grad(trial, train)

@@ -126,6 +126,48 @@ class TestLabeledDataset:
         assert np.array_equal(sub.members[1], data.members[5])
 
 
+class TestStackedMembers:
+    """members is one float stack however it was given."""
+
+    @pytest.mark.parametrize("family", ["covariance", "histogram"])
+    def test_array_members_equal_list_members(self, family):
+        data = (ds.gen_covariance_dataset(2, 3, 3, 6, 1.0, seed=0)
+                if family == "covariance"
+                else ds.gen_histogram_dataset(2, 3, 4, 40.0, seed=0))
+        built = [ds.LabeledDataset(family=family, dim=data.dim,
+                                   members=members, labels=data.labels,
+                                   ground_metric=data.ground_metric)
+                 for members in (list(data.members), data.members.copy())]
+        shape = (6,) + (data.dim,) * (1 if family == "histogram" else 2)
+        for b in built:
+            assert isinstance(b.members, np.ndarray)
+            assert b.members.dtype == float and b.members.shape == shape
+        assert np.array_equal(built[0].members, built[1].members)
+
+    @pytest.mark.parametrize("family", ["covariance", "histogram"])
+    def test_subset_and_load_return_stacks(self, family, tmp_path):
+        data = (ds.gen_covariance_dataset(2, 3, 3, 6, 1.0, seed=0)
+                if family == "covariance"
+                else ds.gen_histogram_dataset(2, 3, 4, 40.0, seed=0))
+        p = str(tmp_path / "data.json")
+        ds.save_dataset(data, p)
+        sub = data.subset([4, 1])
+        for got, want in ((sub, data.members[[4, 1]]),
+                          (ds.load_dataset(p), data.members)):
+            assert isinstance(got.members, np.ndarray)
+            assert np.array_equal(got.members, want)
+
+    def test_empty_set_keeps_trailing_shape(self):
+        cov = ds.LabeledDataset(family="covariance", dim=3, members=[],
+                                labels=[])
+        hist = ds.LabeledDataset(family="histogram", dim=4, members=[],
+                                 labels=[], ground_metric=1.0 - np.eye(4))
+        assert cov.members.shape == (0, 3, 3)
+        assert hist.members.shape == (0, 4)
+        data = ds.gen_covariance_dataset(2, 3, 3, 6, 1.0, seed=0)
+        assert data.subset([]).members.shape == (0, 3, 3)
+
+
 class TestStratifiedIndices:
     def test_exact_m_and_coverage(self):
         rng = np.random.default_rng(0)
@@ -260,6 +302,30 @@ class TestRoundTrip:
         for x, y in zip(back.members, data.members):
             assert np.array_equal(x, y)
         assert back.metadata == data.metadata
+
+    @pytest.mark.parametrize("family", ["covariance", "histogram"])
+    def test_golden_file(self, family, tmp_path):
+        # the exact text of a file: members as flat row-major lists
+        if family == "covariance":
+            members = [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]]]
+            gm, want_m, want_gm = None, ("[[2.0, 0.5, 0.5, 1.0], "
+                                         "[1.0, 0.0, 0.0, 3.0]]"), "null"
+        else:
+            members = [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]]
+            gm = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+            want_m = "[[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]]"
+            want_gm = "[[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]"
+        data = ds.LabeledDataset(family=family, dim=len(members[0]),
+                                 members=members, labels=[1, 0],
+                                 ground_metric=gm,
+                                 metadata={"name": "golden", "seed": 3})
+        p = tmp_path / "golden.json"
+        ds.save_dataset(data, str(p))
+        assert p.read_text() == (
+            f'{{"family": "{family}", "dim": {data.dim}, "n": 2, '
+            '"classes": 2, "metadata": {"name": "golden", "seed": 3}, '
+            f'"labels": [1, 0], "members": {want_m}, '
+            f'"ground_metric": {want_gm}}}\n')
 
     def test_large_label_counts_classes(self, tmp_path):
         # classes are counted, not read off the largest label

@@ -1,6 +1,7 @@
 """Hypothesis property tests: SPD stacks that the dataset accepts give
-well-formed JBLD matrices, and mutated dataset documents never make the
-CLI raise."""
+well-formed JBLD matrices, histograms that it accepts give finite,
+nonnegative Sinkhorn distances, and mutated dataset documents never make
+the CLI raise."""
 import contextlib
 import copy
 import io
@@ -9,13 +10,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from knncompress import cli, spd
+from knncompress import cli, ot, spd
 from knncompress.datasets import LabeledDataset
-from knncompress.errors import NotSpdInput
+from knncompress.errors import NotSpdInput, ValidationError
 from knncompress.harness import COMPRESSORS
 from knncompress.scc import scc_init
 
@@ -48,6 +49,35 @@ def test_accepted_spd_stack_gives_exact_jbld_matrix(S):
     assert np.array_equal(D, D.T)
     assert np.array_equal(np.diag(D), np.zeros(n))
     assert np.array_equal(D, [[spd.jbld(x, y) for y in S] for x in S])
+
+
+@st.composite
+def histogram_sets(draw):
+    """(n, d) nonnegative rows scaled to mass one, and the (d, d) Euclidean
+    distances between d random points in the plane."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    H = draw(hnp.arrays(float, (n, d), elements=st.floats(0.0, 1.0)))
+    assume((H.sum(axis=1) > 0).all())
+    X = draw(hnp.arrays(float, (d, 2),
+                        elements=st.floats(-4.0, 4.0, width=32)))
+    M = np.sqrt(((X[:, None] - X[None]) ** 2).sum(axis=2))
+    return H / H.sum(axis=1, keepdims=True), M
+
+
+@PROPERTY
+@given(histogram_sets(), st.floats(0.1, 300.0))
+def test_accepted_histograms_give_finite_sinkhorn_distances(HM, lam):
+    # lam * max M spans both sides of the exp / log domain switch
+    H, M = HM
+    try:
+        train = LabeledDataset(family="histogram", dim=H.shape[1], members=H,
+                               labels=np.arange(len(H)) % 2, ground_metric=M)
+    except ValidationError:
+        return
+    D = ot.sinkhorn_matrix(train.members, train.members, M, lam, 1e-6,
+                           200)[0]
+    assert np.isfinite(D).all()
+    assert (D >= 0).all()
 
 
 JSON_VALUES = st.recursive(

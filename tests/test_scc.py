@@ -24,7 +24,7 @@ def numeric_grad(state, train, h=1e-6):
             for b in range(a, d):
                 for sgn in (1.0, -1.0):
                     trial = scc.SccState(
-                        [B.copy() for B in state.factors],
+                        state.factors.copy(),
                         state.labels, state.gamma_sq)
                     trial.factors[j][a, b] += sgn * h
                     loss, _ = scc.scc_loss_grad(trial, train)
