@@ -20,7 +20,7 @@ from .neighborhood import (
     select_gamma_sq,
 )
 from .optim import ncg_minimize
-from .spd import chol_logdets, tril_inv
+from .spd import chol_logdets, inv_chol_logdets, tril_inv
 
 # steps taking a factor below this diagonal conditioning are rejected
 _COND_FLOOR = 1e-14
@@ -72,13 +72,21 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
 
 def jbld_midpoints(B: np.ndarray, X: np.ndarray):
     """(n, m) JBLD distances between members X_i and prototypes B_j.T B_j,
-    and the (m, n, d, d) lower Cholesky factors of their midpoints, all
-    from one spd.chol_logdets call (the member log-dets from another)."""
+    and the inverse lower Cholesky factors L_ij^-1 of their midpoints.
+
+    The midpoints are built stack-last, (d, d, m, n), and factored and
+    inverted by one spd.inv_chol_logdets call, whose (d, d, m, n) inverses
+    are returned; the member log-dets come from spd.chol_logdets.
+    """
     S = B.transpose(0, 2, 1) @ B
-    L, mid = chol_logdets(0.5 * (X + S[:, None]))
+    # (X_i + S_j) / 2 as X_i / 2 + S_j / 2: halving is exact
+    Xh = np.ascontiguousarray(0.5 * X.transpose(1, 2, 0))
+    mid = np.empty(B.shape[1:] + (len(B), len(X)))
+    np.add(Xh[:, :, None], (0.5 * S).transpose(1, 2, 0)[..., None], out=mid)
+    Linv, ld_mid = inv_chol_logdets(mid)
     ld_S = 2.0 * np.log(np.abs(np.diagonal(B, axis1=1, axis2=2))).sum(axis=1)
-    D = mid - 0.5 * (chol_logdets(X)[1] + ld_S[:, None])
-    return np.ascontiguousarray(D.T), L  # rows contiguous, as kl_loss sums
+    D = ld_mid - 0.5 * (chol_logdets(X)[1] + ld_S[:, None])
+    return np.ascontiguousarray(D.T), Linv  # rows contiguous, as kl_loss sums
 
 
 def jbld_distance_matrix(factors, members) -> np.ndarray:
@@ -90,21 +98,25 @@ def scc_loss_grad(state: SccState, train: LabeledDataset):
     """KL loss and its (m, d, d) gradient w.r.t. the upper-triangular factors.
 
     Gradient for prototype j is sum_i c_ij * d jbld(X_i, B_j' B_j)/d B_j,
-    assembled as 2 B_j W_j - (sum_i c_ij) B_j^-T with
-    W_j = sum_i c_ij (X_i + S_j)^-1 = 1/2 sum_i c_ij L_ij^-T L_ij^-1, L_ij
-    the midpoint factor of jbld_midpoints.  One pass over all pairs; the
-    sum over i is one (d, d n) @ (d n, d) product per prototype.
+    assembled as B_j V_j - (sum_i c_ij) B_j^-T with
+    V_j = 2 sum_i c_ij (X_i + S_j)^-1 = sum_i c_ij L_ij^-T L_ij^-1, L_ij
+    the midpoint factor of jbld_midpoints.  One pass over all pairs on its
+    stack-last inverses: row k of each L_ij^-1 is zero past column k, so
+    it adds an outer product to V_j's leading (k+1, k+1) block, summed
+    over i by one (k+1, n) @ (n, k+1) product per prototype.
     """
     B = state.factors
-    D, L = jbld_midpoints(B, train.members)
+    D, Linv = jbld_midpoints(B, train.members)
     model = NeighborhoodModel(state.gamma_sq, state.labels, train.labels, D)
     loss = kl_loss(model)
     C = gradient_coeffs(model).T  # (m, n)
-    # A[j, a, (k, i)] = L_ij^-1[k, a], so W_j = 1/2 A_j diag(c_j) A_j^T
-    A = tril_inv(L).transpose(0, 3, 2, 1).reshape(*B.shape[:2], -1)
-    W = 0.5 * (A @ (A * np.tile(C, B.shape[1])[:, None]).transpose(0, 2, 1))
-    Binv_T = tril_inv(B.transpose(0, 2, 1))
-    G = 2.0 * (B @ W) - C.sum(axis=1)[:, None, None] * Binv_T
+    V = np.zeros_like(B)
+    for k in range(B.shape[1]):
+        R = Linv[k, :k + 1]  # (k+1, m, n)
+        V[:, :k + 1, :k + 1] += (R.transpose(1, 0, 2)
+                                 @ (R * C).transpose(1, 2, 0))
+    Binv_T = tril_inv(B.transpose(2, 1, 0)).transpose(2, 0, 1)
+    G = B @ V - C.sum(axis=1)[:, None, None] * Binv_T
     return loss, np.triu(G)
 
 
@@ -133,14 +145,21 @@ def scc_compress(train: LabeledDataset, m: int,
         state.gamma_sq = select_gamma_sq(D0, state.labels, train.labels)
 
     def fg(x):
-        # (inf, 0), which no line search accepts, at a degenerate factor
-        # or a non-finite loss or gradient
+        # (inf, 0), which no line search accepts, at a non-finite or
+        # degenerate factor, a midpoint that does not factor, or a
+        # non-finite loss or gradient
+        if not np.isfinite(x).all():
+            return np.inf, np.zeros_like(x)
         B = _unpack(x, m, d, iu)
         diag = np.abs(np.diagonal(B, axis1=1, axis2=2))
         lo, hi = diag.min(axis=1), diag.max(axis=1)
         if np.all(lo > 0.0) and np.all((lo / hi) ** 2 >= _COND_FLOOR):
-            loss, grads = scc_loss_grad(
-                SccState(B, state.labels, state.gamma_sq), train)
+            try:
+                with np.errstate(all="ignore"):
+                    loss, grads = scc_loss_grad(
+                        SccState(B, state.labels, state.gamma_sq), train)
+            except NotPositiveDefinite:
+                return np.inf, np.zeros_like(x)
             g = grads[:, iu[0], iu[1]].ravel()
             if np.isfinite(loss) and np.isfinite(g).all():
                 return loss, g
@@ -148,6 +167,8 @@ def scc_compress(train: LabeledDataset, m: int,
 
     result = ncg_minimize(fg, state.factors[:, iu[0], iu[1]].ravel(),
                           max_iter=config.max_iter, gtol=config.gtol)
+    if not np.isfinite(result.fun):  # fg rejected the starting factors
+        raise NotPositiveDefinite("initial prototypes too ill-conditioned")
     state = SccState(_unpack(result.x, m, d, iu), state.labels,
                      state.gamma_sq, result.history)
     try:  # every returned factor must reconstruct to SPD

@@ -45,15 +45,42 @@ def chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
     return L, 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def tril_inv(L: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of lower-triangular matrices by forward
-    substitution, one row per step over the stack held stack-last."""
-    Lt = np.ascontiguousarray(np.moveaxis(L, (-2, -1), (0, 1)))
-    M = np.zeros_like(Lt)
-    for k in range(L.shape[-1]):
-        M[k, k] = 1.0 / Lt[k, k]
-        M[k, :k] = -(Lt[k, :k, None] * M[:k, :k]).sum(axis=0) * M[k, k]
-    return np.moveaxis(M, (0, 1), (-2, -1))
+def tril_inv(L) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices held stack-last,
+    (d, d, ...), by forward substitution: a d-step loop, each step one row
+    of every inverse at once."""
+    return _tril_inv_in_place(np.array(L, dtype=float, order="C"))
+
+
+def _tril_inv_in_place(M: np.ndarray) -> np.ndarray:
+    # row k of the inverse needs row k of L and the inverse's rows above
+    # it, so each row can overwrite its own
+    for k in range(M.shape[0]):
+        M[k, k] = 1.0 / M[k, k]
+        M[k, :k] = -M[k, k] * np.einsum("p...,pq...->q...", M[k, :k],
+                                        M[:k, :k])
+    return M
+
+
+def inv_chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse lower Cholesky factors L^-1 and log-determinants of an SPD
+    stack held stack-last, (d, d, ...).
+
+    A d-step left-looking Cholesky, each step one column of every member
+    at once, then tril_inv's forward substitution over the factors in
+    place.  NotPositiveDefinite if any pivot is not > 0, NaN included.
+    """
+    S = np.asarray(S, dtype=float)
+    L = np.zeros(S.shape)
+    for j in range(S.shape[0]):
+        v = S[j:, j] - np.einsum("kp...,p...->k...", L[j:, :j], L[j, :j])
+        if not (v[0] > 0.0).all():
+            raise NotPositiveDefinite(
+                "Cholesky failed: input not positive definite")
+        L[j, j] = np.sqrt(v[0])
+        L[j + 1:, j] = v[1:] / L[j, j]
+    logdets = 2.0 * np.log(np.diagonal(L, axis1=0, axis2=1)).sum(axis=-1)
+    return _tril_inv_in_place(L), logdets
 
 
 def logdet(X: np.ndarray) -> float:
@@ -164,7 +191,8 @@ def jbld_centroid(members: np.ndarray, tol: float = 1e-10,
     X = members.mean(axis=0)
     for _ in range(max_iter):
         # ((X + X_i)/2)^-1 = L_i^-T L_i^-1, L_i the midpoint factor
-        Linv = tril_inv(chol_logdets(0.5 * (X + members))[0])
+        L = chol_logdets(0.5 * (X + members))[0]
+        Linv = tril_inv(L.transpose(1, 2, 0)).transpose(2, 0, 1)
         mean_inv = (Linv.transpose(0, 2, 1) @ Linv).mean(axis=0)
         Linv = tril_inv(chol_logdets(mean_inv)[0])
         X_new = Linv.T @ Linv

@@ -1,7 +1,8 @@
 """Hypothesis property tests: SPD stacks that the dataset accepts give
-well-formed JBLD matrices, histograms that it accepts give finite,
-nonnegative Sinkhorn distances, and mutated dataset documents never make
-the CLI raise."""
+well-formed JBLD matrices and SCC runs that fail with a library error or
+descend through finite losses to SPD prototypes, histograms that it
+accepts give finite, nonnegative Sinkhorn distances, and mutated dataset
+documents never make the CLI raise."""
 import contextlib
 import copy
 import io
@@ -16,9 +17,9 @@ from hypothesis.extra import numpy as hnp
 
 from knncompress import cli, ot, spd
 from knncompress.datasets import LabeledDataset
-from knncompress.errors import NotSpdInput, ValidationError
+from knncompress.errors import KnnCompressError, NotSpdInput, ValidationError
 from knncompress.harness import COMPRESSORS
-from knncompress.scc import scc_init
+from knncompress.scc import SccConfig, scc_compress, scc_init
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -49,6 +50,27 @@ def test_accepted_spd_stack_gives_exact_jbld_matrix(S):
     assert np.array_equal(D, D.T)
     assert np.array_equal(np.diag(D), np.zeros(n))
     assert np.array_equal(D, [[spd.jbld(x, y) for y in S] for x in S])
+
+
+@PROPERTY
+@given(psd_stacks())
+def test_accepted_spd_stack_gives_descending_scc_run(S):
+    n, d = S.shape[:2]
+    try:
+        train = LabeledDataset(family="covariance", dim=d, members=S,
+                               labels=np.arange(n) % 2)
+    except NotSpdInput:
+        return
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            state = scc_compress(train, 2, SccConfig(max_iter=3))
+    except KnnCompressError:
+        return
+    history = np.array(state.loss_history)
+    assert np.isfinite(history).all()
+    assert (np.diff(history) <= 0).all()
+    np.linalg.cholesky(state.prototypes())
 
 
 @st.composite

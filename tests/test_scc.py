@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from knncompress import scc
 from knncompress.datasets import LabeledDataset, gen_covariance_dataset
-from knncompress.errors import TooFewInputs, ValidationError
+from knncompress.errors import (
+    NotPositiveDefinite, TooFewInputs, ValidationError)
 from knncompress.knn import loo_train_error
 from knncompress.neighborhood import NeighborhoodModel, gradient_coeffs
 from knncompress.spd import jbld, jbld_gradient_chol, jbld_matrix
@@ -176,6 +179,15 @@ class TestCompress:
         lf, _ = scc.scc_loss_grad(final, train)
         assert lf <= li + 1e-12
 
+    def test_ill_conditioned_start_raises(self):
+        # singular, but plain Cholesky passes on a last pivot of 4e-16
+        # that fg's conditioning floor rejects: no finite start point
+        train = LabeledDataset(family="covariance", dim=2,
+                               members=np.full((2, 2, 2), 2.0),
+                               labels=np.array([0, 1]))
+        with pytest.raises(NotPositiveDefinite):
+            scc.scc_compress(train, 2, scc.SccConfig(max_iter=3))
+
     @pytest.mark.parametrize("part", ["loss", "grad"])
     def test_non_finite_trial_point_rejected(self, part, monkeypatch):
         train = small_train()
@@ -194,3 +206,23 @@ class TestCompress:
         state = scc.scc_compress(train, 4, scc.SccConfig(max_iter=15, seed=0))
         assert calls[0] > 2
         assert np.all(np.isfinite(state.loss_history))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])
+    def test_non_finite_or_overflowing_factor_rejected(self, value,
+                                                       monkeypatch):
+        train = small_train()
+        seen, orig = {}, scc.ncg_minimize
+
+        def spy(fg, x0, **kwargs):
+            seen["fg"], seen["x0"] = fg, x0
+            return orig(fg, x0, **kwargs)
+
+        monkeypatch.setattr(scc, "ncg_minimize", spy)
+        scc.scc_compress(train, 4, scc.SccConfig(max_iter=1, seed=0))
+        x = seen["x0"].copy()
+        x[1] = value  # entry (0, 1) of the first factor, off the diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, g = seen["fg"](x)
+        assert loss == np.inf
+        assert np.array_equal(g, np.zeros_like(x))

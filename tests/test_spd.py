@@ -66,8 +66,42 @@ class TestCholLogdets:
         rng = np.random.default_rng(0)
         L = np.tril(rng.standard_normal((4, 6, 5, 5)), -1)
         L += np.eye(5) * rng.uniform(0.5, 2.0, (4, 6, 1, 5))
-        assert np.allclose(spd.tril_inv(L), np.linalg.inv(L),
+        stack_last = L.transpose(2, 3, 0, 1)
+        got = spd.tril_inv(stack_last)
+        assert got.shape == (5, 5, 4, 6)
+        assert np.allclose(got.transpose(2, 3, 0, 1), np.linalg.inv(L),
                            rtol=1e-12, atol=1e-12)
+        assert np.array_equal(stack_last, L.transpose(2, 3, 0, 1))
+
+
+class TestInvCholLogdets:
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_matches_chol_logdets_and_inv(self, d):
+        rng = np.random.default_rng(d)
+        S = np.array([[random_spd(rng, d) for _ in range(4)]
+                      for _ in range(3)])
+        Linv, ld = spd.inv_chol_logdets(S.transpose(2, 3, 0, 1))
+        L, ref_ld = spd.chol_logdets(S)
+        ref = np.linalg.inv(L)
+        got = Linv.transpose(2, 3, 0, 1)
+        assert ld.shape == (3, 4) and got.shape == ref.shape
+        assert np.abs(ld - ref_ld).max() <= 1e-13 * np.abs(ref_ld).max()
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+
+    @pytest.mark.parametrize("bad", ["negative identity", "nan", "all ones"])
+    def test_not_positive_definite_member_raises(self, bad):
+        rng = np.random.default_rng(6)
+        S = np.array([[random_spd(rng, 3) for _ in range(3)]
+                      for _ in range(2)])
+        if bad == "negative identity":
+            S[1, 2] = -np.eye(3)
+        elif bad == "nan":  # reaches only the last pivot
+            S[1, 2, 2, 1] = S[1, 2, 1, 2] = np.nan
+        else:  # singular PSD; chol_logdets rejects it too
+            S[1, 2] = np.ones((3, 3))
+        with pytest.raises(NotPositiveDefinite):
+            spd.inv_chol_logdets(S.transpose(2, 3, 0, 1))
 
 
 class TestJbld:
