@@ -20,7 +20,7 @@ from .neighborhood import (
     select_gamma_sq,
 )
 from .optim import ncg_minimize
-from .spd import chol_logdets, inv_chol_logdets, tril_inv
+from .spd import chol_logdets, inv_chol_logdets, jbld_matrix, tril_inv
 
 # steps taking a factor below this diagonal conditioning are rejected
 _COND_FLOOR = 1e-14
@@ -90,8 +90,10 @@ def jbld_midpoints(B: np.ndarray, X: np.ndarray):
 
 
 def jbld_distance_matrix(factors, members) -> np.ndarray:
-    """Distances of jbld_midpoints; kept while perfbench's tracer wraps it."""
-    return jbld_midpoints(factors, members)[0]
+    """(n, m) JBLD distances between members and prototypes from their
+    log-dets alone, by spd.jbld_matrix, for the callers that need no
+    inverse factors."""
+    return jbld_matrix(members, factors.transpose(0, 2, 1) @ factors)
 
 
 def scc_loss_grad(state: SccState, train: LabeledDataset):
@@ -115,7 +117,7 @@ def scc_loss_grad(state: SccState, train: LabeledDataset):
         R = Linv[k, :k + 1]  # (k+1, m, n)
         V[:, :k + 1, :k + 1] += (R.transpose(1, 0, 2)
                                  @ (R * C).transpose(1, 2, 0))
-    Binv_T = tril_inv(B.transpose(2, 1, 0)).transpose(2, 0, 1)
+    Binv_T = tril_inv(B.transpose(0, 2, 1))
     G = B @ V - C.sum(axis=1)[:, None, None] * Binv_T
     return loss, np.triu(G)
 
@@ -138,7 +140,7 @@ def scc_compress(train: LabeledDataset, m: int,
     d = train.dim
     iu = np.triu_indices(d)
 
-    D0 = jbld_midpoints(state.factors, train.members)[0]
+    D0 = jbld_distance_matrix(state.factors, train.members)
     if config.gamma_sq is not None:
         state.gamma_sq = config.gamma_sq
     else:
@@ -167,8 +169,11 @@ def scc_compress(train: LabeledDataset, m: int,
 
     result = ncg_minimize(fg, state.factors[:, iu[0], iu[1]].ravel(),
                           max_iter=config.max_iter, gtol=config.gtol)
-    if not np.isfinite(result.fun):  # fg rejected the starting factors
-        raise NotPositiveDefinite("initial prototypes too ill-conditioned")
+    if not np.isfinite(result.fun):
+        raise ValidationError(
+            "scc cannot start from the sampled members: its objective "
+            "rejects them (a factor below the conditioning floor, a "
+            "midpoint that does not factor, or a non-finite loss)")
     state = SccState(_unpack(result.x, m, d, iu), state.labels,
                      state.gamma_sq, result.history)
     try:  # every returned factor must reconstruct to SPD

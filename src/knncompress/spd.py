@@ -45,11 +45,12 @@ def chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
     return L, 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def tril_inv(L) -> np.ndarray:
-    """Inverses of a stack of lower-triangular matrices held stack-last,
-    (d, d, ...), by forward substitution: a d-step loop, each step one row
-    of every inverse at once."""
-    return _tril_inv_in_place(np.array(L, dtype=float, order="C"))
+def tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices by forward
+    substitution, one row per step over a copy of the stack held
+    stack-last."""
+    Lt = np.array(np.moveaxis(L, (-2, -1), (0, 1)), dtype=float, order="C")
+    return np.moveaxis(_tril_inv_in_place(Lt), (0, 1), (-2, -1))
 
 
 def _tril_inv_in_place(M: np.ndarray) -> np.ndarray:
@@ -191,8 +192,7 @@ def jbld_centroid(members: np.ndarray, tol: float = 1e-10,
     X = members.mean(axis=0)
     for _ in range(max_iter):
         # ((X + X_i)/2)^-1 = L_i^-T L_i^-1, L_i the midpoint factor
-        L = chol_logdets(0.5 * (X + members))[0]
-        Linv = tril_inv(L.transpose(1, 2, 0)).transpose(2, 0, 1)
+        Linv = tril_inv(chol_logdets(0.5 * (X + members))[0])
         mean_inv = (Linv.transpose(0, 2, 1) @ Linv).mean(axis=0)
         Linv = tril_inv(chol_logdets(mean_inv)[0])
         X_new = Linv.T @ Linv

@@ -204,6 +204,18 @@ class TestEval:
         assert cli.main(["eval", "--reference", bad, "--test", bad]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_scc_rejected_start_exit_2(self, cov_file, tmp_path, capsys):
+        # passes plain Cholesky on a pivot of 4e-16, so the dataset takes
+        # it, but its factor is below SCC's conditioning floor
+        M = [[2.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        bad = self.edited(cov_file, tmp_path, lambda doc: doc.__setitem__(
+            "members", [np.ravel(M).tolist()] * len(doc["members"])))
+        rc = cli.main(["compress", "--method", "scc", "--ratio", "0.5",
+                       "--max-iter", "3", "--in", bad,
+                       "--out", str(tmp_path / "ref.json")])
+        assert rc == 2
+        assert "rejects" in capsys.readouterr().err
+
     def test_large_label_k3(self, cov_file, tmp_path, capsys):
         ref = self.edited(cov_file, tmp_path,
                           lambda doc: doc["labels"].__setitem__(0, 2**62))

@@ -5,8 +5,7 @@ import pytest
 
 from knncompress import scc
 from knncompress.datasets import LabeledDataset, gen_covariance_dataset
-from knncompress.errors import (
-    NotPositiveDefinite, TooFewInputs, ValidationError)
+from knncompress.errors import TooFewInputs, ValidationError
 from knncompress.knn import loo_train_error
 from knncompress.neighborhood import NeighborhoodModel, gradient_coeffs
 from knncompress.spd import jbld, jbld_gradient_chol, jbld_matrix
@@ -179,13 +178,13 @@ class TestCompress:
         lf, _ = scc.scc_loss_grad(final, train)
         assert lf <= li + 1e-12
 
-    def test_ill_conditioned_start_raises(self):
+    def test_rejected_start_is_an_input_error(self):
         # singular, but plain Cholesky passes on a last pivot of 4e-16
         # that fg's conditioning floor rejects: no finite start point
         train = LabeledDataset(family="covariance", dim=2,
                                members=np.full((2, 2, 2), 2.0),
                                labels=np.array([0, 1]))
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(ValidationError, match="rejects"):
             scc.scc_compress(train, 2, scc.SccConfig(max_iter=3))
 
     @pytest.mark.parametrize("part", ["loss", "grad"])
