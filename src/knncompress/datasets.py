@@ -214,25 +214,28 @@ def gen_covariance_dataset(classes: int, per_class: int, d: int,
     if separation < 0:
         raise BadParameters("separation must be nonnegative")
     rng = np.random.default_rng(seed)
-    members, labels = [], []
+    members = np.empty((classes, per_class, d, d))
     for c in range(classes):
         G = rng.standard_normal((d, d))
         S = (G + G.T) / (2.0 * np.sqrt(d))
         w, V = np.linalg.eigh(separation * S)
         P = (V * np.exp(w)) @ V.T
         L = np.linalg.cholesky(0.5 * (P + P.T))
-        for _ in range(per_class):
-            Z = L @ rng.standard_normal((d, wishart_dof))
-            X = Z @ Z.T / wishart_dof
-            X = 0.5 * (X + X.T)
-            try:
-                np.linalg.cholesky(X)
-            except np.linalg.LinAlgError:
-                X = X + 1e-10 * np.trace(X) / d * np.eye(d)
-            members.append(X)
-            labels.append(c)
+        Z = L @ rng.standard_normal((per_class, d, wishart_dof))
+        X = Z @ Z.transpose(0, 2, 1) / wishart_dof
+        X = 0.5 * (X + X.transpose(0, 2, 1))
+        try:
+            chol_logdets(X)
+        except NotPositiveDefinite:  # a ridge on the members that fail
+            for x in X:
+                try:
+                    chol_logdets(x)
+                except NotPositiveDefinite:
+                    x += 1e-10 * np.trace(x) / d * np.eye(d)
+        members[c] = X
     return LabeledDataset(
-        family="covariance", dim=d, members=members, labels=np.array(labels),
+        family="covariance", dim=d, members=members.reshape(-1, d, d),
+        labels=np.repeat(np.arange(classes), per_class),
         metadata={"name": "wishart-synthetic", "seed": seed,
                   "classes": classes, "per_class": per_class,
                   "wishart_dof": wishart_dof, "separation": separation})
@@ -257,17 +260,15 @@ def gen_histogram_dataset(classes: int, per_class: int, d: int,
     M = np.sqrt((diff ** 2).sum(axis=2))
     np.fill_diagonal(M, 0.0)
 
-    members, labels = [], []
+    members = np.empty((classes, per_class, d))
     for c in range(classes):
         proto = rng.dirichlet(np.ones(d))
         alpha = np.maximum(concentration * proto, 1e-3)
-        for _ in range(per_class):
-            h = rng.dirichlet(alpha)
-            h = np.maximum(h, 0.0)
-            members.append(h / h.sum())
-            labels.append(c)
+        h = np.maximum(rng.dirichlet(alpha, size=per_class), 0.0)
+        members[c] = h / h.sum(axis=1, keepdims=True)
     return LabeledDataset(
-        family="histogram", dim=d, members=members, labels=np.array(labels),
+        family="histogram", dim=d, members=members.reshape(-1, d),
+        labels=np.repeat(np.arange(classes), per_class),
         ground_metric=M,
         metadata={"name": "dirichlet-synthetic", "seed": seed,
                   "classes": classes, "per_class": per_class,

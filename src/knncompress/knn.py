@@ -71,8 +71,9 @@ def pairwise_distances(members, metric) -> np.ndarray:
 
 def _predict(D: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """kNN labels of the rows of a query-by-reference distance matrix."""
-    if not np.all(np.isfinite(D)):
-        raise NumericalError("non-finite distance in the kNN distance matrix")
+    if not (np.isfinite(D).all() and (D >= -1e-9).all()):  # rounding: > -1e-9
+        raise NumericalError("non-finite or negative distance in the kNN "
+                             "distance matrix")
     if k == 1:  # argmin takes the first of tied minima, as _vote does
         return labels[np.argmin(D, axis=1)]
     return np.array([_vote(row, labels, k) for row in D], dtype=int)
@@ -95,7 +96,8 @@ def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
     Timing covers distance computation and voting only, median over reps;
     each rep computes the whole test-by-reference matrix afresh.
     distance_evals counts one full pass: n_test * len(reference).
-    Raises NumericalError if a distance is not finite.
+    Raises NumericalError if a distance is not finite or is negative
+    beyond rounding.
     """
     if len(reference) == 0:
         raise EmptyReference("empty reference set")

@@ -19,6 +19,8 @@ P_DEGENERATE = 1e-30  # below this, gradient coefficients are meaningless
 
 @dataclass
 class NeighborhoodModel:
+    """The model at one gamma^2; its label match, assignment probabilities
+    and correct-label mass are computed once, when it is built."""
     gamma_sq: float
     prototype_labels: np.ndarray  # (m,)
     train_labels: np.ndarray      # (n,)
@@ -33,37 +35,33 @@ class NeighborhoodModel:
         if self.distances.shape != (len(self.train_labels),
                                     len(self.prototype_labels)):
             raise DimensionMismatch("distances do not match the label counts")
-
-    @property
-    def label_match(self) -> np.ndarray:
-        """(n, m) boolean: prototype j shares the label of train point i."""
-        return self.train_labels[:, None] == self.prototype_labels[None, :]
+        if self.distances.shape[1] == 0:
+            raise EmptyPrototypeSet("no prototypes")
+        # (n, m) boolean: prototype j shares the label of train point i
+        self.label_match = (self.train_labels[:, None]
+                            == self.prototype_labels[None, :])
+        # max-subtraction keeps the softmax stable for large gamma^2
+        logits = -self.gamma_sq * self.distances
+        logits -= logits.max(axis=1, keepdims=True)
+        self._probs = np.exp(logits)
+        self._probs /= self._probs.sum(axis=1, keepdims=True)
+        self._correct = np.where(self.label_match, self._probs,
+                                 0.0).sum(axis=1)
 
 
 def assignment_probs(model: NeighborhoodModel) -> np.ndarray:
-    """p_ij = exp(-gamma^2 D_ij) / sum_k exp(-gamma^2 D_ik), rows sum to 1.
-
-    Max-subtraction keeps the softmax stable for large gamma^2.
-    """
-    if model.distances.shape[1] == 0:
-        raise EmptyPrototypeSet("no prototypes")
-    logits = -model.gamma_sq * model.distances
-    logits -= logits.max(axis=1, keepdims=True)
-    P = np.exp(logits)
-    P /= P.sum(axis=1, keepdims=True)
-    return P
+    """p_ij = exp(-gamma^2 D_ij) / sum_k exp(-gamma^2 D_ik), rows sum to 1."""
+    return model._probs
 
 
 def correct_prob(model: NeighborhoodModel) -> np.ndarray:
     """p_i = sum over same-label prototypes of p_ij."""
-    P = assignment_probs(model)
-    return np.where(model.label_match, P, 0.0).sum(axis=1)
+    return model._correct
 
 
 def kl_loss(model: NeighborhoodModel) -> float:
     """-sum_i log p_i, with p_i floored to avoid infinities."""
-    p = np.maximum(correct_prob(model), P_FLOOR)
-    return float(-np.log(p).sum())
+    return float(-np.log(np.maximum(model._correct, P_FLOOR)).sum())
 
 
 def gradient_coeffs(model: NeighborhoodModel) -> np.ndarray:
@@ -72,14 +70,12 @@ def gradient_coeffs(model: NeighborhoodModel) -> np.ndarray:
     The scalar multiplying the distance gradient for pair (i, j);
     wrong-label prototypes get c_ij <= 0, and each row sums to zero.
     """
-    P = assignment_probs(model)
-    match = model.label_match
-    p = np.where(match, P, 0.0).sum(axis=1)
+    p = model._correct[:, None]
     if np.any(p < P_DEGENERATE):
         raise DegeneratePi(
             "some p_i underflew; gamma^2 too large or no same-label "
             "prototype reachable")
-    return (P / p[:, None]) * (match.astype(float) - p[:, None]) * model.gamma_sq
+    return (model._probs / p) * (model.label_match - p) * model.gamma_sq
 
 
 def gamma_sq_grid(distances: np.ndarray) -> list[float]:

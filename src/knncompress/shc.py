@@ -152,10 +152,10 @@ def shc_compress(train: LabeledDataset, m: int,
     warm: dict = {}
     kw = dict(warm=warm, sinkhorn_tol=config.sinkhorn_tol,
               sinkhorn_max_iter=config.sinkhorn_max_iter)
-    loss, grad, D = shc_loss_grad(state, train, **kw)
     if config.gamma_sq is not None:
         state.gamma_sq = config.gamma_sq
-    else:
+    loss, grad, D = shc_loss_grad(state, train, **kw)
+    if config.gamma_sq is None:  # picked on the start's distances
         state.gamma_sq = select_gamma_sq(D, state.labels, train.labels)
         loss, grad, D = shc_loss_grad(state, train, **kw)
 

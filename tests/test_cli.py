@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from knncompress import cli, harness
-from knncompress.datasets import load_dataset
+from knncompress.datasets import LabeledDataset, load_dataset, save_dataset
 
 
 @pytest.fixture
@@ -215,6 +215,24 @@ class TestEval:
                        "--out", str(tmp_path / "ref.json")])
         assert rc == 2
         assert "rejects" in capsys.readouterr().err
+
+    def test_negative_jbld_pair_exit_3(self, tmp_path, capsys):
+        # two rank-2 members (condition about 1e16) that plain Cholesky
+        # takes; their JBLD rounds to -0.123, so each reads as the other's
+        # nearest member and the error rate would read 1.0
+        X = [[25.037095005525885, -14.621090868445094, -10.564805697265257],
+             [-14.621090868445094, 10.96355704405164, 1.9545258395623932],
+             [-10.564805697265257, 1.9545258395623932, 11.784016429757017]]
+        Y = [[25.037095005525888, -14.621090868445092, -10.564805697265262],
+             [-14.621090868445092, 10.96355704405165, 1.9545258395623963],
+             [-10.564805697265262, 1.9545258395623963, 11.784016429757013]]
+        path = str(tmp_path / "pair.json")
+        save_dataset(LabeledDataset(family="covariance", dim=3,
+                                    members=[X, Y], labels=[0, 1]), path)
+        rc = cli.main(["eval", "--reference", path, "--test", path,
+                       "--json"])
+        assert rc == 3
+        assert "negative distance" in capsys.readouterr().err
 
     def test_large_label_k3(self, cov_file, tmp_path, capsys):
         ref = self.edited(cov_file, tmp_path,

@@ -272,6 +272,87 @@ class TestGenerators:
             assert np.array_equal(x, y)
         assert np.array_equal(a.ground_metric, b.ground_metric)
 
+    # the generators draw each class as one stack; these per-member loops
+    # consume the generator's stream in the same order and are the reference
+    @staticmethod
+    def covariance_reference(classes, per_class, d, dof, separation, seed,
+                             repair=True):
+        rng = np.random.default_rng(seed)
+        members, labels = [], []
+        for c in range(classes):
+            G = rng.standard_normal((d, d))
+            S = (G + G.T) / (2.0 * np.sqrt(d))
+            w, V = np.linalg.eigh(separation * S)
+            P = (V * np.exp(w)) @ V.T
+            L = np.linalg.cholesky(0.5 * (P + P.T))
+            for _ in range(per_class):
+                Z = L @ rng.standard_normal((d, dof))
+                X = Z @ Z.T / dof
+                X = 0.5 * (X + X.T)
+                try:
+                    np.linalg.cholesky(X)
+                except np.linalg.LinAlgError:
+                    if repair:
+                        X = X + 1e-10 * np.trace(X) / d * np.eye(d)
+                members.append(X)
+                labels.append(c)
+        return np.array(members), np.array(labels)
+
+    @staticmethod
+    def histogram_reference(classes, per_class, d, concentration, seed):
+        rng = np.random.default_rng(seed)
+        embed = rng.standard_normal((d, 3))
+        M = np.sqrt(((embed[:, None] - embed[None]) ** 2).sum(axis=2))
+        np.fill_diagonal(M, 0.0)
+        members, labels = [], []
+        for c in range(classes):
+            alpha = np.maximum(concentration * rng.dirichlet(np.ones(d)), 1e-3)
+            for _ in range(per_class):
+                h = np.maximum(rng.dirichlet(alpha), 0.0)
+                members.append(h / h.sum())
+                labels.append(c)
+        return np.array(members), np.array(labels), M
+
+    # the benchmark workloads' calls (generator seed 2), a draw with a
+    # member that fails plain Cholesky, then small shapes
+    REPAIRED = (1, 1468, 20, 20, 1.0, 80)
+    COV_CALLS = [(3, 200, 5, 8, 1.0, 2), (3, 100, 5, 8, 1.0, 2), REPAIRED] + [
+        shape + (seed,) for seed in range(5)
+        for shape in [(2, 3, 2, 2, 1.0), (3, 4, 3, 6, 0.0), (2, 5, 4, 4, 2.5),
+                      (1, 1, 1, 1, 1.0)]]
+    HIST_CALLS = [(3, 200, 20, 5.0, 2)] + [
+        shape + (seed,) for seed in range(5)
+        for shape in [(2, 3, 2, 40.0), (3, 4, 6, 0.01), (2, 5, 8, 300.0),
+                      (1, 1, 3, 1.0)]]
+
+    @pytest.mark.parametrize("call", COV_CALLS, ids=str)
+    def test_covariance_equals_per_member_draw(self, call):
+        members, labels = self.covariance_reference(*call)
+        data = ds.gen_covariance_dataset(*call)
+        assert np.array_equal(data.members, members)
+        assert np.array_equal(data.labels, labels)
+
+    def test_covariance_ridge_only_on_failing_members(self):
+        raw, _ = self.covariance_reference(*self.REPAIRED, repair=False)
+        failing = []
+        for i, X in enumerate(raw):
+            try:
+                np.linalg.cholesky(X)
+            except np.linalg.LinAlgError:
+                failing.append(i)
+        assert failing  # member 1467: eigenvalues 2e-16 to 5.1
+        data = ds.gen_covariance_dataset(*self.REPAIRED)
+        changed = (data.members != raw).any(axis=(1, 2))
+        assert np.flatnonzero(changed).tolist() == failing
+
+    @pytest.mark.parametrize("call", HIST_CALLS, ids=str)
+    def test_histogram_equals_per_member_draw(self, call):
+        members, labels, M = self.histogram_reference(*call)
+        data = ds.gen_histogram_dataset(*call)
+        assert np.array_equal(data.members, members)
+        assert np.array_equal(data.labels, labels)
+        assert np.array_equal(data.ground_metric, M)
+
     def test_separation_helps(self):
         from knncompress.knn import loo_train_error
         from knncompress.spd import jbld

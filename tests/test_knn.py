@@ -184,6 +184,16 @@ class TestBatched:
         with pytest.raises(NumericalError):
             knn.evaluate(test, ref, metric, reps=1)
 
+    def test_negative_distance_raises(self):
+        # a distance below rounding would read as the nearest member
+        def metric(x, y):
+            return -0.2 if x[0, 0] == 9.0 else float(abs(x - y).sum())
+
+        ref = make_ds([1.0, 10.0], [0, 1])
+        test = make_ds([1.5, 9.0], [0, 1])
+        with pytest.raises(NumericalError, match="negative"):
+            knn.evaluate(test, ref, metric, reps=1)
+
 
 class TestSinkhornMetric:
     def test_one_batch_per_repetition(self, monkeypatch):

@@ -1,8 +1,9 @@
 """Hypothesis property tests: SPD stacks that the dataset accepts give
 well-formed JBLD matrices and SCC runs that fail with a library error or
 descend through finite losses to SPD prototypes, histograms that it
-accepts give finite, nonnegative Sinkhorn distances, and mutated dataset
-documents never make the CLI raise."""
+accepts give finite, nonnegative Sinkhorn distances and SHC runs that fail
+with a library error or descend through finite losses to prototypes on the
+simplex, and mutated dataset documents never make the CLI raise."""
 import contextlib
 import copy
 import io
@@ -20,6 +21,7 @@ from knncompress.datasets import LabeledDataset
 from knncompress.errors import KnnCompressError, NotSpdInput, ValidationError
 from knncompress.harness import COMPRESSORS
 from knncompress.scc import SccConfig, scc_compress, scc_init
+from knncompress.shc import ShcConfig, shc_compress
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -100,6 +102,30 @@ def test_accepted_histograms_give_finite_sinkhorn_distances(HM, lam):
                            200)[0]
     assert np.isfinite(D).all()
     assert (D >= 0).all()
+
+
+@PROPERTY
+@given(histogram_sets(), st.floats(0.1, 300.0))
+def test_accepted_histograms_give_descending_shc_run(HM, lam):
+    H, M = HM
+    try:
+        train = LabeledDataset(family="histogram", dim=H.shape[1], members=H,
+                               labels=np.arange(len(H)) % 2, ground_metric=M)
+    except ValidationError:
+        return
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            state = shc_compress(train, 2, ShcConfig(
+                max_iter=3, rmhc_steps=0, lam=lam, sinkhorn_max_iter=200))
+    except KnnCompressError:
+        return
+    history = np.array(state.loss_history)
+    assert np.isfinite(history).all()
+    assert (np.diff(history) <= 0).all()
+    P = state.prototypes()
+    assert (P >= 0).all()
+    assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 JSON_VALUES = st.recursive(

@@ -200,6 +200,29 @@ class TestCompress:
         assert state.lam == 25.0
         assert state.gamma_sq == 2.0
 
+    def test_given_gamma_used_from_the_start(self, monkeypatch):
+        # the start's loss and gradient are taken at the given gamma^2, in
+        # one call; selecting gamma^2 takes a second
+        train = gen_histogram_dataset(2, 10, 6, 40.0, seed=0)
+        real = shc.shc_loss_grad
+        gammas = []
+
+        def spy(state, *args, **kwargs):
+            gammas.append(state.gamma_sq)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(shc, "shc_loss_grad", spy)
+        cfg = shc.ShcConfig(max_iter=5, rmhc_steps=0, seed=0, gamma_sq=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            state = shc.shc_compress(train, 4, config=cfg)
+            start = shc.shc_init(train, 4, seed=0, rmhc_steps=0)
+            start.gamma_sq = 5.0
+            want = real(start, train)[0]
+        assert gammas == [5.0] * (1 + cfg.max_iter)
+        assert state.loss_history[0] == pytest.approx(want, rel=1e-9)
+        assert state.loss_history[0] == pytest.approx(1.182, abs=1e-3)
+
     def test_nan_trial_rejected(self, monkeypatch):
         train = small_train(seed=3)
         cfg = shc.ShcConfig(max_iter=3, rmhc_steps=0, seed=0)
