@@ -127,7 +127,8 @@ def _cmd_eval(args) -> int:
     metric, _ = make_metric(reference, args.lam)
     rep = evaluate(test, reference, metric, k=args.k)
     doc = {"error_rate": rep.error_rate, "n_test": rep.n_test,
-           "distance_evals": rep.distance_evals, "wall_time": rep.wall_time}
+           "distance_evals": rep.distance_evals, "wall_time": rep.wall_time,
+           "unconverged": rep.unconverged}
     if args.json:
         print(json.dumps(doc))
     else:

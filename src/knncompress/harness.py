@@ -65,7 +65,8 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
     Both families' callables carry the batched form
     ``.matrix(queries, members)``; the Sinkhorn one is
     ``ot.sinkhorn_matrix``, one solve over all query-member pairs whose
-    per-column exit makes it equal the per-pair distances to rounding.
+    per-column exit makes it equal the per-pair distances to rounding, and
+    returns the distances with the pairs' converged flags.
     """
     if dataset.family == "covariance":
         return _JBLD, None
@@ -77,7 +78,7 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
                            max_iter=sinkhorn_max_iter).distance
 
     metric.matrix = lambda queries, members: ot.sinkhorn_matrix(
-        queries, members, M, lam, 1e-6, sinkhorn_max_iter)[0]
+        queries, members, M, lam, 1e-6, sinkhorn_max_iter)[::2]
     return metric, lam
 
 

@@ -24,6 +24,7 @@ class EvalReport:
     distance_evals: int
     wall_time: float
     speedup_vs_reference: float | None = None
+    unconverged: int = 0  # unconverged pairs in the last distance matrix
 
 
 def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
@@ -47,14 +48,28 @@ def distance_matrix(queries, members, metric) -> np.ndarray:
     batched form (both families' metrics from harness.make_metric do),
     else loops over the pairs.
     """
+    return _distances(queries, members, metric)[0]
+
+
+def _distances(queries, members, metric):
+    """distance_matrix's matrix and its number of unconverged pairs.
+
+    metric.matrix may return the matrix alone, or with a boolean matrix of
+    the pairs whose solver converged, as the Sinkhorn metric of
+    harness.make_metric does; a matrix alone or the pair loop counts none.
+    """
     batched = getattr(metric, "matrix", None)
     if batched is not None:
-        return batched(queries, members)
+        D = batched(queries, members)
+        if isinstance(D, tuple):
+            D, converged = D
+            return D, int(np.count_nonzero(~converged))
+        return D, 0
     D = np.empty((len(queries), len(members)))
     for i, q in enumerate(queries):
         for j, x in enumerate(members):
             D[i, j] = metric(q, x)
-    return D
+    return D, 0
 
 
 def pairwise_distances(members, metric) -> np.ndarray:
@@ -95,7 +110,8 @@ def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
 
     Timing covers distance computation and voting only, median over reps;
     each rep computes the whole test-by-reference matrix afresh.
-    distance_evals counts one full pass: n_test * len(reference).
+    distance_evals counts one full pass: n_test * len(reference), and
+    unconverged the pairs of the last pass whose solver did not converge.
     Raises NumericalError if a distance is not finite or is negative
     beyond rounding.
     """
@@ -106,7 +122,7 @@ def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
     preds = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        D = distance_matrix(test.members, reference.members, metric)
+        D, unconverged = _distances(test.members, reference.members, metric)
         preds = _predict(D, reference.labels, k)
         times.append(time.perf_counter() - t0)
     wall = float(np.median(times))
@@ -114,7 +130,8 @@ def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
     speedup = reference_time / wall if reference_time is not None else None
     return EvalReport(error_rate=err, n_test=len(test),
                       distance_evals=len(test) * len(reference),
-                      wall_time=wall, speedup_vs_reference=speedup)
+                      wall_time=wall, speedup_vs_reference=speedup,
+                      unconverged=unconverged)
 
 
 def loo_train_error(train: LabeledDataset, metric, k: int = 1,

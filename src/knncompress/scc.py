@@ -140,11 +140,12 @@ def scc_compress(train: LabeledDataset, m: int,
     d = train.dim
     iu = np.triu_indices(d)
 
-    D0 = jbld_distance_matrix(state.factors, train.members)
     if config.gamma_sq is not None:
         state.gamma_sq = config.gamma_sq
     else:
-        state.gamma_sq = select_gamma_sq(D0, state.labels, train.labels)
+        state.gamma_sq = select_gamma_sq(
+            jbld_distance_matrix(state.factors, train.members), state.labels,
+            train.labels)
 
     def fg(x):
         # (inf, 0), which no line search accepts, at a non-finite or

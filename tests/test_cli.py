@@ -122,6 +122,7 @@ class TestEval:
         doc = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert 0.0 <= doc["error_rate"] <= 1.0
         assert doc["distance_evals"] == 24 * 6
+        assert doc["unconverged"] == 0  # JBLD has no solver to converge
 
     @pytest.mark.parametrize("key", ["family", "dim", "members", "labels"])
     def test_missing_key_exit_2(self, cov_file, tmp_path, capsys, key):

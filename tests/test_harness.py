@@ -79,8 +79,10 @@ class TestMakeMetric:
         metric, _ = harness.make_metric(data, lam, sinkhorn_max_iter=300)
         Q, R = data.members[:6], data.members[6:]
         want = np.array([[metric(q, x) for x in R] for q in Q])
-        np.testing.assert_allclose(metric.matrix(Q, R), want, rtol=1e-12)
-        assert metric.matrix([], R).shape == (0, 3)
+        D, converged = metric.matrix(Q, R)
+        np.testing.assert_allclose(D, want, rtol=1e-12)
+        assert converged.shape == D.shape and converged.dtype == bool
+        assert metric.matrix([], R)[0].shape == (0, 3)
 
 
 class TestRunExperiment:

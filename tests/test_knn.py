@@ -218,6 +218,18 @@ class TestSinkhornMetric:
         assert batches == [len(test) * len(ref)] * 2
         assert rep.distance_evals == len(test) * len(ref)
 
+    @pytest.mark.parametrize("max_iter", [2000, 200])
+    def test_evaluate_counts_unconverged_pairs(self, hist_tight, max_iter):
+        queries, reference = hist_tight
+        metric, _ = harness.make_metric(reference, 200.0,
+                                        sinkhorn_max_iter=max_iter)
+        rep = knn.evaluate(queries, reference, metric, reps=1)
+        _, _, conv = ot.sinkhorn_matrix(queries.members, reference.members,
+                                        reference.ground_metric, 200.0, 1e-6,
+                                        max_iter)
+        assert rep.unconverged == (~conv).sum()
+        assert rep.unconverged > 0 or max_iter == 2000
+
     def test_pairwise_symmetric_and_equal_to_pair_loop(self):
         data = gen_histogram_dataset(2, 3, 8, concentration=20.0, seed=3)
         metric, _ = harness.make_metric(data, 2.0)

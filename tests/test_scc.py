@@ -168,6 +168,16 @@ class TestCompress:
             train, 2, scc.SccConfig(max_iter=5, gamma_sq=3.5, seed=0))
         assert state.gamma_sq == 3.5
 
+    @pytest.mark.parametrize("gamma_sq, calls", [(3.5, 0), (None, 1)])
+    def test_gamma_selection_matrix_only_when_selecting(
+            self, gamma_sq, calls, monkeypatch):
+        made, orig = [], scc.jbld_distance_matrix
+        monkeypatch.setattr(scc, "jbld_distance_matrix",
+                            lambda *a: made.append(1) or orig(*a))
+        scc.scc_compress(small_train(seed=23), 2,
+                         scc.SccConfig(max_iter=2, gamma_sq=gamma_sq, seed=0))
+        assert len(made) == calls
+
     def test_reduces_loo_error_vs_init(self):
         train = small_train(seed=29, classes=3, per_class=10, d=3)
         init = scc.scc_init(train, 6, seed=0)
