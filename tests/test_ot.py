@@ -210,7 +210,7 @@ class TestLogDomain:
 
     @pytest.mark.parametrize("warm, lams", [
         (False, [50.0, 100.0, 200.0, 400.0, 800.0]), (True, [800.0])])
-    def test_warm_start_skips_the_stages(self, monkeypatch, warm, lams):
+    def test_stages_only_on_a_cold_start(self, monkeypatch, warm, lams):
         # lam 800 underflows exp(-lam * M) on line_metric(5); the pair
         # does not converge in the 250 plain passes that come first
         h, hp = random_pair(np.random.default_rng(4), 5)
