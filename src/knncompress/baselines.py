@@ -31,7 +31,8 @@ class ReducedSet:
 
 
 class _DistCache:
-    """Memoized symmetric train-by-train distances behind metric(x, y)."""
+    """Symmetric train-by-train distances: slices of a given matrix, else
+    metric(x, y) memoized per pair."""
 
     def __init__(self, members, metric, matrix: np.ndarray | None = None):
         self.members = members
@@ -42,8 +43,6 @@ class _DistCache:
     def __call__(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
-        if self.matrix is not None:
-            return float(self.matrix[i, j])
         key = (i, j) if i < j else (j, i)
         if key not in self._memo:
             self._memo[key] = float(self.metric(self.members[key[0]],
@@ -218,14 +217,13 @@ def rmhc_reduce(train: LabeledDataset, m: int, metric, steps: int, seed: int,
     dist = _DistCache(train.members, metric, dist_matrix)
 
     selected = np.sort(idx)
-    err = None
+    if m == n or steps < 1:
+        return ReducedSet(indices=selected, labels=labels[selected],
+                          method="rmhc")
+    err = _one_nn_wrong(dist, labels, selected).mean()
     for _ in range(steps):
-        if m == n:
-            break
-        if err is None:
-            err = _one_nn_wrong(dist, labels, selected).mean()
         out_pos = int(rng.integers(m))
-        unselected = np.setdiff1d(np.arange(n), selected, assume_unique=False)
+        unselected = np.delete(np.arange(n), selected)  # sorted, unique
         new = int(unselected[rng.integers(len(unselected))])
         trial = selected.copy()
         trial[out_pos] = new

@@ -62,11 +62,11 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
                 sinkhorn_max_iter: int = 2000):
     """Distance callable for the dataset's family; returns (metric, lam).
 
-    Both families' callables carry the batched form
-    ``.matrix(queries, members)``; the Sinkhorn one is
-    ``ot.sinkhorn_matrix``, one solve over all query-member pairs whose
-    per-column exit makes it equal the per-pair distances to rounding, and
-    returns the distances with the pairs' converged flags.
+    Both families' callables carry the batched forms
+    ``.matrix(queries, members)`` and ``.pairwise(members)`` and compute
+    one pair through their own ``.matrix``.  The Sinkhorn ones are
+    ``ot.sinkhorn_matrix``, which also returns the pairs' converged flags,
+    and ``ot.sinkhorn_pairwise``.
     """
     if dataset.family == "covariance":
         return _JBLD, None
@@ -74,11 +74,12 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
     lam = lam if lam is not None else default_lambda(M)
 
     def metric(h, hp):
-        return ot.sinkhorn(h, hp, M, lam, tol=1e-6,
-                           max_iter=sinkhorn_max_iter).distance
+        return float(metric.matrix([h], [hp])[0][0, 0])
 
     metric.matrix = lambda queries, members: ot.sinkhorn_matrix(
         queries, members, M, lam, 1e-6, sinkhorn_max_iter)[::2]
+    metric.pairwise = lambda members: ot.sinkhorn_pairwise(
+        members, M, lam, 1e-6, sinkhorn_max_iter)
     return metric, lam
 
 

@@ -74,14 +74,15 @@ def _distances(queries, members, metric):
 
 def pairwise_distances(members, metric) -> np.ndarray:
     """Symmetric (n, n) matrix of metric(members[i], members[j]), zero on
-    the diagonal.  Column j of the upper triangle is
-    distance_matrix(members[:j], members[j:j+1], metric), so a per-pair
-    metric is called for i < j only; the triangle is then mirrored."""
-    n = len(members)
-    D = np.zeros((n, n))
-    for j in range(1, n):
-        D[:j, j] = distance_matrix(members[:j], members[j:j + 1], metric)[:, 0]
-    return D + D.T
+    the diagonal: metric.pairwise(members) when the metric carries that
+    train-by-train form (both families' metrics from harness.make_metric
+    do), else a per-pair metric called once for each i < j, mirrored."""
+    if hasattr(metric, "pairwise"):
+        return metric.pairwise(members)
+    D = np.zeros((len(members), len(members)))
+    for i, j in zip(*np.triu_indices(len(members), 1)):
+        D[i, j] = D[j, i] = metric(members[i], members[j])
+    return D
 
 
 def _predict(D: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:

@@ -6,11 +6,11 @@ One Sinkhorn solver, ``_scale_columns``, serves every caller: ``sinkhorn``
 is its one-column form, ``sinkhorn_batch`` its n-column form, and
 ``sinkhorn_matrix`` and ``sinkhorn_pairwise`` one batch over all their
 pairs.  It exposes the dual variables, whose centered second block is the
-approximate gradient of the distance w.r.t. the second marginal.  In its
-log domain, used where exp(-lambda M) underflows, a column that plain
-scaling leaves unconverged is solved again with epsilon-scaling and
-safeguarded over-relaxation.  The log domain and the barycenter use a
-hand-written max-shifted log-sum-exp.
+approximate gradient of the distance w.r.t. the second marginal.  Its
+log domain (where exp(-lambda M) underflows) starts cold, in blocks of
+bounded memory, and solves a column plain scaling leaves unconverged
+again with epsilon-scaling and safeguarded over-relaxation.  It and the
+barycenter use a hand-written max-shifted log-sum-exp.
 """
 from __future__ import annotations
 
@@ -47,6 +47,11 @@ CLAMP_EPS = 1e-10
 _PLAIN_SHARE = 8
 _EPS_STAGES = 4
 _OMEGA = 1.7
+
+# elements of the log domain's (p, d, d) stacks per block of columns (81
+# at d = 20, so hist-tight's 36 pairs are one block); of 2**14 to 2**17,
+# the fastest on a 2 MB L2 cache, and its memory stays within 10 MB
+_LOG_BLOCK = 2**15
 
 
 def check_histograms(H: np.ndarray) -> np.ndarray:
@@ -111,13 +116,13 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
     one's denominator.  A column leaves the block, with its scalings, once
     its violation is below tol or NaN, so its result does not depend on
     the other columns, and the block is compacted only when one leaves.
-    A column whose distance or scalings end non-finite is solved again,
-    from a cold start, in the log domain.  When K underflows, every column
-    runs there, from log V0 when given, else cold.  A finite column that
-    did not converge is returned as it is: the log domain's passes cost
-    several times as much.  Returns (distances (n,), log scalings F and G
-    (d, n), V (d, n) to seed a warm start, converged (n,), loop passes run
-    in both domains).
+    A column whose distance or scalings end non-finite is solved again in
+    the log domain, and every column is when K underflows: cold, as there
+    a V0 cannot hold a useful log scaling, in blocks of _LOG_BLOCK stack
+    elements.  A finite column that did not converge is returned as it is:
+    the log domain's passes cost several times as much.  Returns
+    (distances (n,), log scalings F and G (d, n), V (d, n) to seed a warm
+    start, converged (n,), loop passes run in both domains).
     """
     HT = clamp_histogram(check_histograms(H)).T
     Hp = clamp_histogram(check_histograms(np.atleast_2d(hp)))
@@ -138,9 +143,8 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
         raise BadParameters("warm start must be finite and positive")
     with np.errstate(all="ignore"):
         if np.any(K == 0.0):
-            G0 = None if V0 is None else np.log(V).T
-            it, V = 0, np.ones((d, n))
-            dists, F, G = np.empty(n), np.empty_like(V), np.empty_like(V)
+            it, dists = 0, np.empty(n)
+            F, G = np.empty((d, n)), np.empty((d, n))
             conv, redo = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
         else:
             U, conv = np.empty_like(V), np.zeros(n, dtype=bool)
@@ -159,16 +163,18 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
                     act, Ha, Hpa, KV = (act[keep], Ha[:, keep], Hpa[:, keep],
                                         KV[:, keep])
             dists = np.sum(U * ((K * M) @ V), axis=0)
-            F, G, G0 = np.log(U), np.log(V), None
+            F, G = np.log(U), np.log(V)
             redo = ~(np.isfinite(dists) & np.isfinite(F).all(axis=0)
                      & np.isfinite(G).all(axis=0))
-        if redo.any():
-            d_log, F_log, G_log, conv[redo], it_log = _log_scaling(
-                HT[:, redo], HpT[:, redo], M, lam, tol, max_iter, G0)
-            dists[redo], F[:, redo], G[:, redo] = d_log, F_log.T, G_log.T
-            V[:, redo] = 1.0
-            it += it_log
-    return dists, F, G, V, conv, it
+        redo, it_log = np.flatnonzero(redo), 0
+        width = max(1, _LOG_BLOCK // d**2)
+        for b in range(0, redo.size, width):
+            j = redo[b:b + width]
+            dists[j], F_log, G_log, conv[j], it_b = _log_scaling(
+                HT[:, j], HpT[:, j], M, lam, tol, max_iter)
+            F[:, j], G[:, j], V[:, j] = F_log.T, G_log.T, 1.0
+            it_log = max(it_log, it_b)
+    return dists, F, G, V, conv, it + it_log
 
 
 def _logsumexp(A, axis):
@@ -227,19 +233,18 @@ def _log_stage(H, Hp, logK, tol, cap, F, G, omega):
     return conv, passes
 
 
-def _log_scaling(HT, hp, M, lam, tol, max_iter, G0=None):
+def _log_scaling(HT, hp, M, lam, tol, max_iter):
     """The scaling iteration on f = log u, g = log v for the (d, p) block
     HT of clamped marginals against hp, (d,) or (d, p), each a hand-written
     max-shifted log-sum-exp over a (p, d, d) stack.
 
     Every column first runs the plain iteration for max_iter //
     _PLAIN_SHARE passes.  A column still unconverged then is solved again
-    from its start in the passes left: a cold start first runs lam / 2**k
-    for k = _EPS_STAGES, ..., 1, each stage from the last one's dual
-    beta = g / lam (epsilon-scaling, Schmitzer 2019) and capped at a
-    2 * _EPS_STAGES-th of those passes, and a warm start from G0 runs lam
-    alone; each of its steps is over-relaxed by _OMEGA where _relaxed
-    allows.  Every stage is a working block of columns, each leaving once
+    cold in the passes left: lam / 2**k for k = _EPS_STAGES, ..., 1, each
+    stage from the last one's dual beta = g / lam (epsilon-scaling,
+    Schmitzer 2019) and capped at a 2 * _EPS_STAGES-th of those passes,
+    then lam, each step over-relaxed by _OMEGA where _relaxed allows.
+    Every stage is a working block of columns, each leaving once
     both its marginals are within tol, so a column's result does not
     depend on the others, and it makes at most max_iter passes in all.
     Returns (distances (p,), F, G (p, d), converged (p,), the most passes
@@ -247,16 +252,15 @@ def _log_scaling(HT, hp, M, lam, tol, max_iter, G0=None):
     """
     H = HT.T
     Hp = np.broadcast_to(hp.T, H.shape)
-    G = np.zeros_like(H) if G0 is None else G0
-    F, G_start, logK = np.empty_like(H), G.copy(), -lam * M
+    F, G, logK = np.empty_like(H), np.zeros_like(H), -lam * M
     probe = max_iter // _PLAIN_SHARE
     conv, passes = _log_stage(H, Hp, logK, tol, np.full(len(H), probe), F,
                               G, 1.0)
     s = np.flatnonzero(~conv & (passes == probe))
     if s.size:
-        Hs, Hps, Fs, Gs = H[s], Hp[s], F[s], G_start[s]
+        Hs, Hps, Fs, Gs = H[s], Hp[s], F[s], np.zeros_like(H[s])
         cap = np.full(s.size, (max_iter - probe) // (2 * _EPS_STAGES))
-        for k in range(0 if G0 is not None else _EPS_STAGES, 0, -1):
+        for k in range(_EPS_STAGES, 0, -1):
             passes[s] += _log_stage(Hs, Hps, -(lam / 2**k) * M, tol, cap, Fs,
                                     Gs, _OMEGA)[1]
             Gs *= 2.0

@@ -29,7 +29,6 @@ _COND_FLOOR = 1e-14
 @dataclass
 class SccConfig:
     max_iter: int = 200
-    gtol: float = 1e-6
     gamma_sq: float | None = None  # None: grid-picked at initialization
     seed: int = 0
 
@@ -169,7 +168,7 @@ def scc_compress(train: LabeledDataset, m: int,
         return np.inf, np.zeros_like(x)
 
     result = ncg_minimize(fg, state.factors[:, iu[0], iu[1]].ravel(),
-                          max_iter=config.max_iter, gtol=config.gtol)
+                          max_iter=config.max_iter)
     if not np.isfinite(result.fun):
         raise ValidationError(
             "scc cannot start from the sampled members: its objective "

@@ -84,11 +84,6 @@ def inv_chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
     return _tril_inv_in_place(L), logdets
 
 
-def logdet(X: np.ndarray) -> float:
-    """log |X| via Cholesky; raises NotPositiveDefinite for non-SPD input."""
-    return chol_logdets(_as_square(X))[1]
-
-
 def _check_pair(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = _as_square(X, "X")
     Y = _as_square(Y, "Y")
@@ -100,12 +95,11 @@ def _check_pair(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def jbld(X: np.ndarray, Y: np.ndarray) -> float:
     """Jensen-Bregman log-det divergence log|(X+Y)/2| - 0.5 log|XY|.
 
-    Symmetric, nonnegative, zero exactly when X == Y.  All determinants go
-    through Cholesky log-dets, never explicit determinant products.
+    Symmetric, nonnegative, zero exactly when X == Y: jbld_matrix on the
+    one pair, whose determinants are all Cholesky log-dets.
     """
     X, Y = _check_pair(X, Y)
-    mid = logdet(0.5 * (X + Y))
-    return mid - 0.5 * (logdet(X) + logdet(Y))
+    return float(jbld_matrix(X[None], Y[None])[0, 0])
 
 
 def _as_stack(A, name: str) -> np.ndarray:
@@ -120,7 +114,7 @@ def _as_stack(A, name: str) -> np.ndarray:
 
 
 def jbld_matrix(A, B) -> np.ndarray:
-    """(len(A), len(B)) matrix of jbld(A[i], B[j]), bit-identical to it.
+    """(len(A), len(B)) matrix of jbld(A[i], B[j]), the one JBLD kernel.
 
     Each member's log-determinant is computed once; the midpoints are
     factored one stacked Cholesky per member of B, so the cost is linear
@@ -140,8 +134,10 @@ def jbld_matrix(A, B) -> np.ndarray:
     return D
 
 
-# a batched form any metric callable may carry; knn.distance_matrix uses it
+# the batched forms a metric may carry, for knn.distance_matrix and
+# knn.pairwise_distances
 jbld.matrix = jbld_matrix
+jbld.pairwise = lambda members: jbld_matrix(members, members)
 
 
 def airm(X: np.ndarray, Y: np.ndarray) -> float:

@@ -218,6 +218,20 @@ class TestSinkhornMetric:
         assert batches == [len(test) * len(ref)] * 2
         assert rep.distance_evals == len(test) * len(ref)
 
+    def test_pairwise_one_batch_over_the_triangle(self, monkeypatch):
+        # the train-by-train matrix is one ot.sinkhorn_pairwise solve
+        data = gen_histogram_dataset(2, 4, 8, concentration=20.0, seed=5)
+        metric, _ = harness.make_metric(data, 2.0)
+        batches, sinkhorn_batch = [], ot.sinkhorn_batch
+
+        def counting(H, *args, **kwargs):
+            batches.append(len(H))
+            return sinkhorn_batch(H, *args, **kwargs)
+
+        monkeypatch.setattr(ot, "sinkhorn_batch", counting)
+        knn.pairwise_distances(data.members, metric)
+        assert batches == [len(data) * (len(data) - 1) // 2]
+
     @pytest.mark.parametrize("max_iter", [2000, 200])
     def test_evaluate_counts_unconverged_pairs(self, hist_tight, max_iter):
         queries, reference = hist_tight

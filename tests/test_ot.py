@@ -209,10 +209,13 @@ class TestLogDomain:
         assert abs(sol.distance - ot.emd_exact(h, hp, M)) <= 1e-6
 
     @pytest.mark.parametrize("warm, lams", [
-        (False, [50.0, 100.0, 200.0, 400.0, 800.0]), (True, [800.0])])
+        (False, [50.0, 100.0, 200.0, 400.0, 800.0]),
+        (True, [50.0, 100.0, 200.0, 400.0, 800.0])])
     def test_stages_only_on_a_cold_start(self, monkeypatch, warm, lams):
         # lam 800 underflows exp(-lam * M) on line_metric(5); the pair
-        # does not converge in the 250 plain passes that come first
+        # does not converge in the 250 plain passes that come first.  The
+        # log domain always starts cold, so a warm start v0 runs the
+        # stages too
         h, hp = random_pair(np.random.default_rng(4), 5)
         M = line_metric(5)
         kernels, log_stage = [], ot._log_stage
@@ -226,6 +229,26 @@ class TestLogDomain:
                           v0=np.ones(5) if warm else None)
         assert sol.converged
         assert kernels == [(800.0, 1.0)] + [(lam, ot._OMEGA) for lam in lams]
+
+    def test_blocks_of_one_column_equal_one_block(self, monkeypatch,
+                                                  hist_tight):
+        queries, reference = hist_tight
+        args = (np.tile(queries.members, (3, 1)),
+                np.repeat(reference.members, 12, axis=0),
+                queries.ground_metric, 200.0, 1e-6, 2000)
+        blocks, log_scaling = [], ot._log_scaling
+
+        def spy(HT, *rest):
+            blocks.append(HT.shape[1])
+            return log_scaling(HT, *rest)
+
+        monkeypatch.setattr(ot, "_log_scaling", spy)
+        one = ot.sinkhorn_batch(*args)
+        monkeypatch.setattr(ot, "_LOG_BLOCK", 1)
+        many = ot.sinkhorn_batch(*args)
+        assert blocks == [36] + [1] * 36
+        for a, b in zip(one, many):
+            assert np.array_equal(a, b)
 
     def test_passes_capped_in_all_stages(self):
         # the found pair again: it needs more than 100 passes in all

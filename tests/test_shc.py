@@ -243,3 +243,31 @@ class TestCompress:
         assert len(calls) == 2 + cfg.max_iter
         assert np.all(np.isfinite(state.loss_history))
         assert np.isfinite(state.best_snapshot[1])
+
+    def test_every_log_domain_solve_starts_cold(self, monkeypatch):
+        # at lambda 200 exp(-lambda M) underflows, so each of the four
+        # loss calls solves in the log domain; the warm V the last call
+        # left is 1 there, and every solve runs the epsilon-scaling stages
+        train = gen_histogram_dataset(2, 6, 8, 5.0, 0)
+        M = train.ground_metric
+        solves, log_scaling, log_stage = [], ot._log_scaling, ot._log_stage
+
+        def scaling_spy(*args):
+            solves.append([])
+            return log_scaling(*args)
+
+        def stage_spy(H, Hp, logK, *args):
+            solves[-1].append(float(logK[0, 1] / -M[0, 1]))
+            return log_stage(H, Hp, logK, *args)
+
+        monkeypatch.setattr(ot, "_log_scaling", scaling_spy)
+        monkeypatch.setattr(ot, "_log_stage", stage_spy)
+        cfg = shc.ShcConfig(max_iter=3, lam=200.0, rmhc_steps=0, seed=0,
+                            gamma_sq=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            shc.shc_compress(train, 2, cfg)
+        assert len(solves) == 4
+        for lams in solves:
+            assert lams == pytest.approx([200.0, 12.5, 25.0, 50.0, 100.0,
+                                          200.0])
