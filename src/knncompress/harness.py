@@ -23,7 +23,7 @@ from .shc import ShcConfig, default_lambda, shc_compress
 
 FEW_CLASS_RATIOS = (0.02, 0.04, 0.08, 0.16)
 
-# bound at import: the covariance metric keeps its batched jbld.matrix even
+# bound at import: the covariance metric keeps its batched forms even
 # where a wrapper (a profiler's) later replaces spd.jbld
 _JBLD = spd.jbld
 

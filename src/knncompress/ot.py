@@ -49,8 +49,8 @@ _EPS_STAGES = 4
 _OMEGA = 1.7
 
 # elements of the log domain's (p, d, d) stacks per block of columns (81
-# at d = 20, so hist-tight's 36 pairs are one block); of 2**14 to 2**17,
-# the fastest on a 2 MB L2 cache, and its memory stays within 10 MB
+# at d = 20, so hist-tight's 36 pairs are one block), picked for time and
+# peak RSS from 2**14 to 2**17 on a 2 MB L2 cache (figures: CHANGES.md)
 _LOG_BLOCK = 2**15
 
 
