@@ -48,6 +48,9 @@ class ExperimentPlan:
         for m in self.methods:
             if m not in COMPRESSORS:
                 raise BadParameters(f"unknown method {m!r}")
+        for name in ("scc_max_iter", "shc_max_iter", "rmhc_steps"):
+            if getattr(self, name) < 0:
+                raise BadParameters(f"{name} must be at least 0")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentPlan":

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import EmptyReference, NumericalError, TooFewInputs
+from .errors import (
+    BadParameters, EmptyReference, NumericalError, TooFewInputs)
 
 
 @dataclass
@@ -85,6 +86,13 @@ def pairwise_distances(members, metric) -> np.ndarray:
     return D
 
 
+def _cap_k(k: int, n: int) -> int:
+    """k capped at n members; BadParameters for k below 1."""
+    if k < 1:
+        raise BadParameters(f"k={k} must be at least 1")
+    return min(k, n)
+
+
 def _predict(D: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """kNN labels of the rows of a query-by-reference distance matrix."""
     if not (np.isfinite(D).all() and (D >= -1e-9).all()):  # rounding: > -1e-9
@@ -99,7 +107,7 @@ def knn_classify(query, reference: LabeledDataset, metric, k: int = 1) -> int:
     """Majority-vote kNN label of a single query descriptor."""
     if len(reference) == 0:
         raise EmptyReference("empty reference set")
-    k = min(k, len(reference))
+    k = _cap_k(k, len(reference))
     D = distance_matrix([query], reference.members, metric)
     return int(_predict(D, reference.labels, k)[0])
 
@@ -118,9 +126,10 @@ def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
     """
     if len(reference) == 0:
         raise EmptyReference("empty reference set")
-    k = min(k, len(reference))
+    if reps < 1:
+        raise BadParameters(f"reps={reps} must be at least 1")
+    k = _cap_k(k, len(reference))
     times = []
-    preds = None
     for _ in range(reps):
         t0 = time.perf_counter()
         D, unconverged = _distances(test.members, reference.members, metric)
@@ -141,11 +150,11 @@ def loo_train_error(train: LabeledDataset, metric, k: int = 1,
     n = len(train)
     if n < 2:
         raise TooFewInputs("leave-one-out needs at least 2 points")
+    kk = _cap_k(k, n - 1)
     if dist_matrix is None:
         dist_matrix = pairwise_distances(train.members, metric)
     D = dist_matrix.astype(float).copy()
     np.fill_diagonal(D, np.inf)
-    kk = min(k, n - 1)
     wrong = sum(_vote(D[i], train.labels, kk) != train.labels[i]
                 for i in range(n))
     return wrong / n

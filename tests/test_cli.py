@@ -104,6 +104,18 @@ class TestCompress:
         for X, Y in zip(written.members, cell.members):
             assert np.array_equal(X, Y)
 
+    @pytest.mark.parametrize("method, flag, value", [
+        ("scc", "--max-iter", "-3"), ("shc", "--max-iter", "-2"),
+        ("rmhc", "--rmhc-steps", "-4")])
+    def test_negative_iterations_exit_2(self, cov_file, hist_file, tmp_path,
+                                        capsys, method, flag, value):
+        inp = cov_file if method == "scc" else hist_file
+        rc = cli.main(["compress", "--method", method, "--ratio", "0.2",
+                       flag, value, "--in", inp,
+                       "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = cli.main(["compress", "--method", "subsample",
                        "--in", str(tmp_path / "nope.json"),
@@ -258,6 +270,13 @@ class TestEval:
                        "--in", bad, "--out", str(tmp_path / "ref.json")])
         assert rc == 2
         assert "histogram mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exit_2(self, cov_file, capsys, k):
+        rc = cli.main(["eval", "--reference", cov_file, "--test", cov_file,
+                       "--k", k])
+        assert rc == 2
+        assert "k=" in capsys.readouterr().err
 
     def test_family_mismatch_exit_2(self, cov_file, hist_file):
         rc = cli.main(["eval", "--reference", cov_file, "--test", hist_file])

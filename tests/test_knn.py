@@ -4,7 +4,8 @@ import pytest
 from knncompress import harness, knn, ot, spd
 from knncompress.datasets import (
     LabeledDataset, gen_covariance_dataset, gen_histogram_dataset)
-from knncompress.errors import EmptyReference, NumericalError, TooFewInputs
+from knncompress.errors import (
+    BadParameters, EmptyReference, NumericalError, TooFewInputs)
 
 
 def euclid(x, y):
@@ -82,6 +83,11 @@ class TestEvaluate:
         ref = make_ds(np.r_[vals0[:5], vals1[:5]], [0] * 5 + [1] * 5)
         test = make_ds(np.r_[vals0[5:], vals1[5:]], [0] * 5 + [1] * 5)
         assert knn.evaluate(test, ref, euclid).error_rate == 0.0
+
+    def test_zero_reps_rejected(self):
+        ref = make_ds([1.0, 10.0], [0, 1])
+        with pytest.raises(BadParameters, match="reps"):
+            knn.evaluate(make_ds([1.5], [0]), ref, euclid, reps=0)
 
 
 class TestLooError:

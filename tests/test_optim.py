@@ -40,7 +40,8 @@ def test_quadratic_converges_to_minimiser(seed):
 
 def test_barrier_returns_finite_point_inside():
     # (inf, 0) on and outside the unit ball, whose outside holds the
-    # minimum: no line search may step out, and nothing raises
+    # minimum: no line search may step out, nothing raises and nothing
+    # warns (recorded, not raised, so a handler cannot swallow it)
     c = np.array([2.0, 1.0, 0.0])
 
     def fg(x):
@@ -48,9 +49,10 @@ def test_barrier_returns_finite_point_inside():
             return np.inf, np.zeros_like(x)
         return float(((x - c) ** 2).sum()), 2.0 * (x - c)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         res = ncg_minimize(fg, np.zeros(3), max_iter=50)
+    assert [str(w.message) for w in caught] == []
     assert np.isfinite(res.fun)
     assert np.linalg.norm(res.x) < 1.0
     assert res.fun == fg(res.x)[0]
