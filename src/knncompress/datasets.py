@@ -47,7 +47,14 @@ class LabeledDataset:
     def __post_init__(self):
         if self.family not in ("covariance", "histogram"):
             raise ValidationError(f"unknown family {self.family!r}")
-        self.labels = np.asarray(self.labels, dtype=int)
+        try:
+            labels = np.asarray(self.labels)
+        except (ValueError, OverflowError):  # ragged, or beyond int64
+            labels = None
+        if (labels is None or labels.ndim != 1
+                or (labels.size and labels.dtype.kind not in "iu")):
+            raise ValidationError("labels must be a list of integers")
+        self.labels = labels.astype(int)
         if len(self.members) != len(self.labels):
             raise DimensionMismatch("members and labels length mismatch")
         if (self.labels < 0).any():
@@ -325,13 +332,6 @@ def load_dataset(path: str) -> LabeledDataset:
     shape = (d, d) if family == "covariance" else (d,)
     members = _numeric(doc["members"], f"{path}: each member",
                        (len(doc["members"]),) + shape)
-    try:
-        labels = np.asarray(doc["labels"])
-    except (ValueError, OverflowError):
-        labels = None
-    if (labels is None or labels.ndim != 1
-            or (labels.size and labels.dtype.kind not in "iu")):
-        raise ValidationError(f"{path}: labels must be a list of integers")
     gm = doc.get("ground_metric")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -340,7 +340,7 @@ def load_dataset(path: str) -> LabeledDataset:
         family=family,
         dim=d,
         members=members,
-        labels=labels.astype(int),
+        labels=doc["labels"],
         ground_metric=(_numeric(gm, f"{path}: ground_metric", (d, d))
                        if gm is not None else None),
         metadata=metadata,

@@ -8,6 +8,7 @@ JSON-lines records plus a rendered plain-text table.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -28,6 +29,26 @@ FEW_CLASS_RATIOS = (0.02, 0.04, 0.08, 0.16)
 _JBLD = spd.jbld
 
 
+def _is(value, kind) -> bool:
+    """isinstance(value, kind), except that a bool is no number."""
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
+# (field, type of each entry, what the entries must be)
+_PLAN_LISTS = (("ratios", numbers.Real, "numbers"),
+               ("methods", str, "strings"),
+               ("seeds", numbers.Integral, "integers"))
+# (field, type, what it must be)
+_PLAN_SCALARS = (("k", numbers.Integral, "an integer"),
+                 ("scc_max_iter", numbers.Integral, "an integer"),
+                 ("shc_max_iter", numbers.Integral, "an integer"),
+                 ("rmhc_steps", numbers.Integral, "an integer"),
+                 ("gamma_sq", (numbers.Real, type(None)), "a number or null"),
+                 ("lam", (numbers.Real, type(None)), "a number or null"),
+                 ("tune", bool, "true or false"))
+
+
 @dataclass
 class ExperimentPlan:
     ratios: tuple = FEW_CLASS_RATIOS
@@ -42,6 +63,16 @@ class ExperimentPlan:
     tune: bool = False
 
     def __post_init__(self):
+        for name, kind, what in _PLAN_LISTS:
+            values = getattr(self, name)
+            if (not isinstance(values, (list, tuple))
+                    or not all(_is(v, kind) for v in values)):
+                raise BadParameters(f"{name} must be a list of {what}")
+            setattr(self, name, tuple(values))
+        for name, kind, what in _PLAN_SCALARS:
+            value = getattr(self, name)
+            if not _is(value, kind):
+                raise BadParameters(f"{name} must be {what}, got {value!r}")
         for r in self.ratios:
             if not 0 < r <= 1:
                 raise BadParameters(f"ratio {r} outside (0, 1]")
@@ -51,14 +82,15 @@ class ExperimentPlan:
         for name in ("scc_max_iter", "shc_max_iter", "rmhc_steps"):
             if getattr(self, name) < 0:
                 raise BadParameters(f"{name} must be at least 0")
+        if any(s < 0 for s in self.seeds):  # numpy's generators refuse them
+            raise BadParameters("seeds must be at least 0")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentPlan":
-        kwargs = {k: v for k, v in doc.items() if k in cls.__dataclass_fields__}
-        for key in ("ratios", "methods", "seeds"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+    def from_dict(cls, doc) -> "ExperimentPlan":
+        if not isinstance(doc, dict):
+            raise BadParameters("a plan must be a JSON object")
+        return cls(**{k: v for k, v in doc.items()
+                      if k in cls.__dataclass_fields__})
 
 
 def make_metric(dataset: LabeledDataset, lam: float | None = None,

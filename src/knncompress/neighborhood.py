@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePi, DimensionMismatch, EmptyPrototypeSet
+from .errors import (
+    BadParameters, DegeneratePi, DimensionMismatch, EmptyPrototypeSet)
 
 P_FLOOR = 1e-300     # floor for p_i before taking logs
 P_DEGENERATE = 1e-30  # below this, gradient coefficients are meaningless
@@ -27,6 +28,9 @@ class NeighborhoodModel:
     distances: np.ndarray         # (n, m), nonnegative
 
     def __post_init__(self):
+        if not 0 < self.gamma_sq < np.inf:  # NaN included
+            raise BadParameters(
+                f"gamma_sq must be positive and finite, got {self.gamma_sq}")
         self.prototype_labels = np.asarray(self.prototype_labels)
         self.train_labels = np.asarray(self.train_labels)
         self.distances = np.asarray(self.distances, dtype=float)

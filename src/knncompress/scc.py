@@ -20,7 +20,7 @@ from .neighborhood import (
     select_gamma_sq,
 )
 from .optim import ncg_minimize
-from .spd import chol_logdets, inv_chol_logdets, jbld_matrix, tril_inv
+from .spd import chol_logdets, inv_chol_logdets
 
 # steps taking a factor below this diagonal conditioning are rejected
 _COND_FLOOR = 1e-14
@@ -83,16 +83,18 @@ def jbld_midpoints(B: np.ndarray, X: np.ndarray):
     mid = np.empty(B.shape[1:] + (len(B), len(X)))
     np.add(Xh[:, :, None], (0.5 * S).transpose(1, 2, 0)[..., None], out=mid)
     Linv, ld_mid = inv_chol_logdets(mid)
+    # log|B_j' B_j| from B_j's diagonal: every factor stack is upper
+    # triangular, SCC's optimizer points included, because scc_loss_grad's
+    # np.triu zeroes the strict lower triangle of every gradient
     ld_S = 2.0 * np.log(np.abs(np.diagonal(B, axis1=1, axis2=2))).sum(axis=1)
     D = ld_mid - 0.5 * (chol_logdets(X)[1] + ld_S[:, None])
     return np.ascontiguousarray(D.T), Linv  # rows contiguous, as kl_loss sums
 
 
 def jbld_distance_matrix(factors, members) -> np.ndarray:
-    """(n, m) JBLD distances between members and prototypes from their
-    log-dets alone, by spd.jbld_matrix, for the callers that need no
-    inverse factors."""
-    return jbld_matrix(members, factors.transpose(0, 2, 1) @ factors)
+    """(n, m) JBLD distances between members and prototypes, the loss's
+    own, for gamma^2 selection."""
+    return jbld_midpoints(factors, members)[0]
 
 
 def scc_loss_grad(state: SccState, train: LabeledDataset):
@@ -116,28 +118,25 @@ def scc_loss_grad(state: SccState, train: LabeledDataset):
         R = Linv[k, :k + 1]  # (k+1, m, n)
         V[:, :k + 1, :k + 1] += (R.transpose(1, 0, 2)
                                  @ (R * C).transpose(1, 2, 0))
-    Binv_T = tril_inv(B.transpose(0, 2, 1))
-    G = B @ V - C.sum(axis=1)[:, None, None] * Binv_T
+    # B_j^-T is lower triangular with diagonal 1 / diag(B_j), and np.triu
+    # keeps only that diagonal of it
+    G = B @ V
+    k = np.arange(B.shape[1])
+    G[:, k, k] -= C.sum(axis=1)[:, None] * (1.0 / B[:, k, k])
     return loss, np.triu(G)
-
-
-def _unpack(x: np.ndarray, m: int, d: int, iu) -> np.ndarray:
-    B = np.zeros((m, d, d))
-    B[:, iu[0], iu[1]] = x.reshape(m, -1)
-    return B
 
 
 def scc_compress(train: LabeledDataset, m: int,
                  config: SccConfig | None = None) -> SccState:
     """Learn m synthetic SPD prototypes by conjugate-gradient descent.
 
-    Returns the state with the best training KL loss encountered; prototype
-    labels stay fixed throughout.
+    The optimizer's vector is the raveled factor stack.  Returns the state
+    at the last iterate, whose training KL loss is the lowest of the run
+    (every step descends); prototype labels stay fixed throughout.
     """
     config = config or SccConfig()
     state = scc_init(train, m, config.seed)
-    d = train.dim
-    iu = np.triu_indices(d)
+    shape = state.factors.shape
 
     if config.gamma_sq is not None:
         state.gamma_sq = config.gamma_sq
@@ -152,7 +151,7 @@ def scc_compress(train: LabeledDataset, m: int,
         # non-finite loss or gradient
         if not np.isfinite(x).all():
             return np.inf, np.zeros_like(x)
-        B = _unpack(x, m, d, iu)
+        B = x.reshape(shape)
         diag = np.abs(np.diagonal(B, axis1=1, axis2=2))
         lo, hi = diag.min(axis=1), diag.max(axis=1)
         if np.all(lo > 0.0) and np.all((lo / hi) ** 2 >= _COND_FLOOR):
@@ -162,22 +161,18 @@ def scc_compress(train: LabeledDataset, m: int,
                         SccState(B, state.labels, state.gamma_sq), train)
             except NotPositiveDefinite:
                 return np.inf, np.zeros_like(x)
-            g = grads[:, iu[0], iu[1]].ravel()
+            g = grads.ravel()
             if np.isfinite(loss) and np.isfinite(g).all():
                 return loss, g
         return np.inf, np.zeros_like(x)
 
-    result = ncg_minimize(fg, state.factors[:, iu[0], iu[1]].ravel(),
-                          max_iter=config.max_iter)
+    result = ncg_minimize(fg, state.factors.ravel(), max_iter=config.max_iter)
     if not np.isfinite(result.fun):
         raise ValidationError(
             "scc cannot start from the sampled members: its objective "
             "rejects them (a factor below the conditioning floor, a "
             "midpoint that does not factor, or a non-finite loss)")
-    state = SccState(_unpack(result.x, m, d, iu), state.labels,
-                     state.gamma_sq, result.history)
-    try:  # every returned factor must reconstruct to SPD
-        np.linalg.cholesky(state.prototypes())
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("optimizer returned a degenerate factor")
+    state = SccState(result.x.reshape(shape), state.labels, state.gamma_sq,
+                     result.history)
+    chol_logdets(state.prototypes())  # every factor reconstructs to SPD
     return state

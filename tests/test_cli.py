@@ -116,6 +116,19 @@ class TestCompress:
         assert rc == 2
         assert "must be at least 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["scc", "shc"])
+    @pytest.mark.parametrize("gamma_sq", ["0", "-1", "nan", "inf"])
+    def test_gamma_sq_out_of_range_exit_2(self, cov_file, hist_file, tmp_path,
+                                          capsys, method, gamma_sq):
+        inp = cov_file if method == "scc" else hist_file
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main(["compress", "--method", method, "--ratio", "0.2",
+                           "--max-iter", "3", "--gamma-sq", gamma_sq,
+                           "--in", inp, "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "gamma_sq must be positive and finite" in capsys.readouterr().err
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = cli.main(["compress", "--method", "subsample",
                        "--in", str(tmp_path / "nope.json"),
@@ -305,6 +318,20 @@ class TestBench:
         rc = cli.main(["bench", "--plan", plan_path, "--data", cov_file,
                        "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
+
+    @pytest.mark.parametrize("plan", [
+        [1, 2], {"ratios": "abc"}, {"k": "1"}, {"seeds": [1.5]},
+        {"ratios": [0.1], "scc_max_iter": "5", "methods": ["scc"]},
+        {"methods": "cnn"}, {"seeds": [-1]}, {"tune": 1},
+        {"gamma_sq": "big"}, {"methods": [None]}])
+    def test_ill_typed_plan_exit_2(self, cov_file, tmp_path, capsys, plan):
+        plan_path = str(tmp_path / "plan.json")
+        with open(plan_path, "w") as f:
+            json.dump(plan, f)
+        rc = cli.main(["bench", "--plan", plan_path, "--data", cov_file,
+                       "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert "must be" in capsys.readouterr().err
 
 
 class TestSelfcheck:

@@ -117,6 +117,13 @@ class TestLabeledDataset:
                               labels=np.array([0, -1]),
                               ground_metric=1.0 - np.eye(2))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], ["a", "b"], [[0], [1]],
+                                        [0, [1, 2]]])
+    def test_labels_not_integers(self, labels):
+        with pytest.raises(ValidationError, match="labels"):
+            ds.LabeledDataset(family="covariance", dim=2,
+                              members=[np.eye(2)] * 2, labels=labels)
+
     def test_subset(self):
         data = ds.gen_covariance_dataset(2, 5, 3, wishart_dof=10,
                                          separation=1.0, seed=0)

@@ -3,7 +3,8 @@ well-formed JBLD matrices and SCC runs that fail with a library error or
 descend through finite losses to SPD prototypes, histograms that it
 accepts give finite, nonnegative Sinkhorn distances and SHC runs that fail
 with a library error or descend through finite losses to prototypes on the
-simplex, and mutated dataset documents never make the CLI raise."""
+simplex, and mutated dataset and plan documents never make the CLI
+raise."""
 import contextlib
 import copy
 import io
@@ -202,3 +203,20 @@ def test_mutated_document_exits_cleanly(documents, data, family, method):
               "--out", str(root / "out.json")]),
     )
     assert set(codes) <= {0, 2, 3}
+
+
+# one ratio, one seed, a fast method and small iteration counts, so that a
+# run on any one mutation of it stays short
+SMALL_PLAN = {"ratios": [0.5], "methods": ["subsample"], "seeds": [0], "k": 1,
+              "scc_max_iter": 2, "shc_max_iter": 2, "rmhc_steps": 5}
+
+
+@PROPERTY
+@given(data=st.data())
+def test_mutated_plan_exits_cleanly(documents, data):
+    root, docs = documents
+    plan = str(root / "plan.json")
+    with open(plan, "w") as f:
+        json.dump(data.draw(mutations(SMALL_PLAN)), f)
+    assert _run(["bench", "--plan", plan, "--data", docs["covariance"][0],
+                 "--out", str(root / "records.jsonl")]) in {0, 2, 3}

@@ -7,8 +7,9 @@ from knncompress import scc
 from knncompress.datasets import LabeledDataset, gen_covariance_dataset
 from knncompress.errors import TooFewInputs, ValidationError
 from knncompress.knn import loo_train_error
-from knncompress.neighborhood import NeighborhoodModel, gradient_coeffs
-from knncompress.spd import jbld, jbld_gradient_chol, jbld_matrix
+from knncompress.neighborhood import (
+    NeighborhoodModel, gradient_coeffs, kl_loss)
+from knncompress.spd import jbld, jbld_gradient_chol, jbld_matrix, tril_inv
 
 
 def small_train(seed=0, classes=2, per_class=5, d=3):
@@ -83,6 +84,13 @@ class TestDistanceMatrix:
         # their own distances are rounding-level zeros
         assert np.max(np.abs(D - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_gamma_selection_reads_the_loss_distances(self):
+        train = small_train(seed=3)
+        factors = scc.scc_init(train, 4, seed=2).factors
+        assert np.array_equal(
+            scc.jbld_distance_matrix(factors, train.members),
+            scc.jbld_midpoints(factors, train.members)[0])
+
 
 class TestLossGrad:
     def test_saturated_gradient_zero(self):
@@ -105,6 +113,35 @@ class TestLossGrad:
             ref = sum(C[i, j] * jbld_gradient_chol(X, B)
                       for i, X in enumerate(train.members))
             assert np.allclose(grads[j], ref, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_full_inverse_reference(self, seed):
+        # the gradient as it was written with every B_j^-T in full
+        def reference(state, train):
+            B = state.factors
+            D, Linv = scc.jbld_midpoints(B, train.members)
+            model = NeighborhoodModel(state.gamma_sq, state.labels,
+                                      train.labels, D)
+            C = gradient_coeffs(model).T
+            V = np.zeros_like(B)
+            for k in range(B.shape[1]):
+                R = Linv[k, :k + 1]
+                V[:, :k + 1, :k + 1] += (R.transpose(1, 0, 2)
+                                         @ (R * C).transpose(1, 2, 0))
+            Binv_T = tril_inv(B.transpose(0, 2, 1))
+            G = B @ V - C.sum(axis=1)[:, None, None] * Binv_T
+            return kl_loss(model), np.triu(G)
+
+        train = small_train(seed=seed, classes=3, per_class=6, d=4)
+        state = scc.scc_init(train, 5, seed=seed)
+        rng = np.random.default_rng(seed)
+        for factors in (state.factors, state.factors + 0.05 * np.triu(
+                rng.standard_normal(state.factors.shape))):
+            trial = scc.SccState(factors, state.labels, 1.5)
+            loss, G = scc.scc_loss_grad(trial, train)
+            ref_loss, ref_G = reference(trial, train)
+            assert loss == ref_loss
+            assert np.array_equal(G, ref_G)
 
     def test_tiny_instance_fd(self):
         train = small_train(seed=7, classes=2, per_class=1, d=1)
@@ -187,6 +224,20 @@ class TestCompress:
         li, _ = scc.scc_loss_grad(init, train)
         lf, _ = scc.scc_loss_grad(final, train)
         assert lf <= li + 1e-12
+
+    def test_every_factor_stack_stays_upper_triangular(self, monkeypatch):
+        # jbld_midpoints reads log|B_j' B_j| from the diagonal of B_j
+        seen, orig = [], scc.scc_loss_grad
+
+        def spy(state, tr):
+            seen.append(not np.tril(state.factors, -1).any())
+            return orig(state, tr)
+
+        monkeypatch.setattr(scc, "scc_loss_grad", spy)
+        state = scc.scc_compress(small_train(seed=13, classes=3, per_class=8),
+                                 6, scc.SccConfig(max_iter=30, seed=0))
+        assert len(seen) > 30 and all(seen)
+        assert not np.tril(state.factors, -1).any()
 
     def test_rejected_start_is_an_input_error(self):
         # singular, but plain Cholesky passes on a last pivot of 4e-16
