@@ -15,7 +15,7 @@ import numpy as np
 
 from knncompress.baselines import rmhc_reduce
 from knncompress.datasets import gen_histogram_dataset, stratified_indices
-from knncompress.ot import sinkhorn_batch, sinkhorn_pairwise
+from knncompress.ot import sinkhorn_matrix, sinkhorn_pairwise
 from knncompress.shc import ShcConfig, shc_compress
 
 LAM = 2.0          # entropic regularization strength
@@ -39,11 +39,10 @@ print(f"train: {len(train)} members   test: {len(test)} members")
 
 
 def nn_error(ref_members, ref_labels):
-    """1-NN test error; one batched Sinkhorn solve per reference column."""
-    D = np.empty((len(test), len(ref_members)))
-    for j, hp in enumerate(ref_members):
-        D[:, j] = sinkhorn_batch(test.members, hp, M, LAM, tol=TOL,
-                                 max_iter=3000)[0]
+    """1-NN test error; one batched Sinkhorn solve over all test-reference
+    pairs."""
+    D = sinkhorn_matrix(test.members, ref_members, M, LAM, tol=TOL,
+                        max_iter=3000)[0]
     pred = np.asarray(ref_labels)[np.argmin(D, axis=1)]
     return float(np.mean(pred != test.labels))
 

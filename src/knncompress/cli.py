@@ -193,6 +193,12 @@ def _cmd_selfcheck(_args) -> int:
         ot.sinkhorn_matrix(H, H[::-1], M, lam)[0],
         [[ot.sinkhorn(x, y, M, lam).distance for y in H[::-1]] for x in H],
         rtol=0, atol=1e-8) for lam in (50.0, 200.0)))
+    S = np.vstack([H, hp])
+    i, j = np.triu_indices(len(S), 1)
+    check("sinkhorn_pairwise equals per-pair sinkhorn", all(np.allclose(
+        ot.sinkhorn_pairwise(S, M, lam)[i, j],
+        [ot.sinkhorn(S[a], S[b], M, lam).distance for a, b in zip(i, j)],
+        rtol=0, atol=1e-8) for lam in (50.0, 200.0)))
     return 0 if failures == 0 else EXIT_NUMERICAL
 
 

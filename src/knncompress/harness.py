@@ -89,8 +89,10 @@ class ExperimentPlan:
     def from_dict(cls, doc) -> "ExperimentPlan":
         if not isinstance(doc, dict):
             raise BadParameters("a plan must be a JSON object")
-        return cls(**{k: v for k, v in doc.items()
-                      if k in cls.__dataclass_fields__})
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise BadParameters(f"unknown plan keys: {', '.join(unknown)}")
+        return cls(**doc)
 
 
 def make_metric(dataset: LabeledDataset, lam: float | None = None,

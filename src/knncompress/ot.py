@@ -5,12 +5,15 @@ finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
 One Sinkhorn solver, ``_scale_columns``, serves every caller: ``sinkhorn``
 is its one-column form, ``sinkhorn_batch`` its n-column form, and
 ``sinkhorn_matrix`` and ``sinkhorn_pairwise`` one batch over all their
-pairs.  It exposes the dual variables, whose centered second block is the
-approximate gradient of the distance w.r.t. the second marginal.  Its
-log domain (where exp(-lambda M) underflows) starts cold, in blocks of
-bounded memory, and solves a column plain scaling leaves unconverged
-again with epsilon-scaling and safeguarded over-relaxation.  It and the
-barycenter use a hand-written max-shifted log-sum-exp.
+pairs, given as index pairs into their distinct histograms, each of which
+is checked and clamped once per call; the (d, n) block is gathered
+C-contiguous from them and compacted by index.  It exposes the dual
+variables, whose centered second block is the approximate gradient of the
+distance w.r.t. the second marginal.  Its log domain (where exp(-lambda
+M) underflows) starts cold, in blocks of bounded memory, and solves a
+column plain scaling leaves unconverged again with epsilon-scaling and
+safeguarded over-relaxation.  It and the barycenter use a hand-written
+max-shifted log-sum-exp.
 """
 from __future__ import annotations
 
@@ -106,30 +109,33 @@ class SinkhornSolution:
     converged: bool
 
 
-def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
-    """Sinkhorn scaling of the first marginals H (n, d), as the columns of
-    one (d, n) block, against hp, a (d,) second marginal or one per row (n, d).
+def _scale_columns(Q, P, qi, pj, M, lam, tol, max_iter, V0=None):
+    """Sinkhorn scaling of the pairs (Q[qi[k]], P[pj[k]]) as the columns
+    of one (d, n) block, Q (nq, d) and P (np, d) the distinct first and
+    second marginals.
 
-    Marginals are checked and clamped once per call.  Alternating scaling
-    iterations on K = exp(-lam * M) run on a working block of the active
-    columns; the K @ V of each iteration's L1 marginal check is the next
-    one's denominator.  A column leaves the block, with its scalings, once
-    its violation is below tol or NaN, so its result does not depend on
-    the other columns, and the block is compacted only when one leaves.
-    A column whose distance or scalings end non-finite is solved again in
-    the log domain, and every column is when K underflows: cold, as there
-    a V0 cannot hold a useful log scaling, in blocks of _LOG_BLOCK stack
-    elements.  A finite column that did not converge is returned as it is:
-    the log domain's passes cost several times as much.  Returns
-    (distances (n,), log scalings F and G (d, n), V (d, n) to seed a warm
-    start, converged (n,), loop passes run in both domains).
+    Each distinct marginal is checked and clamped once per call, row by
+    row, and the pairs' (d, n) blocks are gathered C-contiguous from them.
+    Alternating scaling iterations on K = exp(-lam * M) run on a working
+    block of the active columns; the K @ V of each iteration's L1 marginal
+    check is the next one's denominator.  A column leaves the block, with
+    its scalings, once its violation is below tol or NaN, so its result
+    does not depend on the other columns, and the block is compacted, by
+    index, only when one leaves.  A column whose distance or scalings end
+    non-finite is solved again in the log domain, and every column is
+    when K underflows: cold, as there a V0 cannot hold a useful log
+    scaling, in blocks of _LOG_BLOCK stack elements.  A finite column that
+    did not converge is returned as it is: the log domain's passes cost
+    several times as much.  Returns (distances (n,), log scalings F and G
+    (d, n), V (d, n) to seed a warm start, converged (n,), loop passes run
+    in both domains).
     """
-    HT = clamp_histogram(check_histograms(H)).T
-    Hp = clamp_histogram(check_histograms(np.atleast_2d(hp)))
-    d, n = HT.shape
-    if Hp.shape[1] != d or len(Hp) not in (1, n):
-        raise DimensionMismatch(f"second marginals {Hp.shape} vs {(n, d)}")
-    HpT = np.broadcast_to(Hp.T, (d, n))
+    Qc = clamp_histogram(check_histograms(Q))
+    Pc = Qc if P is Q else clamp_histogram(check_histograms(P))
+    d, n = Qc.shape[1], len(qi)
+    if Pc.shape[1] != d:
+        raise DimensionMismatch(f"second marginals {Pc.shape} vs {Qc.shape}")
+    HT, HpT = Qc.T.take(qi, 1), Pc.T.take(pj, 1)
     M = check_ground_metric(M, d)
     if not 0 < lam < np.inf:  # also false for NaN
         raise InfeasibleMarginals("lambda must be positive and finite")
@@ -154,14 +160,16 @@ def _scale_columns(H, hp, M, lam, tol, max_iter, V0=None):
                 Ua = Ha / KV
                 Va = Hpa / (K.T @ Ua)
                 KV = K @ Va
-                err = np.abs(Ua * KV - Ha).sum(axis=0)
+                T = Ua * KV
+                T -= Ha
+                err = np.abs(T, out=T).sum(axis=0)
                 out = ~(err >= tol) | (it == max_iter)  # NaN leaves too
                 if out.any():
-                    j, keep = act[out], ~out
+                    j, keep = act[out], np.flatnonzero(~out)
                     U[:, j], V[:, j] = Ua[:, out], Va[:, out]
                     conv[j] = err[out] < tol
-                    act, Ha, Hpa, KV = (act[keep], Ha[:, keep], Hpa[:, keep],
-                                        KV[:, keep])
+                    act, Ha, Hpa, KV = (act[keep], Ha.take(keep, 1),
+                                        Hpa.take(keep, 1), KV.take(keep, 1))
             dists = np.sum(U * ((K * M) @ V), axis=0)
             F, G = np.log(U), np.log(V)
             redo = ~(np.isfinite(dists) & np.isfinite(F).all(axis=0)
@@ -283,8 +291,10 @@ def sinkhorn(h: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
     exact EMD that tightens as lam grows.
     """
     V0 = None if v0 is None else np.asarray(v0, dtype=float)[:, None]
+    zero = np.zeros(1, dtype=int)
     dists, F, G, _, conv, it = _scale_columns(
-        np.asarray(h, dtype=float)[None], hp, M, lam, tol, max_iter, V0)
+        np.asarray(h, dtype=float)[None], np.asarray(hp, dtype=float)[None],
+        zero, zero, M, lam, tol, max_iter, V0)
     f, g = F[:, 0], G[:, 0]
     return SinkhornSolution(
         distance=float(dists[0]),
@@ -311,17 +321,31 @@ def sinkhorn_grad_dual(sol: SinkhornSolution) -> np.ndarray:
 
 def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
                    tol: float = 1e-9, max_iter: int = 10000,
-                   V0: np.ndarray | None = None):
-    """Solve sinkhorn(H[i], hp[i] or hp) for all rows of H at once.
+                   V0: np.ndarray | None = None, pairs=None):
+    """Solve sinkhorn(H[i], hp[i] or hp) for all rows of H at once, or,
+    given pairs = (qi, pj), sinkhorn(H[qi[k]], hp[pj[k]]) for every k.
 
     The n-column form of ``_scale_columns``: the scaling updates share
     the kernel, so the whole batch reduces to matrix products, and each
     column stops when it converges, as it would alone.  Returns
-    (distances (n,), betas (n, d), V (d, n), converged (n,), iterations).
-    V seeds warm starts of later calls.
+    (distances (n,), betas (n, d), V (d, n), converged (n,), iterations),
+    n the number of pairs.  V seeds warm starts of later calls.
     """
-    dists, _, G, V, conv, it = _scale_columns(H, hp, M, lam, tol, max_iter,
-                                              V0)
+    Hp = np.atleast_2d(hp)
+    if pairs is None:
+        n = len(H)
+        if len(Hp) not in (1, n):
+            raise DimensionMismatch(f"second marginals {Hp.shape} vs {n} rows")
+        pj = np.arange(n) if len(Hp) == n else np.zeros(n, dtype=int)
+        pairs = np.arange(n), pj
+    qi, pj = map(np.asarray, pairs)
+    if qi.ndim != 1 or qi.shape != pj.shape or not (
+            ((0 <= qi) & (qi < len(H))).all()
+            and ((0 <= pj) & (pj < len(Hp))).all()):
+        raise DimensionMismatch("pairs must be two equal-length index arrays "
+                                "into H and hp")
+    dists, _, G, V, conv, it = _scale_columns(H, Hp, qi, pj, M, lam, tol,
+                                              max_iter, V0)
     return dists, (G / lam).T, V, conv, it
 
 
@@ -330,10 +354,10 @@ def sinkhorn_matrix(Q, P, M: np.ndarray, lam: float, tol: float = 1e-9,
     """Sinkhorn distances between the rows of Q (n, d) and of P (m, d).
 
     One ``sinkhorn_batch`` over all n·m pairs, looked up in this module
-    when called; column j·n + i is the pair (Q[i], P[j]).  ``warm["V"]``,
-    the (d, n·m) V of the last call, seeds this one and is replaced by
-    it.  An empty side makes no solve.  Returns (distances (n, m), betas
-    (m, n, d), converged (n, m)).
+    when called, with each row of Q and P checked once; column j·n + i is
+    the pair (Q[i], P[j]).  ``warm["V"]``, the (d, n·m) V of the last
+    call, seeds this one and is replaced by it.  An empty side makes no
+    solve.  Returns (distances (n, m), betas (m, n, d), converged (n, m)).
     """
     Q, P = np.asarray(Q, dtype=float), np.asarray(P, dtype=float)
     n, m, d = len(Q), len(P), P.shape[-1]
@@ -341,8 +365,8 @@ def sinkhorn_matrix(Q, P, M: np.ndarray, lam: float, tol: float = 1e-9,
         return np.empty((n, m)), np.empty((m, n, d)), np.empty((n, m), bool)
     warm = {} if warm is None else warm
     dists, betas, warm["V"], conv, _ = sinkhorn_batch(
-        np.tile(Q, (m, 1)), np.repeat(P, n, axis=0), M, lam, tol, max_iter,
-        warm.get("V"))
+        Q, P, M, lam, tol, max_iter, warm.get("V"),
+        pairs=(np.tile(np.arange(n), m), np.repeat(np.arange(m), n)))
     return dists.reshape(m, n).T, betas.reshape(m, n, d), conv.reshape(m, n).T
 
 
@@ -354,8 +378,8 @@ def sinkhorn_pairwise(H: np.ndarray, M: np.ndarray, lam: float,
     D = np.zeros((len(H), len(H)))
     i, j = np.triu_indices(len(H), 1)
     if i.size:
-        D[i, j] = D[j, i] = sinkhorn_batch(H[i], H[j], M, lam, tol,
-                                           max_iter)[0]
+        D[i, j] = D[j, i] = sinkhorn_batch(H, H, M, lam, tol, max_iter,
+                                           pairs=(i, j))[0]
     return D
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .baselines import rmhc_reduce
 from .datasets import LabeledDataset
-from .errors import NonFiniteInput, TooFewInputs, ValidationError
+from .errors import (
+    BadParameters, NonFiniteInput, TooFewInputs, ValidationError)
 from .neighborhood import (
     NeighborhoodModel,
     gradient_coeffs,
@@ -142,9 +143,13 @@ def shc_compress(train: LabeledDataset, m: int,
     Steps that increase the KL loss or make it non-finite are rejected and
     halve the learning rate; accepted steps grow it by 1.1x.  The returned
     snapshot is the one with the best training 1-NN error (ties broken by
-    KL loss).
+    KL loss).  A given gamma^2 that is not positive and finite raises
+    ``BadParameters`` before any Sinkhorn solve.
     """
     config = config or ShcConfig()
+    if config.gamma_sq is not None and not 0 < config.gamma_sq < np.inf:
+        raise BadParameters(
+            f"gamma_sq must be positive and finite, got {config.gamma_sq}")
     state = shc_init(train, m, config.seed, rmhc_steps=config.rmhc_steps,
                      lam=config.lam, sinkhorn_tol=config.sinkhorn_tol,
                      sinkhorn_max_iter=config.sinkhorn_max_iter)

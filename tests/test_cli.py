@@ -129,6 +129,29 @@ class TestCompress:
         assert rc == 2
         assert "gamma_sq must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma_sq", ["0", "-1", "nan", "inf"])
+    def test_shc_gamma_sq_checked_before_setup(self, hist_file, tmp_path,
+                                               capsys, monkeypatch, gamma_sq):
+        # no train-by-train Sinkhorn matrix is solved, and no unconverged
+        # pair reported, for a gamma^2 the model would reject
+        from knncompress import shc
+        calls, pairwise = [], shc.sinkhorn_pairwise
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr(shc, "sinkhorn_pairwise", spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["compress", "--method", "shc", "--ratio", "0.2",
+                           "--max-iter", "3", "--gamma-sq", gamma_sq,
+                           "--in", hist_file,
+                           "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "gamma_sq must be positive and finite" in capsys.readouterr().err
+        assert calls == [] and caught == []
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = cli.main(["compress", "--method", "subsample",
                        "--in", str(tmp_path / "nope.json"),
@@ -319,6 +342,17 @@ class TestBench:
                        "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
 
+    def test_unknown_plan_key_exit_2(self, cov_file, tmp_path, capsys):
+        # a misspelled "methods" must not run the default plan
+        plan_path = str(tmp_path / "plan.json")
+        with open(plan_path, "w") as f:
+            json.dump({"method": ["scc"]}, f)
+        rc = cli.main(["bench", "--plan", plan_path, "--data", cov_file,
+                       "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert "unknown plan keys: method" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     @pytest.mark.parametrize("plan", [
         [1, 2], {"ratios": "abc"}, {"k": "1"}, {"seeds": [1.5]},
         {"ratios": [0.1], "scc_max_iter": "5", "methods": ["scc"]},
@@ -341,3 +375,4 @@ class TestSelfcheck:
         assert "[PASS]" in out
         assert "[FAIL]" not in out
         assert "sinkhorn_matrix equals per-pair sinkhorn" in out
+        assert "sinkhorn_pairwise equals per-pair sinkhorn" in out

@@ -27,10 +27,13 @@ class TestPlan:
         with pytest.raises(BadParameters):
             harness.ExperimentPlan(methods=("magic",))
 
-    def test_from_dict_ignores_unknown(self):
+    def test_from_dict_rejects_unknown(self):
+        with pytest.raises(BadParameters, match="unknown plan keys: note"):
+            harness.ExperimentPlan.from_dict(
+                {"ratios": [0.1], "methods": ["subsample"], "seeds": [0, 1],
+                 "note": "a remark"})
         plan = harness.ExperimentPlan.from_dict(
-            {"ratios": [0.1], "methods": ["subsample"], "seeds": [0, 1],
-             "note": "ignored"})
+            {"ratios": [0.1], "methods": ["subsample"], "seeds": [0, 1]})
         assert plan.ratios == (0.1,)
         assert plan.seeds == (0, 1)
 

@@ -211,9 +211,9 @@ class TestSinkhornMetric:
         metric, _ = harness.make_metric(data, 2.0)
         batches, sinkhorn_batch = [], ot.sinkhorn_batch
 
-        def counting(H, *args, **kwargs):
-            batches.append(len(H))
-            return sinkhorn_batch(H, *args, **kwargs)
+        def counting(*args, pairs, **kwargs):
+            batches.append(len(pairs[0]))
+            return sinkhorn_batch(*args, pairs=pairs, **kwargs)
 
         def per_pair(*args, **kwargs):
             raise AssertionError("per-pair sinkhorn called")
@@ -230,9 +230,9 @@ class TestSinkhornMetric:
         metric, _ = harness.make_metric(data, 2.0)
         batches, sinkhorn_batch = [], ot.sinkhorn_batch
 
-        def counting(H, *args, **kwargs):
-            batches.append(len(H))
-            return sinkhorn_batch(H, *args, **kwargs)
+        def counting(*args, pairs, **kwargs):
+            batches.append(len(pairs[0]))
+            return sinkhorn_batch(*args, pairs=pairs, **kwargs)
 
         monkeypatch.setattr(ot, "sinkhorn_batch", counting)
         knn.pairwise_distances(data.members, metric)

@@ -547,9 +547,9 @@ class TestMatrix:
     def test_one_batch_over_all_pairs(self, monkeypatch):
         batches, sinkhorn_batch = [], ot.sinkhorn_batch
 
-        def counting(H, *args, **kwargs):
-            batches.append(len(H))
-            return sinkhorn_batch(H, *args, **kwargs)
+        def counting(*args, pairs, **kwargs):
+            batches.append(len(pairs[0]))
+            return sinkhorn_batch(*args, pairs=pairs, **kwargs)
 
         monkeypatch.setattr(ot, "sinkhorn_batch", counting)
         ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0)
@@ -563,9 +563,9 @@ class TestMatrix:
         assert warm["V"].shape == (6, 5 * 3)
         seeds, seen, sinkhorn_batch = warm["V"].copy(), [], ot.sinkhorn_batch
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             seen.append(args[-1])
-            return sinkhorn_batch(*args)
+            return sinkhorn_batch(*args, **kwargs)
 
         monkeypatch.setattr(ot, "sinkhorn_batch", spy)
         P2 = ot.clamp_histogram(self.P + 0.05)
@@ -576,6 +576,49 @@ class TestMatrix:
         # the V left behind is the linear-domain scaling exp(lam * beta)
         np.testing.assert_allclose(
             warm["V"], np.exp(2.0 * betas.reshape(-1, 6).T), rtol=1e-12)
+
+    # lam 200 underflows exp(-lam * M) on line_metric(6): the log domain
+    @pytest.mark.parametrize("lam", [2.0, 200.0])
+    def test_equals_batch_over_tiled_rows(self, lam):
+        warm: dict = {}
+        got = ot.sinkhorn_matrix(self.Q, self.P, self.M, lam, 1e-6, 2000,
+                                 warm)
+        dists, betas, V, conv, _ = ot.sinkhorn_batch(
+            np.tile(self.Q, (3, 1)), np.repeat(self.P, 5, axis=0), self.M,
+            lam, 1e-6, 2000)
+        want = (dists.reshape(3, 5).T, betas.reshape(3, 5, 6),
+                conv.reshape(3, 5).T)
+        for a, b in zip(got + (warm["V"],), want + (V,)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("lam", [2.0, 200.0])
+    def test_pairwise_equals_batch_over_pairs(self, lam):
+        i, j = np.triu_indices(5, 1)
+        want = np.zeros((5, 5))
+        want[i, j] = want[j, i] = ot.sinkhorn_batch(
+            self.Q[i], self.Q[j], self.M, lam, 1e-6, 2000)[0]
+        assert np.array_equal(
+            ot.sinkhorn_pairwise(self.Q, self.M, lam, 1e-6, 2000), want)
+
+    def test_each_row_checked_once(self, monkeypatch):
+        rows, check = [], ot.check_histograms
+
+        def spy(H):
+            rows.append(len(H))
+            return check(H)
+
+        monkeypatch.setattr(ot, "check_histograms", spy)
+        ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0)
+        assert sum(rows) == 5 + 3
+        rows.clear()
+        ot.sinkhorn_pairwise(self.Q, self.M, 2.0)
+        assert rows == [5]
+
+    def test_pairs_out_of_range_raise(self):
+        for pairs in (([0, 5], [0, 0]), ([0, 1], [0, -1]), ([0], [0, 1]),
+                      ([[0]], [[0]])):
+            with pytest.raises(DimensionMismatch):
+                ot.sinkhorn_batch(self.Q, self.P, self.M, 2.0, pairs=pairs)
 
     def test_empty_side_makes_no_solve(self, monkeypatch):
         def no_solve(*args):
