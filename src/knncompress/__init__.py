@@ -11,27 +11,13 @@ __version__ = "0.1.0"
 
 from .datasets import (
     LabeledDataset,
-    bow_histogram,
-    covariance_descriptor,
     gen_covariance_dataset,
     gen_histogram_dataset,
     load_dataset,
     save_dataset,
 )
-from .knn import (
-    EvalReport,
-    distance_matrix,
-    evaluate,
-    knn_classify,
-    loo_train_error,
-)
-from .neighborhood import (
-    NeighborhoodModel,
-    assignment_probs,
-    correct_prob,
-    gradient_coeffs,
-    kl_loss,
-)
+from .knn import EvalReport, distance_matrix, evaluate
+from .neighborhood import NeighborhoodModel, gradient_coeffs, kl_loss
 from .ot import (
     SinkhornSolution,
     emd_exact,
@@ -67,13 +53,10 @@ from .baselines import (
 from .harness import ExperimentPlan, run_experiment, summary_table
 
 __all__ = [
-    "LabeledDataset", "bow_histogram", "covariance_descriptor",
-    "gen_covariance_dataset", "gen_histogram_dataset", "load_dataset",
-    "save_dataset",
-    "EvalReport", "distance_matrix", "evaluate", "knn_classify",
-    "loo_train_error",
-    "NeighborhoodModel", "assignment_probs", "correct_prob",
-    "gradient_coeffs", "kl_loss",
+    "LabeledDataset", "gen_covariance_dataset", "gen_histogram_dataset",
+    "load_dataset", "save_dataset",
+    "EvalReport", "distance_matrix", "evaluate",
+    "NeighborhoodModel", "gradient_coeffs", "kl_loss",
     "SinkhornSolution", "emd_exact", "sinkhorn", "sinkhorn_barycenter",
     "sinkhorn_grad_dual",
     "SccConfig", "SccState", "scc_compress", "scc_init", "scc_loss_grad",

@@ -134,7 +134,8 @@ def _cmd_eval(args) -> int:
     else:
         print(f"error_rate={rep.error_rate:.4f}  n_test={rep.n_test}  "
               f"distance_evals={rep.distance_evals}  "
-              f"wall_time={rep.wall_time:.3f}s")
+              f"wall_time={rep.wall_time:.3f}s  "
+              f"unconverged={rep.unconverged}")
     return 0
 
 

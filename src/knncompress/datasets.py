@@ -1,4 +1,5 @@
-"""Labeled descriptor datasets: construction, synthetic generators, JSON I/O.
+"""Labeled descriptor datasets: the checked container, synthetic generators,
+JSON I/O.
 
 A dataset holds either covariance descriptors (SPD matrices) or histogram
 descriptors (simplex vectors plus a shared ground metric).  Files are a
@@ -18,19 +19,15 @@ from .errors import (
     BadParameters,
     ClassStarved,
     DimensionMismatch,
-    EmptyInput,
     InconsistentInput,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSpdInput,
-    TooFewFeatures,
     TooFewInputs,
     ValidationError,
 )
 from .ot import check_ground_metric, check_histograms
 from .spd import chol_logdets
-
-COV_JITTER_EPS = 1e-8
 
 
 @dataclass
@@ -162,47 +159,6 @@ def stratified_indices(labels: np.ndarray, m: int, rng: np.random.Generator) -> 
     return np.sort(np.concatenate(chosen))
 
 
-# --- descriptor construction -------------------------------------------------
-
-def covariance_descriptor(features: np.ndarray) -> np.ndarray:
-    """Sample covariance (1/(N-1) normalization) of a feature bag, jittered
-    onto the strict SPD cone if degenerate."""
-    F = np.asarray(features, dtype=float)
-    if F.ndim != 2:
-        raise DimensionMismatch("features must be (N, d)")
-    N, d = F.shape
-    if N < 2:
-        raise TooFewFeatures("need at least 2 feature vectors")
-    mu = F.mean(axis=0)
-    Xc = F - mu
-    C = Xc.T @ Xc / (N - 1)
-    C = 0.5 * (C + C.T)
-    try:
-        np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        tr = np.trace(C)
-        scale = tr / d if tr > 0 else 1.0
-        C = C + COV_JITTER_EPS * scale * np.eye(d)
-    return C
-
-
-def bow_histogram(features: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """Bag-of-words histogram: nearest-centroid counts normalized to sum 1.
-
-    Euclidean assignment with lowest-index tie-break.
-    """
-    F = np.asarray(features, dtype=float)
-    cb = np.asarray(codebook, dtype=float)
-    if F.size == 0 or cb.size == 0:
-        raise EmptyInput("empty features or codebook")
-    if F.ndim != 2 or cb.ndim != 2 or F.shape[1] != cb.shape[1]:
-        raise DimensionMismatch("features and codebook dims disagree")
-    d2 = ((F[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argmin(d2, axis=1)
-    counts = np.bincount(nearest, minlength=cb.shape[0]).astype(float)
-    return counts / counts.sum()
-
-
 # --- synthetic generators ----------------------------------------------------
 
 def gen_covariance_dataset(classes: int, per_class: int, d: int,
@@ -218,8 +174,10 @@ def gen_covariance_dataset(classes: int, per_class: int, d: int,
         raise BadParameters("classes, per_class, d must be positive")
     if wishart_dof < d:
         raise BadParameters("wishart_dof must be >= d")
-    if separation < 0:
-        raise BadParameters("separation must be nonnegative")
+    if not 0 <= separation < np.inf:  # NaN included
+        raise BadParameters("separation must be nonnegative and finite")
+    if seed < 0:
+        raise BadParameters(f"seed={seed} must be nonnegative")
     rng = np.random.default_rng(seed)
     members = np.empty((classes, per_class, d, d))
     for c in range(classes):
@@ -259,8 +217,10 @@ def gen_histogram_dataset(classes: int, per_class: int, d: int,
     """
     if classes < 1 or per_class < 1 or d < 2:
         raise BadParameters("classes, per_class must be positive and d >= 2")
-    if concentration <= 0:
-        raise BadParameters("concentration must be positive")
+    if not 0 < concentration < np.inf:  # NaN included
+        raise BadParameters("concentration must be positive and finite")
+    if seed < 0:
+        raise BadParameters(f"seed={seed} must be nonnegative")
     rng = np.random.default_rng(seed)
     embed = rng.standard_normal((d, 3))
     diff = embed[:, None, :] - embed[None, :, :]

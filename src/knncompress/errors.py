@@ -40,10 +40,6 @@ class TooFewInputs(ValidationError):
     pass
 
 
-class TooFewFeatures(ValidationError):
-    pass
-
-
 class BadParameters(ValidationError):
     pass
 

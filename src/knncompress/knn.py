@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import (
-    BadParameters, EmptyReference, NumericalError, TooFewInputs)
+    BadParameters, EmptyReference, NumericalError)
 
 
 @dataclass
@@ -103,15 +103,6 @@ def _predict(D: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.array([_vote(row, labels, k) for row in D], dtype=int)
 
 
-def knn_classify(query, reference: LabeledDataset, metric, k: int = 1) -> int:
-    """Majority-vote kNN label of a single query descriptor."""
-    if len(reference) == 0:
-        raise EmptyReference("empty reference set")
-    k = _cap_k(k, len(reference))
-    D = distance_matrix([query], reference.members, metric)
-    return int(_predict(D, reference.labels, k)[0])
-
-
 def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
              k: int = 1, reps: int = 3,
              reference_time: float | None = None) -> EvalReport:
@@ -142,19 +133,3 @@ def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
                       distance_evals=len(test) * len(reference),
                       wall_time=wall, speedup_vs_reference=speedup,
                       unconverged=unconverged)
-
-
-def loo_train_error(train: LabeledDataset, metric, k: int = 1,
-                    dist_matrix: np.ndarray | None = None) -> float:
-    """Leave-one-out kNN error over the training set (self excluded)."""
-    n = len(train)
-    if n < 2:
-        raise TooFewInputs("leave-one-out needs at least 2 points")
-    kk = _cap_k(k, n - 1)
-    if dist_matrix is None:
-        dist_matrix = pairwise_distances(train.members, metric)
-    D = dist_matrix.astype(float).copy()
-    np.fill_diagonal(D, np.inf)
-    wrong = sum(_vote(D[i], train.labels, kk) != train.labels[i]
-                for i in range(n))
-    return wrong / n

@@ -47,25 +47,16 @@ class NeighborhoodModel:
         # max-subtraction keeps the softmax stable for large gamma^2
         logits = -self.gamma_sq * self.distances
         logits -= logits.max(axis=1, keepdims=True)
-        self._probs = np.exp(logits)
-        self._probs /= self._probs.sum(axis=1, keepdims=True)
-        self._correct = np.where(self.label_match, self._probs,
-                                 0.0).sum(axis=1)
-
-
-def assignment_probs(model: NeighborhoodModel) -> np.ndarray:
-    """p_ij = exp(-gamma^2 D_ij) / sum_k exp(-gamma^2 D_ik), rows sum to 1."""
-    return model._probs
-
-
-def correct_prob(model: NeighborhoodModel) -> np.ndarray:
-    """p_i = sum over same-label prototypes of p_ij."""
-    return model._correct
+        # (n, m) p_ij = exp(-gamma^2 D_ij) / sum_k exp(-gamma^2 D_ik)
+        self.probs = np.exp(logits)
+        self.probs /= self.probs.sum(axis=1, keepdims=True)
+        # (n,) p_i = sum over same-label prototypes of p_ij
+        self.correct = np.where(self.label_match, self.probs, 0.0).sum(axis=1)
 
 
 def kl_loss(model: NeighborhoodModel) -> float:
     """-sum_i log p_i, with p_i floored to avoid infinities."""
-    return float(-np.log(np.maximum(model._correct, P_FLOOR)).sum())
+    return float(-np.log(np.maximum(model.correct, P_FLOOR)).sum())
 
 
 def gradient_coeffs(model: NeighborhoodModel) -> np.ndarray:
@@ -74,12 +65,12 @@ def gradient_coeffs(model: NeighborhoodModel) -> np.ndarray:
     The scalar multiplying the distance gradient for pair (i, j);
     wrong-label prototypes get c_ij <= 0, and each row sums to zero.
     """
-    p = model._correct[:, None]
+    p = model.correct[:, None]
     if np.any(p < P_DEGENERATE):
         raise DegeneratePi(
             "some p_i underflew; gamma^2 too large or no same-label "
             "prototype reachable")
-    return (model._probs / p) * (model.label_match - p) * model.gamma_sq
+    return (model.probs / p) * (model.label_match - p) * model.gamma_sq
 
 
 def gamma_sq_grid(distances: np.ndarray) -> list[float]:

@@ -27,12 +27,6 @@ def cholesky(X: np.ndarray) -> np.ndarray:
     return chol_logdets(_as_square(X))[0].T
 
 
-def reconstruct(B: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`cholesky`: B.T @ B."""
-    B = _as_square(B, "factor")
-    return B.T @ B
-
-
 def chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors and log-determinants of one matrix or of a
     stack of any leading shape, from one stacked Cholesky;

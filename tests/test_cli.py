@@ -45,6 +45,18 @@ class TestGen:
                        "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--separation", "nan"), ("--separation", "inf"), ("--seed", "-1")])
+    def test_gen_cov_bad_value_exit_2(self, tmp_path, flag, value):
+        rc = cli.main(["gen-cov", "--classes", "2", "--per-class", "5",
+                       flag, value, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+
+    def test_gen_hist_negative_seed_exit_2(self, tmp_path):
+        rc = cli.main(["gen-hist", "--seed", "-1",
+                       "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+
 
 class TestCompress:
     def test_subsample(self, cov_file, tmp_path):
@@ -171,6 +183,18 @@ class TestEval:
         assert 0.0 <= doc["error_rate"] <= 1.0
         assert doc["distance_evals"] == 24 * 6
         assert doc["unconverged"] == 0  # JBLD has no solver to converge
+
+    def test_plain_line_reports_unconverged(self, tmp_path, capsys):
+        # at lambda 1e9 most Sinkhorn pairs stop at the iteration cap
+        p = str(tmp_path / "h.json")
+        cli.main(["gen-hist", "--classes", "2", "--per-class", "2",
+                  "--out", p])
+        rc = cli.main(["eval", "--reference", p, "--test", p,
+                       "--lambda", "1e9"])
+        assert rc == 0
+        fields = dict(f.split("=") for f in
+                      capsys.readouterr().out.splitlines()[-1].split())
+        assert int(fields["unconverged"]) > 0
 
     @pytest.mark.parametrize("key", ["family", "dim", "members", "labels"])
     def test_missing_key_exit_2(self, cov_file, tmp_path, capsys, key):

@@ -12,7 +12,6 @@ from knncompress.errors import (
     InfeasibleMarginals,
     NonFiniteInput,
     NotSpdInput,
-    TooFewFeatures,
     TooFewInputs,
     ValidationError,
 )
@@ -210,35 +209,6 @@ class TestStratifiedIndices:
             ds.stratified_indices(np.array([0, 1]), 3, rng)
 
 
-class TestDescriptors:
-    def test_covariance_normalization(self):
-        rng = np.random.default_rng(0)
-        F = rng.standard_normal((50, 3))
-        C = ds.covariance_descriptor(F)
-        assert np.allclose(C, np.cov(F, rowvar=False))
-        np.linalg.cholesky(C)
-
-    def test_covariance_degenerate_jittered(self):
-        F = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank 1
-        C = ds.covariance_descriptor(F)
-        np.linalg.cholesky(C)  # must not raise
-
-    def test_covariance_too_few(self):
-        with pytest.raises(TooFewFeatures):
-            ds.covariance_descriptor(np.ones((1, 3)))
-
-    def test_bow_histogram(self):
-        cb = np.array([[0.0], [10.0]])
-        F = np.array([[0.1], [0.2], [9.9]])
-        h = ds.bow_histogram(F, cb)
-        assert np.allclose(h, [2 / 3, 1 / 3])
-
-    def test_bow_tie_lowest_index(self):
-        cb = np.array([[0.0], [2.0]])
-        h = ds.bow_histogram(np.array([[1.0]]), cb)
-        assert np.allclose(h, [1.0, 0.0])
-
-
 class TestGenerators:
     def test_covariance_shapes_spd(self):
         data = ds.gen_covariance_dataset(3, 4, 5, wishart_dof=20,
@@ -260,6 +230,12 @@ class TestGenerators:
         with pytest.raises(BadParameters):
             ds.gen_covariance_dataset(2, 3, 5, wishart_dof=3,
                                       separation=1.0, seed=0)
+
+    @pytest.mark.parametrize("concentration", [np.nan, np.inf])
+    def test_histogram_concentration_checked(self, concentration):
+        # rejected at the parameter, not later as non-finite members
+        with pytest.raises(BadParameters, match="concentration"):
+            ds.gen_histogram_dataset(2, 3, 4, concentration, seed=0)
 
     def test_histogram_shapes_simplex(self):
         data = ds.gen_histogram_dataset(3, 4, 10, concentration=50.0, seed=5)
@@ -361,12 +337,16 @@ class TestGenerators:
         assert np.array_equal(data.ground_metric, M)
 
     def test_separation_helps(self):
-        from knncompress.knn import loo_train_error
+        from knncompress.harness import split_dataset
+        from knncompress.knn import evaluate
         from knncompress.spd import jbld
-        near = ds.gen_covariance_dataset(3, 10, 4, 30, separation=0.05,
-                                         seed=1)
-        far = ds.gen_covariance_dataset(3, 10, 4, 30, separation=3.0, seed=1)
-        assert loo_train_error(far, jbld) <= loo_train_error(near, jbld)
+
+        def held_out_error(separation):
+            data = ds.gen_covariance_dataset(3, 10, 4, 30, separation, seed=1)
+            train, test = split_dataset(data, 0)
+            return evaluate(test, train, jbld, reps=1).error_rate
+
+        assert held_out_error(3.0) < held_out_error(0.05)
 
 
 class TestRoundTrip:

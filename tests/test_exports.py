@@ -1,0 +1,33 @@
+"""Every exported name is reached by the package, a demo or the benchmark,
+so that a public name only its own unit tests call does not come back."""
+import glob
+import os
+import re
+
+import knncompress
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _sources() -> list[str]:
+    paths = [p for p in glob.glob(os.path.join(ROOT, "src", "knncompress",
+                                               "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += glob.glob(os.path.join(ROOT, "demos", "*.py"))
+    paths += glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+    texts = []
+    for p in sorted(paths):
+        with open(p) as f:
+            texts.append(f.read())
+    return texts
+
+
+def test_every_export_is_used():
+    texts = _sources()
+    unused = []
+    for name in knncompress.__all__:
+        own_line = re.compile(rf"^\s*(?:def|class)\s+{name}\b.*$", re.M)
+        use = re.compile(rf"\b{name}\b")
+        if not any(use.search(own_line.sub("", t)) for t in texts):
+            unused.append(name)
+    assert unused == []

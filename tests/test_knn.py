@@ -5,7 +5,7 @@ from knncompress import harness, knn, ot, spd
 from knncompress.datasets import (
     LabeledDataset, gen_covariance_dataset, gen_histogram_dataset)
 from knncompress.errors import (
-    BadParameters, EmptyReference, NumericalError, TooFewInputs)
+    BadParameters, EmptyReference, NumericalError)
 
 
 def euclid(x, y):
@@ -45,19 +45,26 @@ class TestVote:
 
 
 class TestClassify:
+    # evaluate on a one-query test set
     def test_nearest_neighbor(self):
         ref = make_ds([1.0, 2.0, 10.0], [0, 0, 1])
-        assert knn.knn_classify(np.array([[9.0]]), ref, euclid, k=1) == 1
-        assert knn.knn_classify(np.array([[1.4]]), ref, euclid, k=1) == 0
+        assert knn.evaluate(make_ds([9.0], [1]), ref, euclid,
+                            reps=1).error_rate == 0.0
+        assert knn.evaluate(make_ds([1.4], [0]), ref, euclid,
+                            reps=1).error_rate == 0.0
 
     def test_k_clamped_to_reference(self):
+        # k=10 over two members is a vote tie, which the nearest wins
         ref = make_ds([1.0, 2.0], [0, 1])
-        assert knn.knn_classify(np.array([[1.1]]), ref, euclid, k=10) == 0
+        assert knn.evaluate(make_ds([1.1], [0]), ref, euclid, k=10,
+                            reps=1).error_rate == 0.0
+        assert knn.evaluate(make_ds([1.9], [1]), ref, euclid, k=10,
+                            reps=1).error_rate == 0.0
 
     def test_empty_reference(self):
         ref = make_ds([1.0], [0]).subset(np.array([], dtype=int))
         with pytest.raises(EmptyReference):
-            knn.knn_classify(np.array([[1.0]]), ref, euclid)
+            knn.evaluate(make_ds([1.0], [0]), ref, euclid)
 
 
 class TestEvaluate:
@@ -88,31 +95,6 @@ class TestEvaluate:
         ref = make_ds([1.0, 10.0], [0, 1])
         with pytest.raises(BadParameters, match="reps"):
             knn.evaluate(make_ds([1.5], [0]), ref, euclid, reps=0)
-
-
-class TestLooError:
-    def test_self_excluded(self):
-        # each point's nearest other neighbor has the opposite label
-        ds = make_ds([1.0, 1.1, 5.0, 5.1], [0, 1, 0, 1])
-        assert knn.loo_train_error(ds, euclid, k=1) == 1.0
-
-    def test_separable(self):
-        ds = make_ds([1.0, 1.1, 1.2, 9.0, 9.1, 9.2], [0, 0, 0, 1, 1, 1])
-        assert knn.loo_train_error(ds, euclid, k=1) == 0.0
-
-    def test_matrix_matches_metric(self):
-        rng = np.random.default_rng(1)
-        vals = 1.0 + rng.random(8)
-        ds = make_ds(vals, rng.integers(0, 2, 8))
-        n = len(ds)
-        D = np.array([[euclid(ds.members[i], ds.members[j])
-                       for j in range(n)] for i in range(n)])
-        assert knn.loo_train_error(ds, euclid) \
-            == knn.loo_train_error(ds, None, dist_matrix=D)
-
-    def test_too_few(self):
-        with pytest.raises(TooFewInputs):
-            knn.loo_train_error(make_ds([1.0], [0]), euclid)
 
 
 def per_pair(metric):
@@ -160,8 +142,6 @@ class TestBatched:
         assert rep.error_rate == err
         assert rep.error_rate == knn.evaluate(
             self.test, self.ref, per_pair(spd.jbld), k=k, reps=1).error_rate
-        for q, lab in zip(self.test.members, expected):
-            assert knn.knn_classify(q, self.ref, spd.jbld, k=k) == lab
 
     def test_pairwise_symmetric_zero_diagonal(self):
         D = knn.pairwise_distances(self.ref.members, spd.jbld)

@@ -24,7 +24,7 @@ class TestModel:
 
 class TestAssignmentProbs:
     def test_rows_sum_to_one(self):
-        P = nb.assignment_probs(make_model())
+        P = make_model().probs
         assert np.allclose(P.sum(axis=1), 1.0)
         assert np.all(P > 0)
 
@@ -32,10 +32,10 @@ class TestAssignmentProbs:
         model = nb.NeighborhoodModel(2.0, np.array([0, 1]), np.array([0]),
                                      np.array([[1.0, 3.0]]))
         e = np.exp(np.array([-2.0, -6.0]))
-        assert np.allclose(nb.assignment_probs(model), e / e.sum())
+        assert np.allclose(model.probs, e / e.sum())
 
     def test_large_gamma_concentrates(self):
-        P = nb.assignment_probs(make_model(gamma_sq=200.0))
+        P = make_model(gamma_sq=200.0).probs
         assert P[0, 0] > 0.999
         assert P[2, 2] > 0.999
 
@@ -43,7 +43,7 @@ class TestAssignmentProbs:
         model = nb.NeighborhoodModel(
             1.0, np.array([0, 1]), np.array([0]),
             np.array([[1e4, 2e4]]))
-        P = nb.assignment_probs(model)
+        P = model.probs
         assert np.all(np.isfinite(P))
         assert P[0, 0] == pytest.approx(1.0)
 

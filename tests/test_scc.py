@@ -6,7 +6,6 @@ import pytest
 from knncompress import scc
 from knncompress.datasets import LabeledDataset, gen_covariance_dataset
 from knncompress.errors import TooFewInputs, ValidationError
-from knncompress.knn import loo_train_error
 from knncompress.neighborhood import (
     NeighborhoodModel, gradient_coeffs, kl_loss)
 from knncompress.spd import jbld, jbld_gradient_chol, jbld_matrix, tril_inv
