@@ -12,8 +12,11 @@ variables, whose centered second block is the approximate gradient of the
 distance w.r.t. the second marginal.  Its log domain (where exp(-lambda
 M) underflows) starts cold, in blocks of bounded memory, and solves a
 column plain scaling leaves unconverged again with epsilon-scaling and
-safeguarded over-relaxation.  It and the barycenter use a hand-written
-max-shifted log-sum-exp.
+safeguarded over-relaxation.  The log domain's passes are absorbed
+(Schmitzer 2019): linear-domain mat-vecs on a kernel exp(f0 + logK + g0)
+whose potentials f0, g0 take the scalings in once one passes
+exp(+-_ABSORB).  Each of its stages starts, and the barycenter iterates,
+with a hand-written max-shifted log-sum-exp.
 """
 from __future__ import annotations
 
@@ -53,8 +56,24 @@ _OMEGA = 1.7
 
 # elements of the log domain's (p, d, d) stacks per block of columns (81
 # at d = 20, so hist-tight's 36 pairs are one block), picked for time and
-# peak RSS from 2**14 to 2**17 on a 2 MB L2 cache (figures: CHANGES.md)
+# peak RSS from 2**14 to 2**17 on a 2 MB L2 cache, for the log-sum-exp
+# passes and again for the absorbed ones (figures: CHANGES.md)
 _LOG_BLOCK = 2**15
+
+# The log domain's absorbed passes fold a column's scalings into its
+# potentials, and rebuild its kernel, once some |log u| or |log v| passes
+# _ABSORB (see _log_stage).  At 50 they stay within exp(+-50) of 1, far
+# inside double range (exp(+-709)).  On hist-tight's 36 pairs every
+# threshold from 0 to 300 gave the same flags and pass counts, with
+# distances within 1.5e-13 of the log-sum-exp loop's; 5 and 20 rebuilt
+# 3879 and 1544 kernel rows and were slower, 50 to 400 rebuilt 689 to 266
+# and took the same time (figures: CHANGES.md).  Kernel entries below
+# _FLUSH are set to zero.  Scaled by at most exp(+-_ABSORB) = 1e+-22
+# between rebuilds, they stay 200 orders of magnitude below the row sums
+# they enter, and the products stay clear of subnormal numbers, which
+# slowed hist-tight's passes by a third (2% of its entries were subnormal).
+_ABSORB = 50.0
+_FLUSH = 1e-250
 
 
 def check_histograms(H: np.ndarray) -> np.ndarray:
@@ -90,6 +109,13 @@ def check_ground_metric(M: np.ndarray, dim: int | None = None) -> np.ndarray:
     if np.any(np.abs(M - M.T) > 1e-9 * M.max(initial=0.0)):
         raise InfeasibleMarginals("ground metric must be symmetric")
     return M
+
+
+def _check_lam_iter(lam, max_iter):
+    if not 0 < lam < np.inf:  # also false for NaN
+        raise InfeasibleMarginals("lambda must be positive and finite")
+    if max_iter < 1:
+        raise BadParameters("max_iter must be at least 1")
 
 
 def clamp_histogram(h: np.ndarray) -> np.ndarray:
@@ -137,10 +163,7 @@ def _scale_columns(Q, P, qi, pj, M, lam, tol, max_iter, V0=None):
         raise DimensionMismatch(f"second marginals {Pc.shape} vs {Qc.shape}")
     HT, HpT = Qc.T.take(qi, 1), Pc.T.take(pj, 1)
     M = check_ground_metric(M, d)
-    if not 0 < lam < np.inf:  # also false for NaN
-        raise InfeasibleMarginals("lambda must be positive and finite")
-    if max_iter < 1:
-        raise BadParameters("max_iter must be at least 1")
+    _check_lam_iter(lam, max_iter)
     K = np.exp(-lam * M)
     V = np.ones((d, n)) if V0 is None else np.array(V0, dtype=float)
     if V.shape != (d, n):
@@ -212,7 +235,18 @@ def _log_stage(H, Hp, logK, tol, cap, F, G, omega):
     """The scaling iteration at kernel logK for the rows with cap > 0,
     from G, each step over-relaxed by omega where _relaxed allows.  A row
     leaves once the L1 error of both its marginals is below tol or NaN, or
-    after cap passes; its F and G are written back then.  Returns
+    after cap passes; its F and G are written back then.
+
+    The passes are absorbed (Schmitzer 2019, section 3): each row keeps
+    potentials f0, g0 and the kernel Kt = exp(f0_i + logK_ij + g0_j),
+    built at the stage's start, from F = log H - logsumexp_j(logK_ij +
+    G_j), so that its rows sum to H.  The log-sum-exps of a pass are then
+    log(Kt b) - f0 over j and log(a Kt) - g0 over i, a = exp(F - f0), b =
+    exp(G - g0): two batched mat-vecs and (p, d) exps and logs, where a
+    log-sum-exp takes (p, d, d) exps.  A row where some |F - f0| or |G -
+    g0| passes _ABSORB takes f0 = F, g0 = G and a rebuilt Kt.  The steps
+    are those of the log-sum-exp loop in exact arithmetic, and over-
+    relaxation and the error check run on F and G as there.  Returns
     (converged (p,), passes (p,)).
     """
     conv, passes = np.zeros(len(H), dtype=bool), np.zeros(len(H), dtype=int)
@@ -221,13 +255,16 @@ def _log_stage(H, Hp, logK, tol, cap, F, G, omega):
     logHa, logHpa = np.log(Ha), np.log(Hpa)
     L = _logsumexp(logK + Ga[:, None, :], 2)
     Fa, it = logHa - L, 0
+    f0, g0, Kt = Fa, Ga, _kernel(logK, Fa, Ga)
     while act.size:
         it += 1
         Fa = _relaxed(Fa, logHa - L, Ha, omega)
-        Gs = logHpa - _logsumexp(logK + Fa[:, :, None], 1)
+        a = np.exp(Fa - f0)
+        Gs = logHpa + g0 - np.log(np.matmul(a[:, None, :], Kt)[:, 0])
         Ga = _relaxed(Ga, Gs, Hpa, omega)
-        L = _logsumexp(logK + Ga[:, None, :], 2)
-        err = np.abs(np.exp(Fa + L) - Ha).sum(axis=1)
+        Kb = np.matmul(Kt, np.exp(Ga - g0)[:, :, None])[:, :, 0]
+        L = np.log(Kb) - f0
+        err = np.abs(a * Kb - Ha).sum(axis=1)
         if omega != 1.0:  # else the column sums are Hpa
             err += (Hpa * np.abs(np.expm1(Ga - Gs))).sum(axis=1)
         out = ~(err >= tol) | (it == capa)  # NaN leaves too
@@ -235,16 +272,31 @@ def _log_stage(H, Hp, logK, tol, cap, F, G, omega):
             j, keep = act[out], ~out
             F[j], G[j], passes[j] = Fa[out], Ga[out], it
             conv[j] = err[out] < tol
-            act, Ha, Hpa, logHa, logHpa, Fa, Ga, L, capa = (
+            act, Ha, Hpa, logHa, logHpa, Fa, Ga, L, capa, f0, g0, Kt = (
                 x[keep] for x in (act, Ha, Hpa, logHa, logHpa, Fa, Ga, L,
-                                  capa))
+                                  capa, f0, g0, Kt))
+        big = ((np.abs(Fa - f0) > _ABSORB).any(axis=1)
+               | (np.abs(Ga - g0) > _ABSORB).any(axis=1))
+        if big.any():
+            f0 = np.where(big[:, None], Fa, f0)
+            g0 = np.where(big[:, None], Ga, g0)
+            Kt[big] = K = _kernel(logK, Fa[big], Ga[big])
+            L[big] = np.log(K.sum(axis=2)) - Fa[big]
     return conv, passes
+
+
+def _kernel(logK, F, G):
+    """The (p, d, d) stack exp(F_i + logK_ij + G_j) of F, G (p, d), its
+    entries below _FLUSH set to zero."""
+    K = np.exp(F[:, :, None] + logK + G[:, None, :])
+    K[K < _FLUSH] = 0.0
+    return K
 
 
 def _log_scaling(HT, hp, M, lam, tol, max_iter):
     """The scaling iteration on f = log u, g = log v for the (d, p) block
-    HT of clamped marginals against hp, (d,) or (d, p), each a hand-written
-    max-shifted log-sum-exp over a (p, d, d) stack.
+    HT of clamped marginals against hp, (d,) or (d, p), each pass two
+    batched mat-vecs on an absorbed (p, d, d) kernel (see _log_stage).
 
     Every column first runs the plain iteration for max_iter //
     _PLAIN_SHARE passes.  A column still unconverged then is solved again
@@ -276,8 +328,8 @@ def _log_scaling(HT, hp, M, lam, tol, max_iter):
                                    Fs, Gs, _OMEGA)
         F[s], G[s] = Fs, Gs
         passes[s] += last
-    T = np.exp(F[:, :, None] + logK + G[:, None, :])
-    return (T * M).sum(axis=(1, 2)), F, G, conv, int(passes.max())
+    dists = (_kernel(logK, F, G) * M).sum(axis=(1, 2))
+    return dists, F, G, conv, int(passes.max())
 
 
 def sinkhorn(h: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
@@ -426,6 +478,7 @@ def sinkhorn_barycenter(members: np.ndarray, M: np.ndarray, lam: float,
     H = clamp_histogram(check_histograms(members))
     N, d = H.shape
     M = check_ground_metric(M, d)
+    _check_lam_iter(lam, max_iter)
     if N == 1:
         return H[0].copy()
 

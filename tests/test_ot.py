@@ -172,14 +172,17 @@ class TestLogDomain:
     safeguarded over-relaxation for the columns still unconverged."""
 
     def test_fast_column_is_the_plain_iteration(self):
-        # converges in 546 passes, within the 1000 plain ones
+        # converges in 546 passes, within the 1000 plain ones.  The
+        # absorbed passes take the same steps with other roundings: the
+        # distance, f and g agree to 9e-15 relative
         h, hp = random_pair(np.random.default_rng(4), 5)
         got = ot._log_scaling(h[:, None], hp, line_metric(5), 200.0, 1e-9,
                               8000)
         want = plain_log_scaling(h, hp, line_metric(5), 200.0, 1e-9, 8000)
-        assert got[3][0] and got[4] == want[4]
+        assert got[3][0] and want[3] and got[4] == want[4] == 546
         for a, b in zip(got[:3], want[:3]):
-            assert np.array_equal(np.ravel(a), np.ravel(b))
+            a, b = np.ravel(a), np.ravel(b)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
 
     def test_hist_tight_pairs_converge(self, hist_tight):
         queries, reference = hist_tight
@@ -249,6 +252,30 @@ class TestLogDomain:
         assert blocks == [36] + [1] * 36
         for a, b in zip(one, many):
             assert np.array_equal(a, b)
+
+    def test_absorbing_every_pass_changes_no_step(self, monkeypatch,
+                                                  hist_tight):
+        # at _ABSORB 0 every pass rebuilds the kernel of each column whose
+        # scalings moved
+        queries, reference = hist_tight
+        args = (queries.members, reference.members, queries.ground_metric,
+                200.0, 1e-6, 2000)
+        passes, log_stage = [], ot._log_stage
+
+        def spy(*args):
+            conv, n = log_stage(*args)
+            passes.append(n.copy())
+            return conv, n
+
+        monkeypatch.setattr(ot, "_log_stage", spy)
+        D, _, conv = ot.sinkhorn_matrix(*args)
+        monkeypatch.setattr(ot, "_ABSORB", 0.0)
+        D_every, _, conv_every = ot.sinkhorn_matrix(*args)
+        half = len(passes) // 2
+        assert conv.sum() >= 35 and np.array_equal(conv, conv_every)
+        for a, b in zip(passes[:half], passes[half:]):
+            assert np.array_equal(a, b)
+        assert np.abs(D - D_every).max() <= 1e-12
 
     def test_passes_capped_in_all_stages(self):
         # the found pair again: it needs more than 100 passes in all
@@ -707,6 +734,19 @@ class TestSinkhornEmdGap:
 
 
 class TestBarycenter:
+    @pytest.mark.parametrize("lam", [0.0, -5.0, np.nan, np.inf])
+    def test_rejects_lambda_not_positive_finite(self, lam):
+        # each used to return a histogram (uniform, or off the simplex's
+        # middle for -5) or all NaN, with at most a warning
+        members = np.random.default_rng(7).dirichlet(np.ones(4), 4)
+        with pytest.raises(InfeasibleMarginals):
+            ot.sinkhorn_barycenter(members, line_metric(4), lam)
+
+    def test_rejects_no_iterations(self):
+        members = np.random.default_rng(7).dirichlet(np.ones(4), 4)
+        with pytest.raises(BadParameters):
+            ot.sinkhorn_barycenter(members, line_metric(4), 10.0, max_iter=0)
+
     def test_single_member_recovered(self):
         rng = np.random.default_rng(19)
         h = ot.clamp_histogram(rng.dirichlet(np.ones(5)))
