@@ -62,16 +62,13 @@ _LOG_BLOCK = 2**15
 
 # The log domain's absorbed passes fold a column's scalings into its
 # potentials, and rebuild its kernel, once some |log u| or |log v| passes
-# _ABSORB (see _log_stage).  At 50 they stay within exp(+-50) of 1, far
-# inside double range (exp(+-709)).  On hist-tight's 36 pairs every
-# threshold from 0 to 300 gave the same flags and pass counts, with
-# distances within 1.5e-13 of the log-sum-exp loop's; 5 and 20 rebuilt
-# 3879 and 1544 kernel rows and were slower, 50 to 400 rebuilt 689 to 266
-# and took the same time (figures: CHANGES.md).  Kernel entries below
-# _FLUSH are set to zero.  Scaled by at most exp(+-_ABSORB) = 1e+-22
-# between rebuilds, they stay 200 orders of magnitude below the row sums
-# they enter, and the products stay clear of subnormal numbers, which
-# slowed hist-tight's passes by a third (2% of its entries were subnormal).
+# _ABSORB.  At 50 the scalings stay within exp(+-50) of 1, far inside
+# double range; on hist-tight's pairs every threshold from 0 to 300 gave
+# the same flags and pass counts, and from 20 up the rebuilds cost nothing
+# measurable (figures: CHANGES.md).  Kernel entries below _FLUSH are set
+# to zero: scaled by at most exp(+-_ABSORB), they stay 200 orders of
+# magnitude below the row sums they enter, and subnormal ones had slowed
+# the mat-vecs by a third.
 _ABSORB = 50.0
 _FLUSH = 1e-250
 
@@ -239,15 +236,13 @@ def _log_stage(H, Hp, logK, tol, cap, F, G, omega):
 
     The passes are absorbed (Schmitzer 2019, section 3): each row keeps
     potentials f0, g0 and the kernel Kt = exp(f0_i + logK_ij + g0_j),
-    built at the stage's start, from F = log H - logsumexp_j(logK_ij +
-    G_j), so that its rows sum to H.  The log-sum-exps of a pass are then
-    log(Kt b) - f0 over j and log(a Kt) - g0 over i, a = exp(F - f0), b =
-    exp(G - g0): two batched mat-vecs and (p, d) exps and logs, where a
-    log-sum-exp takes (p, d, d) exps.  A row where some |F - f0| or |G -
-    g0| passes _ABSORB takes f0 = F, g0 = G and a rebuilt Kt.  The steps
-    are those of the log-sum-exp loop in exact arithmetic, and over-
-    relaxation and the error check run on F and G as there.  Returns
-    (converged (p,), passes (p,)).
+    built at the stage's start from F = log H - logsumexp_j(logK_ij + G_j),
+    so its rows sum to H.  A pass's log-sum-exps are then log(Kt b) - f0
+    over j and log(a Kt) - g0 over i, a = exp(F - f0), b = exp(G - g0):
+    two batched mat-vecs and (p, d) exps, not (p, d, d).  A row where some
+    |F - f0| or |G - g0| passes _ABSORB takes f0 = F, g0 = G and a rebuilt
+    Kt.  In exact arithmetic the steps are the log-sum-exp loop's.
+    Returns (converged (p,), passes (p,)).
     """
     conv, passes = np.zeros(len(H), dtype=bool), np.zeros(len(H), dtype=int)
     act = np.flatnonzero(cap > 0)

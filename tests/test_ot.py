@@ -734,18 +734,19 @@ class TestSinkhornEmdGap:
 
 
 class TestBarycenter:
-    @pytest.mark.parametrize("lam", [0.0, -5.0, np.nan, np.inf])
-    def test_rejects_lambda_not_positive_finite(self, lam):
-        # each used to return a histogram (uniform, or off the simplex's
-        # middle for -5) or all NaN, with at most a warning
+    @pytest.mark.parametrize("lam, max_iter, error", [
+        (0.0, 1000, InfeasibleMarginals),
+        (-5.0, 1000, InfeasibleMarginals),
+        (np.nan, 1000, InfeasibleMarginals),
+        (np.inf, 1000, InfeasibleMarginals),
+        (10.0, 0, BadParameters)])
+    def test_rejects_bad_lambda_and_max_iter(self, lam, max_iter, error):
+        # each used to return a histogram (uniform, or a lopsided one for
+        # lambda -5) or all NaN, with at most a warning
         members = np.random.default_rng(7).dirichlet(np.ones(4), 4)
-        with pytest.raises(InfeasibleMarginals):
-            ot.sinkhorn_barycenter(members, line_metric(4), lam)
-
-    def test_rejects_no_iterations(self):
-        members = np.random.default_rng(7).dirichlet(np.ones(4), 4)
-        with pytest.raises(BadParameters):
-            ot.sinkhorn_barycenter(members, line_metric(4), 10.0, max_iter=0)
+        with pytest.raises(error):
+            ot.sinkhorn_barycenter(members, line_metric(4), lam,
+                                   max_iter=max_iter)
 
     def test_single_member_recovered(self):
         rng = np.random.default_rng(19)
