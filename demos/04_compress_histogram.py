@@ -57,8 +57,8 @@ print(f"\nfull 1-NN reference   error = "
 # accepting a swap only if the training 1-NN error does not increase.
 
 m = round(0.08 * len(train))
-dm = sinkhorn_pairwise(train.members, M, LAM, tol=TOL, max_iter=3000)
-sel = rmhc_reduce(train, m, None, steps=100, seed=0, dist_matrix=dm)
+D = sinkhorn_pairwise(train.members, M, LAM, tol=TOL, max_iter=3000)
+sel = rmhc_reduce(train, m, D, steps=100, seed=0)
 err = nn_error(train.members[sel.indices], sel.labels)
 print(f"RMHC ({m} members)     error = {err:.3f}")
 

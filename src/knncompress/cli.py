@@ -124,6 +124,10 @@ def _cmd_eval(args) -> int:
     test = load_dataset(args.test)
     if reference.family != test.family:
         raise ValidationError("reference and test families differ")
+    # both None for covariance sets; a reference the CLI writes keeps its
+    # train set's metric unchanged, so the comparison is exact
+    if not np.array_equal(reference.ground_metric, test.ground_metric):
+        raise ValidationError("reference and test ground metrics differ")
     metric, _ = make_metric(reference, args.lam)
     rep = evaluate(test, reference, metric, k=args.k)
     doc = {"error_rate": rep.error_rate, "n_test": rep.n_test,

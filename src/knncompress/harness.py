@@ -168,18 +168,17 @@ class _Cell:
 
 def _cnn(c: _Cell) -> baselines.ReducedSet:
     return c.cached(("cnn", c.seed), lambda: baselines.cnn_reduce(
-        c.train, c.metric, c.seed, dist_matrix=c.dist(),
-        snapshot_ratios=c.plan.ratios))
+        c.train, c.dist(), c.seed, snapshot_ratios=c.plan.ratios))
 
 
 def _rnn(c: _Cell) -> baselines.ReducedSet:
     return c.cached(("rnn", c.seed), lambda: baselines.rnn_reduce(
-        _cnn(c), c.train, c.metric, seed=c.seed, dist_matrix=c.dist()))
+        _cnn(c), c.train, c.dist(), seed=c.seed))
 
 
 def _fcnn(c: _Cell) -> baselines.ReducedSet:
     return c.cached(("fcnn", c.seed), lambda: baselines.fcnn_reduce(
-        c.train, c.metric, _centroid_fn(c.train, c.lam), dist_matrix=c.dist(),
+        c.train, c.dist(), c.metric, _centroid_fn(c.train, c.lam),
         snapshot_ratios=c.plan.ratios))
 
 
@@ -208,8 +207,7 @@ COMPRESSORS = {
     "rnn": lambda c: c.select(_rnn(c)),
     "fcnn": lambda c: c.select(_fcnn(c)),
     "rmhc": lambda c: c.select(baselines.rmhc_reduce(
-        c.train, c.m, c.metric, c.plan.rmhc_steps, c.seed,
-        dist_matrix=c.dist())),
+        c.train, c.m, c.dist(), c.plan.rmhc_steps, c.seed)),
 }
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import rmhc_reduce
+from .baselines import rmhc_reduce, subsample
 from .datasets import LabeledDataset
 from .errors import (
     BadParameters, NonFiniteInput, TooFewInputs, ValidationError)
@@ -91,12 +91,12 @@ def shc_init(train: LabeledDataset, m: int, seed: int,
         raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     M = train.ground_metric
     lam = lam if lam is not None else default_lambda(M)
-    dist_matrix = None
     if rmhc_steps > 0:
-        dist_matrix = sinkhorn_pairwise(train.members, M, lam, sinkhorn_tol,
-                                        sinkhorn_max_iter)
-    picked = rmhc_reduce(train, m, metric=None, steps=rmhc_steps, seed=seed,
-                         dist_matrix=dist_matrix)
+        D = sinkhorn_pairwise(train.members, M, lam, sinkhorn_tol,
+                              sinkhorn_max_iter)
+        picked = rmhc_reduce(train, m, D, rmhc_steps, seed)
+    else:
+        picked = subsample(train, m, seed)
     logits = np.log(clamp_histogram(train.members[picked.indices]))
     return ShcState(logits=logits, labels=picked.labels.copy(),
                     gamma_sq=1.0, lam=lam)

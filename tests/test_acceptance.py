@@ -26,7 +26,7 @@ from knncompress.datasets import (
     gen_histogram_dataset,
     stratified_indices,
 )
-from knncompress.knn import evaluate
+from knncompress.knn import evaluate, pairwise_distances
 from knncompress.ot import (
     clamp_histogram,
     emd_exact,
@@ -149,8 +149,7 @@ def hist_runs():
                 full = hist_error(test, train.members, train.labels, M)
                 dm = sinkhorn_pairwise(np.stack(train.members), M, HIST_LAM,
                                        tol=HIST_TOL, max_iter=3000)
-                rs = rmhc_reduce(train, m, None, steps=100, seed=seed,
-                                 dist_matrix=dm)
+                rs = rmhc_reduce(train, m, dm, steps=100, seed=seed)
                 rmhc_err = hist_error(
                     test, [train.members[i] for i in rs.indices],
                     rs.labels, M)
@@ -403,13 +402,14 @@ def test_09_baseline_properties():
             # covariance instance
             train = gen_covariance_dataset(2, 8, 3, wishart_dof=15,
                                            separation=1.2, seed=seed)
-            c = cnn_reduce(train, jbld, seed=seed)
+            D = pairwise_distances(train.members, jbld)
+            c = cnn_reduce(train, D, seed=seed)
             ok &= bool(c.consistent) and _check_consistent(train, jbld,
                                                            c.indices)
-            r = rnn_reduce(c, train, jbld, seed=seed)
+            r = rnn_reduce(c, train, D, seed=seed)
             ok &= set(r.indices) <= set(c.indices)
             ok &= _check_consistent(train, jbld, r.indices)
-            f = fcnn_reduce(train, jbld,
+            f = fcnn_reduce(train, D, jbld,
                             lambda ms: spd.jbld_centroid(ms, tol=1e-8))
             ok &= bool(f.consistent) and _check_consistent(train, jbld,
                                                            f.indices)
@@ -421,27 +421,23 @@ def test_09_baseline_properties():
             lam = shc.default_lambda(M)
             hmetric = lambda a, b: sinkhorn(a, b, M, lam, tol=1e-6,
                                             max_iter=3000).distance
-            hc = cnn_reduce(htrain, hmetric, seed=seed)
+            hD = sinkhorn_pairwise(htrain.members, M, lam, 1e-6, 3000)
+            hc = cnn_reduce(htrain, hD, seed=seed)
             ok &= bool(hc.consistent)
             ok &= _check_consistent(htrain, hmetric, hc.indices)
             hf = fcnn_reduce(
-                htrain, hmetric,
+                htrain, hD, hmetric,
                 lambda ms: ot.sinkhorn_barycenter(ms, M, lam, tol=1e-8,
                                                   max_iter=500))
             ok &= bool(hf.consistent)
 
             # RMHC: fixed size, error never increases along the trajectory
-            dm = np.array([[jbld(x, y) for y in train.members]
-                           for x in train.members])
-            start = rmhc_reduce(train, 4, None, steps=0, seed=seed,
-                                dist_matrix=dm)
-            end = rmhc_reduce(train, 4, None, steps=40, seed=seed,
-                              dist_matrix=dm)
+            start = rmhc_reduce(train, 4, D, steps=0, seed=seed)
+            end = rmhc_reduce(train, 4, D, steps=40, seed=seed)
             ok &= len(end.indices) == 4
 
             def loo(idx):
-                D = dm[:, idx].copy()
-                pred = train.labels[idx][np.argmin(D, axis=1)]
+                pred = train.labels[idx][np.argmin(D[:, idx], axis=1)]
                 return float(np.mean(pred != train.labels))
 
             ok &= loo(end.indices) <= loo(start.indices)

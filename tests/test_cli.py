@@ -164,6 +164,20 @@ class TestCompress:
         assert "gamma_sq must be positive and finite" in capsys.readouterr().err
         assert calls == [] and caught == []
 
+    @pytest.mark.parametrize("family", ["covariance", "histogram"])
+    @pytest.mark.parametrize("method", ["cnn", "rnn", "fcnn"])
+    def test_empty_dataset_exit_2(self, tmp_path, capsys, family, method):
+        doc = {"family": family, "dim": 2, "members": [], "labels": []}
+        if family == "histogram":
+            doc["ground_metric"] = [[0, 1], [1, 0]]
+        empty = str(tmp_path / "empty.json")
+        with open(empty, "w") as f:
+            json.dump(doc, f)
+        rc = cli.main(["compress", "--method", method, "--in", empty,
+                       "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "empty" in capsys.readouterr().err
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = cli.main(["compress", "--method", "subsample",
                        "--in", str(tmp_path / "nope.json"),
@@ -341,6 +355,15 @@ class TestEval:
     def test_family_mismatch_exit_2(self, cov_file, hist_file):
         rc = cli.main(["eval", "--reference", cov_file, "--test", hist_file])
         assert rc == 2
+
+    def test_ground_metric_mismatch_exit_2(self, hist_file, tmp_path, capsys):
+        # gen-hist draws its ground metric from the seed
+        other = str(tmp_path / "other.json")
+        assert cli.main(["gen-hist", "--classes", "2", "--per-class", "10",
+                         "--dim", "6", "--seed", "1", "--out", other]) == 0
+        rc = cli.main(["eval", "--reference", hist_file, "--test", other])
+        assert rc == 2
+        assert "ground metrics differ" in capsys.readouterr().err
 
 
 class TestBench:
