@@ -182,6 +182,13 @@ def _fcnn(c: _Cell) -> baselines.ReducedSet:
         snapshot_ratios=c.plan.ratios))
 
 
+def _rmhc(c: _Cell) -> baselines.ReducedSet:
+    if c.plan.rmhc_steps == 0:  # the same members, and no matrix to build
+        return baselines.subsample(c.train, c.m, c.seed)
+    return baselines.rmhc_reduce(c.train, c.m, c.dist(), c.plan.rmhc_steps,
+                                 c.seed)
+
+
 def _scc(c: _Cell) -> LabeledDataset:
     cfg = SccConfig(max_iter=c.plan.scc_max_iter, gamma_sq=c.plan.gamma_sq,
                     seed=c.seed)
@@ -206,8 +213,7 @@ COMPRESSORS = {
     "cnn": lambda c: c.select(_cnn(c)),
     "rnn": lambda c: c.select(_rnn(c)),
     "fcnn": lambda c: c.select(_fcnn(c)),
-    "rmhc": lambda c: c.select(baselines.rmhc_reduce(
-        c.train, c.m, c.dist(), c.plan.rmhc_steps, c.seed)),
+    "rmhc": lambda c: c.select(_rmhc(c)),
 }
 
 

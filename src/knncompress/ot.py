@@ -2,13 +2,13 @@
 
 Histograms are 1-D numpy arrays summing to one; the ground metric is a
 finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
-One Sinkhorn solver, ``_scale_columns``, serves every caller: ``sinkhorn``
-is its one-column form, ``sinkhorn_batch`` its n-column form, and
+One Sinkhorn solver, ``_scale_columns``, serves every caller through
+``sinkhorn_batch``: ``sinkhorn`` is one batch of one pair, and
 ``sinkhorn_matrix`` and ``sinkhorn_pairwise`` one batch over all their
 pairs, given as index pairs into their distinct histograms, each of which
 is checked and clamped once per call; the (d, n) block is gathered
-C-contiguous from them and compacted by index.  It exposes the dual
-variables, whose centered second block is the approximate gradient of the
+C-contiguous from them and compacted by index.  Of the dual variables it
+returns beta, whose centered form is the approximate gradient of the
 distance w.r.t. the second marginal.  Its log domain (where exp(-lambda
 M) underflows) starts cold, in blocks of bounded memory, and solves a
 column plain scaling leaves unconverged again with epsilon-scaling and
@@ -88,10 +88,6 @@ def check_histograms(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def check_histogram(h: np.ndarray) -> np.ndarray:
-    return check_histograms(np.asarray(h, dtype=float)[None])[0]
-
-
 def check_ground_metric(M: np.ndarray, dim: int | None = None) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -125,8 +121,6 @@ def clamp_histogram(h: np.ndarray) -> np.ndarray:
 @dataclass
 class SinkhornSolution:
     distance: float
-    transport: np.ndarray
-    dual_alpha: np.ndarray
     dual_beta: np.ndarray
     iterations: int
     converged: bool
@@ -146,12 +140,12 @@ def _scale_columns(Q, P, qi, pj, M, lam, tol, max_iter, V0=None):
     does not depend on the other columns, and the block is compacted, by
     index, only when one leaves.  A column whose distance or scalings end
     non-finite is solved again in the log domain, and every column is
-    when K underflows: cold, as there a V0 cannot hold a useful log
-    scaling, in blocks of _LOG_BLOCK stack elements.  A finite column that
-    did not converge is returned as it is: the log domain's passes cost
-    several times as much.  Returns (distances (n,), log scalings F and G
-    (d, n), V (d, n) to seed a warm start, converged (n,), loop passes run
-    in both domains).
+    when K has an exact zero (then no linear pass runs and U stays 0):
+    cold, as there a V0 cannot hold a useful log scaling, in blocks of
+    _LOG_BLOCK stack elements.  A finite column that did not converge is
+    returned as it is: the log domain's passes cost several times as
+    much.  Returns (distances (n,), log scalings G (d, n), V (d, n) to
+    seed a warm start, converged (n,), loop passes run in both domains).
     """
     Qc = clamp_histogram(check_histograms(Q))
     Pc = Qc if P is Q else clamp_histogram(check_histograms(P))
@@ -168,41 +162,37 @@ def _scale_columns(Q, P, qi, pj, M, lam, tol, max_iter, V0=None):
     if not ((V > 0) & np.isfinite(V)).all():
         raise BadParameters("warm start must be finite and positive")
     with np.errstate(all="ignore"):
-        if np.any(K == 0.0):
-            it, dists = 0, np.empty(n)
-            F, G = np.empty((d, n)), np.empty((d, n))
-            conv, redo = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-        else:
-            U, conv = np.empty_like(V), np.zeros(n, dtype=bool)
-            act, Ha, Hpa, KV, it = np.arange(n), HT, HpT, K @ V, 0
-            while act.size and it < max_iter:
-                it += 1
-                Ua = Ha / KV
-                Va = Hpa / (K.T @ Ua)
-                KV = K @ Va
-                T = Ua * KV
-                T -= Ha
-                err = np.abs(T, out=T).sum(axis=0)
-                out = ~(err >= tol) | (it == max_iter)  # NaN leaves too
-                if out.any():
-                    j, keep = act[out], np.flatnonzero(~out)
-                    U[:, j], V[:, j] = Ua[:, out], Va[:, out]
-                    conv[j] = err[out] < tol
-                    act, Ha, Hpa, KV = (act[keep], Ha.take(keep, 1),
-                                        Hpa.take(keep, 1), KV.take(keep, 1))
-            dists = np.sum(U * ((K * M) @ V), axis=0)
-            F, G = np.log(U), np.log(V)
-            redo = ~(np.isfinite(dists) & np.isfinite(F).all(axis=0)
-                     & np.isfinite(G).all(axis=0))
+        U, conv = np.zeros_like(V), np.zeros(n, dtype=bool)
+        act = np.arange(n if K.all() else 0)  # K == 0 somewhere: no pass
+        Ha, Hpa, KV, it = HT, HpT, K @ V, 0
+        while act.size and it < max_iter:
+            it += 1
+            Ua = Ha / KV
+            Va = Hpa / (K.T @ Ua)
+            KV = K @ Va
+            T = Ua * KV
+            T -= Ha
+            err = np.abs(T, out=T).sum(axis=0)
+            out = ~(err >= tol) | (it == max_iter)  # NaN leaves too
+            if out.any():
+                j, keep = act[out], np.flatnonzero(~out)
+                U[:, j], V[:, j] = Ua[:, out], Va[:, out]
+                conv[j] = err[out] < tol
+                act, Ha, Hpa, KV = (act[keep], Ha.take(keep, 1),
+                                    Hpa.take(keep, 1), KV.take(keep, 1))
+        dists = np.sum(U * ((K * M) @ V), axis=0)
+        G = np.log(V)
+        redo = ~(np.isfinite(dists) & ((0 < U) & (U < np.inf)).all(axis=0)
+                 & np.isfinite(G).all(axis=0))
         redo, it_log = np.flatnonzero(redo), 0
         width = max(1, _LOG_BLOCK // d**2)
         for b in range(0, redo.size, width):
             j = redo[b:b + width]
-            dists[j], F_log, G_log, conv[j], it_b = _log_scaling(
+            dists[j], G_log, conv[j], it_b = _log_scaling(
                 HT[:, j], HpT[:, j], M, lam, tol, max_iter)
-            F[:, j], G[:, j], V[:, j] = F_log.T, G_log.T, 1.0
+            G[:, j], V[:, j] = G_log.T, 1.0
             it_log = max(it_log, it_b)
-    return dists, F, G, V, conv, it + it_log
+    return dists, G, V, conv, it + it_log
 
 
 def _logsumexp(A, axis):
@@ -288,9 +278,9 @@ def _kernel(logK, F, G):
     return K
 
 
-def _log_scaling(HT, hp, M, lam, tol, max_iter):
-    """The scaling iteration on f = log u, g = log v for the (d, p) block
-    HT of clamped marginals against hp, (d,) or (d, p), each pass two
+def _log_scaling(HT, HpT, M, lam, tol, max_iter):
+    """The scaling iteration on f = log u, g = log v for the (d, p) blocks
+    HT and HpT of clamped first and second marginals, each pass two
     batched mat-vecs on an absorbed (p, d, d) kernel (see _log_stage).
 
     Every column first runs the plain iteration for max_iter //
@@ -302,11 +292,10 @@ def _log_scaling(HT, hp, M, lam, tol, max_iter):
     Every stage is a working block of columns, each leaving once
     both its marginals are within tol, so a column's result does not
     depend on the others, and it makes at most max_iter passes in all.
-    Returns (distances (p,), F, G (p, d), converged (p,), the most passes
-    a column made).
+    Returns (distances (p,), G (p, d), converged (p,), the most passes a
+    column made).
     """
-    H = HT.T
-    Hp = np.broadcast_to(hp.T, H.shape)
+    H, Hp = HT.T, HpT.T
     F, G, logK = np.empty_like(H), np.zeros_like(H), -lam * M
     probe = max_iter // _PLAIN_SHARE
     conv, passes = _log_stage(H, Hp, logK, tol, np.full(len(H), probe), F,
@@ -324,34 +313,23 @@ def _log_scaling(HT, hp, M, lam, tol, max_iter):
         F[s], G[s] = Fs, Gs
         passes[s] += last
     dists = (_kernel(logK, F, G) * M).sum(axis=(1, 2))
-    return dists, F, G, conv, int(passes.max())
+    return dists, G, conv, int(passes.max())
 
 
 def sinkhorn(h: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
-             tol: float = 1e-9, max_iter: int = 10000,
-             v0: np.ndarray | None = None) -> SinkhornSolution:
+             tol: float = 1e-9, max_iter: int = 10000) -> SinkhornSolution:
     """Entropy-regularized transport distance between h and hp.
 
-    The one-column form of ``_scale_columns``.  The duals are recovered
-    from the scalings (alpha = log u / lam, beta = log v / lam, each up to
-    an additive constant); the distance is tr(T M), an upper bound on the
-    exact EMD that tightens as lam grows.
+    ``sinkhorn_batch`` on the one pair, looked up in this module when
+    called.  The dual beta = log v / lam is recovered from the scaling,
+    up to an additive constant; the distance is tr(T M), an upper bound
+    on the exact EMD that tightens as lam grows.
     """
-    V0 = None if v0 is None else np.asarray(v0, dtype=float)[:, None]
-    zero = np.zeros(1, dtype=int)
-    dists, F, G, _, conv, it = _scale_columns(
+    dists, betas, _, conv, it = sinkhorn_batch(
         np.asarray(h, dtype=float)[None], np.asarray(hp, dtype=float)[None],
-        zero, zero, M, lam, tol, max_iter, V0)
-    f, g = F[:, 0], G[:, 0]
-    return SinkhornSolution(
-        distance=float(dists[0]),
-        transport=np.exp(f[:, None] - lam * np.asarray(M, dtype=float)
-                         + g[None, :]),
-        dual_alpha=f / lam,
-        dual_beta=g / lam,
-        iterations=it,
-        converged=bool(conv[0]),
-    )
+        M, lam, tol, max_iter)
+    return SinkhornSolution(distance=float(dists[0]), dual_beta=betas[0],
+                            iterations=it, converged=bool(conv[0]))
 
 
 def sinkhorn_grad_dual(sol: SinkhornSolution) -> np.ndarray:
@@ -372,11 +350,12 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
     """Solve sinkhorn(H[i], hp[i] or hp) for all rows of H at once, or,
     given pairs = (qi, pj), sinkhorn(H[qi[k]], hp[pj[k]]) for every k.
 
-    The n-column form of ``_scale_columns``: the scaling updates share
-    the kernel, so the whole batch reduces to matrix products, and each
-    column stops when it converges, as it would alone.  Returns
-    (distances (n,), betas (n, d), V (d, n), converged (n,), iterations),
-    n the number of pairs.  V seeds warm starts of later calls.
+    The form of ``_scale_columns`` every caller goes through: the scaling
+    updates share the kernel, so the whole batch reduces to matrix
+    products, and each column stops when it converges, as it would alone.
+    Returns (distances (n,), betas (n, d), V (d, n), converged (n,),
+    iterations), n the number of pairs.  V seeds warm starts of later
+    calls.
     """
     Hp = np.atleast_2d(hp)
     if pairs is None:
@@ -391,8 +370,8 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
             and ((0 <= pj) & (pj < len(Hp))).all()):
         raise DimensionMismatch("pairs must be two equal-length index arrays "
                                 "into H and hp")
-    dists, _, G, V, conv, it = _scale_columns(H, Hp, qi, pj, M, lam, tol,
-                                              max_iter, V0)
+    dists, G, V, conv, it = _scale_columns(H, Hp, qi, pj, M, lam, tol,
+                                           max_iter, V0)
     return dists, (G / lam).T, V, conv, it
 
 
@@ -441,8 +420,8 @@ def emd_exact(h: np.ndarray, hp: np.ndarray, M: np.ndarray) -> float:
     otherwise move the optimum.  Meant as an oracle at small d; for a 1-D
     line metric it must equal the L1 distance between the cumulative sums.
     """
-    h = check_histogram(h)
-    hp = check_histogram(hp)
+    h = check_histograms(np.asarray(h, dtype=float)[None])[0]
+    hp = check_histograms(np.asarray(hp, dtype=float)[None])[0]
     if h.shape != hp.shape:
         raise DimensionMismatch(f"marginal dims {h.shape} vs {hp.shape}")
     M = check_ground_metric(M, h.shape[0])

@@ -110,6 +110,15 @@ class TestRnn:
         assert rnn.consistent
         assert one_nn_error(rnn.indices, train) == 0.0
 
+    def test_one_member_is_kept(self):
+        # one class: CNN keeps a single member, which RNN cannot drop
+        train = blob_train(seed=6, classes=1)
+        D = euclid_matrix(train)
+        cnn = bl.cnn_reduce(train, D, seed=0)
+        rnn = bl.rnn_reduce(cnn, train, D, seed=0)
+        assert len(cnn.indices) == 1
+        assert np.array_equal(rnn.indices, cnn.indices) and rnn.consistent
+
     def test_rejects_inconsistent_input(self):
         train = blob_train(seed=7)
         fake = bl.ReducedSet(indices=np.array([0]),
@@ -133,6 +142,17 @@ class TestFcnn:
         # well-separated tight blobs: the centroid seeds already suffice
         assert len(rs.indices) == train.n_classes
 
+    def test_duplicate_with_other_label_stops_inconsistent(self):
+        # both copies are seeds, and the one the tie gives to the other
+        # copy's label is the only addition offered: nothing new to add
+        X = np.diag([1.0, 2.0])
+        train = LabeledDataset(family="covariance", dim=2, members=[X, X],
+                               labels=np.array([0, 1]), metadata={})
+        rs = bl.fcnn_reduce(train, euclid_matrix(train), euclid,
+                            mean_centroid)
+        assert rs.consistent is False
+        assert np.array_equal(rs.indices, [0, 1])
+
 
 class TestRmhc:
     def test_zero_steps_is_stratified_subsample(self):
@@ -149,6 +169,11 @@ class TestRmhc:
         assert one_nn_error(end.indices, train) \
             <= one_nn_error(start.indices, train)
         assert len(end.indices) == 6
+
+    def test_m_above_n(self):
+        train = blob_train(seed=12, per_class=2)
+        with pytest.raises(TooFewInputs):
+            bl.rmhc_reduce(train, 7, euclid_matrix(train), steps=5, seed=0)
 
     def test_deterministic(self):
         train = blob_train(seed=12, spread=1.0)

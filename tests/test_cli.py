@@ -128,6 +128,30 @@ class TestCompress:
         assert rc == 2
         assert "must be at least 0" in capsys.readouterr().err
 
+    def test_rmhc_zero_steps_is_subsample(self, hist_file, tmp_path,
+                                          monkeypatch):
+        # no hill-climbing step reads a distance, so no train-by-train
+        # Sinkhorn matrix is solved, and the members are subsample's
+        from knncompress import ot
+        calls, pairwise = [], ot.sinkhorn_pairwise
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr(ot, "sinkhorn_pairwise", spy)
+        written = []
+        for method in ("rmhc", "subsample"):
+            out = str(tmp_path / f"{method}.json")
+            assert cli.main(["compress", "--method", method, "--ratio", "0.2",
+                             "--rmhc-steps", "0", "--in", hist_file,
+                             "--out", out]) == 0
+            written.append(load_dataset(out))
+        assert calls == []
+        rmhc, sub = written
+        assert np.array_equal(rmhc.labels, sub.labels)
+        assert np.array_equal(rmhc.members, sub.members)
+
     @pytest.mark.parametrize("method", ["scc", "shc"])
     @pytest.mark.parametrize("gamma_sq", ["0", "-1", "nan", "inf"])
     def test_gamma_sq_out_of_range_exit_2(self, cov_file, hist_file, tmp_path,

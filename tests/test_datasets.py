@@ -208,6 +208,13 @@ class TestStratifiedIndices:
         with pytest.raises(TooFewInputs):
             ds.stratified_indices(np.array([0, 1]), 3, rng)
 
+    def test_over_allocation_trimmed_to_one_per_class(self):
+        # the floor of one per class gives 6 + 4 = 10 > m: the large
+        # class is cut back until every class has one member
+        labels = np.array([0, 1, 2, 3, 4, 5] + [6] * 10)
+        idx = ds.stratified_indices(labels, 7, np.random.default_rng(4))
+        assert sorted(labels[idx].tolist()) == list(range(7))
+
 
 class TestGenerators:
     def test_covariance_shapes_spd(self):

@@ -1,5 +1,7 @@
 """Every exported name is reached by the package, a demo or the benchmark,
-so that a public name only its own unit tests call does not come back."""
+and every field of an exported dataclass is read there, so that a public
+name or field only its own unit tests use does not come back."""
+import dataclasses
 import glob
 import os
 import re
@@ -31,3 +33,17 @@ def test_every_export_is_used():
         if not any(use.search(own_line.sub("", t)) for t in texts):
             unused.append(name)
     assert unused == []
+
+
+def test_every_exported_dataclass_field_is_read():
+    texts = _sources()
+    unread = []
+    for name in knncompress.__all__:
+        obj = getattr(knncompress, name)
+        if not (isinstance(obj, type) and dataclasses.is_dataclass(obj)):
+            continue
+        for f in dataclasses.fields(obj):
+            read = re.compile(rf"\.{f.name}\b")
+            if not any(read.search(t) for t in texts):
+                unread.append(f"{name}.{f.name}")
+    assert unread == []

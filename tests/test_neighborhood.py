@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from knncompress import neighborhood as nb
-from knncompress.errors import DimensionMismatch
+from knncompress.errors import DimensionMismatch, EmptyPrototypeSet
 
 
 def make_model(gamma_sq=1.0):
@@ -20,6 +20,12 @@ class TestModel:
         with pytest.raises(DimensionMismatch):
             nb.NeighborhoodModel(1.0, np.array([0, 1, 1]),
                                  np.array([0, 1, 1]), D)
+
+
+    def test_no_prototypes(self):
+        with pytest.raises(EmptyPrototypeSet):
+            nb.NeighborhoodModel(1.0, np.array([], dtype=int),
+                                 np.array([0, 1, 1]), np.zeros((3, 0)))
 
 
 class TestAssignmentProbs:

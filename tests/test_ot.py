@@ -33,11 +33,11 @@ def emd_line_closed_form(h, hp):
 class TestValidation:
     def test_negative_mass(self):
         with pytest.raises(InfeasibleMarginals):
-            ot.check_histogram(np.array([1.5, -0.5]))
+            ot.check_histograms(np.array([[1.5, -0.5]]))
 
     def test_mass_not_one(self):
         with pytest.raises(InfeasibleMarginals):
-            ot.check_histogram(np.array([0.3, 0.3]))
+            ot.check_histograms(np.array([[0.3, 0.3]]))
 
     def test_metric_nonzero_diagonal(self):
         with pytest.raises(InfeasibleMarginals):
@@ -82,9 +82,14 @@ class TestSinkhorn:
     def test_marginals(self):
         rng = np.random.default_rng(1)
         h, hp = random_pair(rng, 6)
-        sol = ot.sinkhorn(h, hp, line_metric(6), lam=50.0, tol=1e-11)
-        assert np.abs(sol.transport.sum(axis=1) - h).sum() < 1e-9
-        assert np.abs(sol.transport.sum(axis=0) - hp).sum() < 1e-9
+        M = line_metric(6)
+        sol = ot.sinkhorn(h, hp, M, lam=50.0, tol=1e-11)
+        # the plan from beta and one u-update: its rows sum to h
+        K = np.exp(-50.0 * M)
+        v = np.exp(50.0 * sol.dual_beta)
+        T = (h / (K @ v))[:, None] * K * v[None, :]
+        assert np.abs(T.sum(axis=1) - h).sum() < 1e-9
+        assert np.abs(T.sum(axis=0) - hp).sum() < 1e-9
 
     def test_two_bins_hand_value(self):
         # mass 0.25 must move one unit of ground distance
@@ -108,8 +113,8 @@ class TestSinkhorn:
         # lam * max(M) = 600: `lin` runs the linear-domain loop, `log` the
         # log-domain loop on the same pair
         lin = ot.sinkhorn(h, hp, M, lam=150.0, tol=1e-11, max_iter=50000)
-        log, _, _, _, _ = ot._log_scaling(h[:, None], hp, M, 150.0, 1e-11,
-                                          50000)
+        log, _, _, _ = ot._log_scaling(h[:, None], hp[:, None], M, 150.0,
+                                       1e-11, 50000)
         assert lin.distance == pytest.approx(log[0], abs=1e-6)
         # lam * max(M) = 1000 underflows exp(-lam*M), forcing the fallback
         big = ot.sinkhorn(h, hp, M, lam=250.0, tol=1e-9, max_iter=100000)
@@ -121,14 +126,15 @@ class TestSinkhorn:
         h, hp = random_pair(rng, 5)
         M = line_metric(5)
         cold = ot.sinkhorn(h, hp, M, lam=60.0, tol=1e-11)
-        u0 = np.exp(cold.dual_beta * 60.0)
-        warm = ot.sinkhorn(h, hp, M, lam=60.0, tol=1e-11, v0=u0)
-        assert warm.distance == pytest.approx(cold.distance, abs=1e-9)
-        assert warm.iterations <= cold.iterations
+        v0 = np.exp(cold.dual_beta * 60.0)
+        dists, _, _, _, it = ot.sinkhorn_batch(h[None], hp, M, lam=60.0,
+                                               tol=1e-11, V0=v0[:, None])
+        assert dists[0] == pytest.approx(cold.distance, abs=1e-9)
+        assert it <= cold.iterations
 
 
     # lam 2 runs the linear domain on line_metric(5); lam 800 underflows
-    # exp(-lam*M) and runs the log domain from log v0
+    # exp(-lam*M) and runs the log domain, which starts cold
     @pytest.mark.parametrize("lam", [2.0, 800.0])
     @pytest.mark.parametrize("bad", [0.0, np.nan, -1.0, np.inf])
     def test_warm_start_not_finite_positive_raises(self, lam, bad):
@@ -136,7 +142,8 @@ class TestSinkhorn:
         v0 = np.ones(5)
         v0[2] = bad
         with pytest.raises(BadParameters):
-            ot.sinkhorn(h, hp, line_metric(5), lam, v0=v0)
+            ot.sinkhorn_batch(h[None], hp, line_metric(5), lam,
+                              V0=v0[:, None])
         with pytest.raises(BadParameters):
             ot.sinkhorn_batch(np.stack([h, hp]), hp, line_metric(5), lam,
                               V0=np.column_stack([v0, np.ones(5)]))
@@ -145,7 +152,8 @@ class TestSinkhorn:
     def test_warm_start_wrong_shape_raises(self, lam):
         h, hp = random_pair(np.random.default_rng(4), 5)
         with pytest.raises(DimensionMismatch):
-            ot.sinkhorn(h, hp, line_metric(5), lam, v0=np.ones(4))
+            ot.sinkhorn_batch(h[None], hp, line_metric(5), lam,
+                              V0=np.ones((4, 1)))
         with pytest.raises(DimensionMismatch):
             ot.sinkhorn_batch(np.stack([h, hp]), hp, line_metric(5), lam,
                               V0=np.ones((5, 3)))
@@ -153,7 +161,7 @@ class TestSinkhorn:
 
 def plain_log_scaling(h, hp, M, lam, tol, max_iter):
     """The log-domain loop without epsilon-scaling or over-relaxation, one
-    column: (distance, f, g, converged, passes)."""
+    column: (distance, g, converged, passes)."""
     logK, logh, loghp = -lam * M, np.log(h), np.log(hp)
     L = ot._logsumexp(logK + np.zeros_like(hp)[None, :], 1)
     for it in range(1, max_iter + 1):
@@ -164,7 +172,7 @@ def plain_log_scaling(h, hp, M, lam, tol, max_iter):
         if not err >= tol:
             break
     T = np.exp(f[None, :, None] + logK + g[None, None, :])
-    return (T * M).sum(axis=(1, 2)), f, g, err < tol, it
+    return (T * M).sum(axis=(1, 2)), g, err < tol, it
 
 
 class TestLogDomain:
@@ -174,13 +182,13 @@ class TestLogDomain:
     def test_fast_column_is_the_plain_iteration(self):
         # converges in 546 passes, within the 1000 plain ones.  The
         # absorbed passes take the same steps with other roundings: the
-        # distance, f and g agree to 9e-15 relative
+        # distance and g agree to 9e-15 relative
         h, hp = random_pair(np.random.default_rng(4), 5)
-        got = ot._log_scaling(h[:, None], hp, line_metric(5), 200.0, 1e-9,
-                              8000)
+        got = ot._log_scaling(h[:, None], hp[:, None], line_metric(5), 200.0,
+                              1e-9, 8000)
         want = plain_log_scaling(h, hp, line_metric(5), 200.0, 1e-9, 8000)
-        assert got[3][0] and want[3] and got[4] == want[4] == 546
-        for a, b in zip(got[:3], want[:3]):
+        assert got[2][0] and want[2] and got[3] == want[3] == 546
+        for a, b in zip(got[:2], want[:2]):
             a, b = np.ravel(a), np.ravel(b)
             assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
 
@@ -217,7 +225,7 @@ class TestLogDomain:
     def test_stages_only_on_a_cold_start(self, monkeypatch, warm, lams):
         # lam 800 underflows exp(-lam * M) on line_metric(5); the pair
         # does not converge in the 250 plain passes that come first.  The
-        # log domain always starts cold, so a warm start v0 runs the
+        # log domain always starts cold, so a warm start V0 runs the
         # stages too
         h, hp = random_pair(np.random.default_rng(4), 5)
         M = line_metric(5)
@@ -228,9 +236,10 @@ class TestLogDomain:
             return log_stage(H, Hp, logK, tol, cap, F, G, omega)
 
         monkeypatch.setattr(ot, "_log_stage", spy)
-        sol = ot.sinkhorn(h, hp, M, 800.0, tol=1e-9, max_iter=2000,
-                          v0=np.ones(5) if warm else None)
-        assert sol.converged
+        conv = ot.sinkhorn_batch(h[None], hp, M, 800.0, tol=1e-9,
+                                 max_iter=2000,
+                                 V0=np.ones((5, 1)) if warm else None)[3]
+        assert conv[0]
         assert kernels == [(800.0, 1.0)] + [(lam, ot._OMEGA) for lam in lams]
 
     def test_blocks_of_one_column_equal_one_block(self, monkeypatch,
@@ -320,16 +329,16 @@ class TestLogSumExp:
         assert np.any(np.exp(-200.0 * M) == 0.0)
 
         def solve():
-            return [ot._log_scaling(H[[i]].T, H[i + 4], M, 200.0, 1e-6, 100)
-                    for i in range(4)]
+            return [ot._log_scaling(H[[i]].T, H[[i + 4]].T, M, 200.0, 1e-6,
+                                    100) for i in range(4)]
 
         ours = solve()
         self.scipy_patched(monkeypatch)
-        for (d, _, _, conv, it), (d_ref, _, _, conv_ref, it_ref) in zip(
+        for (d, _, conv, it), (d_ref, _, conv_ref, it_ref) in zip(
                 ours, solve()):
             assert abs(d[0] - d_ref[0]) <= 1e-12 * abs(d_ref[0])
             assert (it, conv[0]) == (it_ref, conv_ref[0])
-        assert sorted(int(conv[0]) for _, _, _, conv, _ in ours) == [0, 1, 1, 1]
+        assert sorted(int(conv[0]) for _, _, conv, _ in ours) == [0, 1, 1, 1]
 
     @pytest.mark.parametrize("lam", [10.0, 50.0])
     def test_barycenter_matches_scipy_reduction(self, monkeypatch, lam):
@@ -388,8 +397,7 @@ class TestGradDual:
         assert abs(fd - g @ v) / max(abs(fd), 1e-12) < 5e-3
 
     def test_not_converged_raises(self):
-        sol = ot.SinkhornSolution(0.0, np.eye(2), np.zeros(2), np.zeros(2),
-                                  10, False)
+        sol = ot.SinkhornSolution(0.0, np.zeros(2), 10, False)
         with pytest.raises(NotConverged):
             ot.sinkhorn_grad_dual(sol)
 
@@ -552,17 +560,18 @@ class TestMatrix:
         self.P = rng.dirichlet(np.ones(6), size=3)
 
     def assert_per_pair(self, Q, P, D, betas, conv, seeds=None):
-        """D, betas and conv equal per-pair sinkhorn, column j·n + i of
-        seeds warm-starting the pair (Q[i], P[j])."""
+        """D, betas and conv equal one-pair sinkhorn_batch, column j·n + i
+        of seeds warm-starting the pair (Q[i], P[j])."""
         n = len(Q)
         for j, hp in enumerate(P):
             for i, h in enumerate(Q):
-                v0 = None if seeds is None else seeds[:, j * n + i]
-                sol = ot.sinkhorn(h, hp, self.M, 2.0, 1e-6, 2000, v0)
-                np.testing.assert_allclose(D[i, j], sol.distance, rtol=1e-12)
-                np.testing.assert_allclose(betas[j, i], sol.dual_beta,
-                                           rtol=1e-12, atol=1e-14)
-                assert conv[i, j] == sol.converged
+                V0 = None if seeds is None else seeds[:, [j * n + i]]
+                d1, b1, _, c1, _ = ot.sinkhorn_batch(h[None], hp, self.M, 2.0,
+                                                     1e-6, 2000, V0)
+                np.testing.assert_allclose(D[i, j], d1[0], rtol=1e-12)
+                np.testing.assert_allclose(betas[j, i], b1[0], rtol=1e-12,
+                                           atol=1e-14)
+                assert conv[i, j] == c1[0]
 
     def test_equals_per_pair_sinkhorn(self):
         D, betas, conv = ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0,
@@ -599,6 +608,7 @@ class TestMatrix:
         D, betas, conv = ot.sinkhorn_matrix(self.Q, P2, self.M, 2.0, 1e-6,
                                             2000, warm)
         assert len(seen) == 1 and np.array_equal(seen[0], seeds)
+        monkeypatch.undo()
         self.assert_per_pair(self.Q, P2, D, betas, conv, seeds)
         # the V left behind is the linear-domain scaling exp(lam * beta)
         np.testing.assert_allclose(

@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from knncompress import spd
-from knncompress.errors import DimensionMismatch, NotPositiveDefinite
+from knncompress.errors import (DimensionMismatch, NoConvergence,
+                                 NotPositiveDefinite)
 
 
 def random_spd(rng, d, scale=1.0):
@@ -285,3 +286,10 @@ class TestJbldCentroid:
     def test_mixed_dimension(self):
         with pytest.raises(DimensionMismatch):
             spd.jbld_centroid([np.eye(2), np.eye(3)])
+
+    def test_max_iter_warns_and_returns_last_iterate(self):
+        rng = np.random.default_rng(11)
+        members = [random_spd(rng, 3) for _ in range(4)]
+        with pytest.warns(NoConvergence):
+            X = spd.jbld_centroid(members, max_iter=1)
+        assert np.allclose(X, X.T) and np.all(np.linalg.eigvalsh(X) > 0)
