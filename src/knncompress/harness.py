@@ -84,6 +84,8 @@ class ExperimentPlan:
                 raise BadParameters(f"{name} must be at least 0")
         if any(s < 0 for s in self.seeds):  # numpy's generators refuse them
             raise BadParameters("seeds must be at least 0")
+        if self.tune and self.gamma_sq is not None:  # tuning would drop it
+            raise BadParameters("gamma_sq must be null when tune is true")
 
     @classmethod
     def from_dict(cls, doc) -> "ExperimentPlan":
@@ -266,19 +268,18 @@ def _tune_scc(c: _Cell, cfg: SccConfig) -> float:
 
 
 def _tune_shc(c: _Cell, cfg: ShcConfig) -> tuple[float, float]:
-    """Pick gamma^2 and the learning rate as _tune_scc picks gamma^2."""
+    """Pick gamma^2 and the learning rate as _tune_scc picks gamma^2; the
+    grid and every candidate start from one carve-out start."""
     sub, val = split_dataset(c.train, c.seed + 1, test_frac=0.2)
-    m_sub = min(c.m, len(sub))
-    metric, lam = make_metric(sub, cfg.lam)
-    st = shc.shc_init(sub, m_sub, c.seed, rmhc_steps=0, lam=lam)
-    _, _, D0 = shc.shc_loss_grad(st, sub)
+    start = shc.shc_init(sub, min(c.m, len(sub)), c.seed,
+                         rmhc_steps=cfg.rmhc_steps, lam=cfg.lam)
+    _, _, D0 = shc.shc_loss_grad(start, sub)
     configs = [ShcConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g,
-                         learn_rate=lr, lam=lam, rmhc_steps=cfg.rmhc_steps,
-                         seed=c.seed)
+                         learn_rate=lr)
                for g in gamma_sq_grid(D0) for lr in (0.1, 1.0, 10.0)]
     best = _pick(configs,
-                 lambda k: shc_compress(sub, m_sub, config=k).to_dataset(sub),
-                 val, metric, c.plan.k)
+                 lambda k: shc.descend(start, sub, k).to_dataset(sub),
+                 val, c.metric, c.plan.k)
     return best.gamma_sq, best.learn_rate
 
 

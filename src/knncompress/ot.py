@@ -2,12 +2,12 @@
 
 Histograms are 1-D numpy arrays summing to one; the ground metric is a
 finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
-One Sinkhorn solver, ``_scale_columns``, serves every caller through
-``sinkhorn_batch``: ``sinkhorn`` is one batch of one pair, and
-``sinkhorn_matrix`` and ``sinkhorn_pairwise`` one batch over all their
-pairs, given as index pairs into their distinct histograms, each of which
-is checked and clamped once per call; the (d, n) block is gathered
-C-contiguous from them and compacted by index.  Of the dual variables it
+One Sinkhorn solver, ``sinkhorn_batch``, serves every caller: ``sinkhorn``
+is one batch of one pair, and ``sinkhorn_matrix`` and
+``sinkhorn_pairwise`` one batch over all their pairs, given as index pairs
+into their distinct histograms, each of which is checked and clamped once
+per call; the (d, n) block is gathered C-contiguous from them and
+compacted by index.  Of the dual variables it
 returns beta, whose centered form is the approximate gradient of the
 distance w.r.t. the second marginal.  Its log domain (where exp(-lambda
 M) underflows) starts cold, in blocks of bounded memory, and solves a
@@ -124,75 +124,6 @@ class SinkhornSolution:
     dual_beta: np.ndarray
     iterations: int
     converged: bool
-
-
-def _scale_columns(Q, P, qi, pj, M, lam, tol, max_iter, V0=None):
-    """Sinkhorn scaling of the pairs (Q[qi[k]], P[pj[k]]) as the columns
-    of one (d, n) block, Q (nq, d) and P (np, d) the distinct first and
-    second marginals.
-
-    Each distinct marginal is checked and clamped once per call, row by
-    row, and the pairs' (d, n) blocks are gathered C-contiguous from them.
-    Alternating scaling iterations on K = exp(-lam * M) run on a working
-    block of the active columns; the K @ V of each iteration's L1 marginal
-    check is the next one's denominator.  A column leaves the block, with
-    its scalings, once its violation is below tol or NaN, so its result
-    does not depend on the other columns, and the block is compacted, by
-    index, only when one leaves.  A column whose distance or scalings end
-    non-finite is solved again in the log domain, and every column is
-    when K has an exact zero (then no linear pass runs and U stays 0):
-    cold, as there a V0 cannot hold a useful log scaling, in blocks of
-    _LOG_BLOCK stack elements.  A finite column that did not converge is
-    returned as it is: the log domain's passes cost several times as
-    much.  Returns (distances (n,), log scalings G (d, n), V (d, n) to
-    seed a warm start, converged (n,), loop passes run in both domains).
-    """
-    Qc = clamp_histogram(check_histograms(Q))
-    Pc = Qc if P is Q else clamp_histogram(check_histograms(P))
-    d, n = Qc.shape[1], len(qi)
-    if Pc.shape[1] != d:
-        raise DimensionMismatch(f"second marginals {Pc.shape} vs {Qc.shape}")
-    HT, HpT = Qc.T.take(qi, 1), Pc.T.take(pj, 1)
-    M = check_ground_metric(M, d)
-    _check_lam_iter(lam, max_iter)
-    K = np.exp(-lam * M)
-    V = np.ones((d, n)) if V0 is None else np.array(V0, dtype=float)
-    if V.shape != (d, n):
-        raise DimensionMismatch(f"warm start shape {V.shape} != {(d, n)}")
-    if not ((V > 0) & np.isfinite(V)).all():
-        raise BadParameters("warm start must be finite and positive")
-    with np.errstate(all="ignore"):
-        U, conv = np.zeros_like(V), np.zeros(n, dtype=bool)
-        act = np.arange(n if K.all() else 0)  # K == 0 somewhere: no pass
-        Ha, Hpa, KV, it = HT, HpT, K @ V, 0
-        while act.size and it < max_iter:
-            it += 1
-            Ua = Ha / KV
-            Va = Hpa / (K.T @ Ua)
-            KV = K @ Va
-            T = Ua * KV
-            T -= Ha
-            err = np.abs(T, out=T).sum(axis=0)
-            out = ~(err >= tol) | (it == max_iter)  # NaN leaves too
-            if out.any():
-                j, keep = act[out], np.flatnonzero(~out)
-                U[:, j], V[:, j] = Ua[:, out], Va[:, out]
-                conv[j] = err[out] < tol
-                act, Ha, Hpa, KV = (act[keep], Ha.take(keep, 1),
-                                    Hpa.take(keep, 1), KV.take(keep, 1))
-        dists = np.sum(U * ((K * M) @ V), axis=0)
-        G = np.log(V)
-        redo = ~(np.isfinite(dists) & ((0 < U) & (U < np.inf)).all(axis=0)
-                 & np.isfinite(G).all(axis=0))
-        redo, it_log = np.flatnonzero(redo), 0
-        width = max(1, _LOG_BLOCK // d**2)
-        for b in range(0, redo.size, width):
-            j = redo[b:b + width]
-            dists[j], G_log, conv[j], it_b = _log_scaling(
-                HT[:, j], HpT[:, j], M, lam, tol, max_iter)
-            G[:, j], V[:, j] = G_log.T, 1.0
-            it_log = max(it_log, it_b)
-    return dists, G, V, conv, it + it_log
 
 
 def _logsumexp(A, axis):
@@ -348,14 +279,26 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
                    tol: float = 1e-9, max_iter: int = 10000,
                    V0: np.ndarray | None = None, pairs=None):
     """Solve sinkhorn(H[i], hp[i] or hp) for all rows of H at once, or,
-    given pairs = (qi, pj), sinkhorn(H[qi[k]], hp[pj[k]]) for every k.
+    given pairs = (qi, pj), sinkhorn(H[qi[k]], hp[pj[k]]) for every k, as
+    the columns of one (d, n) block.
 
-    The form of ``_scale_columns`` every caller goes through: the scaling
-    updates share the kernel, so the whole batch reduces to matrix
-    products, and each column stops when it converges, as it would alone.
-    Returns (distances (n,), betas (n, d), V (d, n), converged (n,),
-    iterations), n the number of pairs.  V seeds warm starts of later
-    calls.
+    Each distinct marginal is checked and clamped once per call, row by
+    row, and the pairs' (d, n) blocks are gathered C-contiguous from them.
+    Alternating scaling iterations on K = exp(-lam * M) share the kernel,
+    so the whole batch reduces to matrix products, and run on a working
+    block of the active columns; the K @ V of each iteration's L1 marginal
+    check is the next one's denominator.  A column leaves the block, with
+    its scalings, once its violation is below tol or NaN, so its result
+    does not depend on the other columns, and the block is compacted, by
+    index, only when one leaves.  A column whose distance or scalings end
+    non-finite is solved again in the log domain, and every column is
+    when K has an exact zero (then no linear pass runs and U stays 0):
+    cold, as there a V0 cannot hold a useful log scaling, in blocks of
+    _LOG_BLOCK stack elements.  A finite column that did not converge is
+    returned as it is: the log domain's passes cost several times as
+    much.  Returns (distances (n,), betas (n, d), V (d, n), converged
+    (n,), loop passes run in both domains), n the number of pairs.  V
+    seeds warm starts of later calls.
     """
     Hp = np.atleast_2d(hp)
     if pairs is None:
@@ -370,9 +313,52 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
             and ((0 <= pj) & (pj < len(Hp))).all()):
         raise DimensionMismatch("pairs must be two equal-length index arrays "
                                 "into H and hp")
-    dists, G, V, conv, it = _scale_columns(H, Hp, qi, pj, M, lam, tol,
-                                           max_iter, V0)
-    return dists, (G / lam).T, V, conv, it
+    Hc = clamp_histogram(check_histograms(H))
+    Hpc = Hc if Hp is H else clamp_histogram(check_histograms(Hp))
+    d, n = Hc.shape[1], len(qi)
+    if Hpc.shape[1] != d:
+        raise DimensionMismatch(f"second marginals {Hpc.shape} vs {Hc.shape}")
+    HT, HpT = Hc.T.take(qi, 1), Hpc.T.take(pj, 1)
+    M = check_ground_metric(M, d)
+    _check_lam_iter(lam, max_iter)
+    K = np.exp(-lam * M)
+    V = np.ones((d, n)) if V0 is None else np.array(V0, dtype=float)
+    if V.shape != (d, n):
+        raise DimensionMismatch(f"warm start shape {V.shape} != {(d, n)}")
+    if not ((V > 0) & np.isfinite(V)).all():
+        raise BadParameters("warm start must be finite and positive")
+    with np.errstate(all="ignore"):
+        U, conv = np.zeros_like(V), np.zeros(n, dtype=bool)
+        act = np.arange(n if K.all() else 0)  # K == 0 somewhere: no pass
+        Ha, Hpa, KV, it = HT, HpT, K @ V, 0
+        while act.size and it < max_iter:
+            it += 1
+            Ua = Ha / KV
+            Va = Hpa / (K.T @ Ua)
+            KV = K @ Va
+            T = Ua * KV
+            T -= Ha
+            err = np.abs(T, out=T).sum(axis=0)
+            out = ~(err >= tol) | (it == max_iter)  # NaN leaves too
+            if out.any():
+                j, keep = act[out], np.flatnonzero(~out)
+                U[:, j], V[:, j] = Ua[:, out], Va[:, out]
+                conv[j] = err[out] < tol
+                act, Ha, Hpa, KV = (act[keep], Ha.take(keep, 1),
+                                    Hpa.take(keep, 1), KV.take(keep, 1))
+        dists = np.sum(U * ((K * M) @ V), axis=0)
+        G = np.log(V)
+        redo = ~(np.isfinite(dists) & ((0 < U) & (U < np.inf)).all(axis=0)
+                 & np.isfinite(G).all(axis=0))
+        redo, it_log = np.flatnonzero(redo), 0
+        width = max(1, _LOG_BLOCK // d**2)
+        for b in range(0, redo.size, width):
+            j = redo[b:b + width]
+            dists[j], G_log, conv[j], it_b = _log_scaling(
+                HT[:, j], HpT[:, j], M, lam, tol, max_iter)
+            G[:, j], V[:, j] = G_log.T, 1.0
+            it_log = max(it_log, it_b)
+    return dists, (G / lam).T, V, conv, it + it_log
 
 
 def sinkhorn_matrix(Q, P, M: np.ndarray, lam: float, tol: float = 1e-9,

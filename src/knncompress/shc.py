@@ -150,10 +150,17 @@ def shc_compress(train: LabeledDataset, m: int,
     if config.gamma_sq is not None and not 0 < config.gamma_sq < np.inf:
         raise BadParameters(
             f"gamma_sq must be positive and finite, got {config.gamma_sq}")
-    state = shc_init(train, m, config.seed, rmhc_steps=config.rmhc_steps,
+    start = shc_init(train, m, config.seed, rmhc_steps=config.rmhc_steps,
                      lam=config.lam, sinkhorn_tol=config.sinkhorn_tol,
                      sinkhorn_max_iter=config.sinkhorn_max_iter)
+    return descend(start, train, config)
 
+
+def descend(start: ShcState, train: LabeledDataset,
+            config: ShcConfig) -> ShcState:
+    """``shc_compress``'s descent from start, on a copy of it: start is
+    left as it is, so several descents can share it."""
+    state = ShcState(start.logits, start.labels, start.gamma_sq, start.lam)
     warm: dict = {}
     kw = dict(warm=warm, sinkhorn_tol=config.sinkhorn_tol,
               sinkhorn_max_iter=config.sinkhorn_max_iter)

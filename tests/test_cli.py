@@ -428,7 +428,8 @@ class TestBench:
         [1, 2], {"ratios": "abc"}, {"k": "1"}, {"seeds": [1.5]},
         {"ratios": [0.1], "scc_max_iter": "5", "methods": ["scc"]},
         {"methods": "cnn"}, {"seeds": [-1]}, {"tune": 1},
-        {"gamma_sq": "big"}, {"methods": [None]}])
+        {"gamma_sq": "big"}, {"methods": [None]},
+        {"tune": True, "gamma_sq": 1.0}])
     def test_ill_typed_plan_exit_2(self, cov_file, tmp_path, capsys, plan):
         plan_path = str(tmp_path / "plan.json")
         with open(plan_path, "w") as f:

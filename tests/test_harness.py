@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from knncompress import harness
+from knncompress import harness, shc
 from knncompress.datasets import gen_covariance_dataset, gen_histogram_dataset
 from knncompress.errors import BadParameters, DegeneratePi
 
@@ -159,17 +159,40 @@ class TestRunExperiment:
         assert records[0]["m_actual"] == round(0.2 * 28)
         assert 0.0 <= records[0]["error_rate"] <= 1.0
 
-    def test_tune_shc(self):
+    @pytest.mark.parametrize("rmhc_steps", [0, 5])
+    def test_tune_shc(self, rmhc_steps):
         # a small lambda keeps the 27 Sinkhorn-bound tuning runs fast
         plan = harness.ExperimentPlan(ratios=(0.2,), methods=("shc",),
                                       seeds=(0,), shc_max_iter=8, lam=2.0,
-                                      rmhc_steps=0, tune=True)
+                                      rmhc_steps=rmhc_steps, tune=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             records = harness.run_experiment(plan, hist_data())
         assert len(records) == 1
         assert records[0]["m_actual"] == round(0.2 * 21)
         assert 0.0 <= records[0]["error_rate"] <= 1.0
+
+    def test_tune_shc_builds_one_start(self, monkeypatch):
+        # one start for the carve-out's 27 candidates, one for the cell
+        calls = {"shc_init": 0, "sinkhorn_pairwise": 0}
+
+        def spy(name):
+            real = getattr(shc, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(shc, name, counting)
+
+        spy("shc_init")
+        spy("sinkhorn_pairwise")
+        plan = harness.ExperimentPlan(ratios=(0.2,), methods=("shc",),
+                                      seeds=(0,), shc_max_iter=8, lam=2.0,
+                                      rmhc_steps=5, tune=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            harness.run_experiment(plan, hist_data())
+        assert calls == {"shc_init": 2, "sinkhorn_pairwise": 2}
 
 
 class TestPick:
@@ -179,16 +202,16 @@ class TestPick:
                                       rmhc_steps=0, tune=True)
 
     def test_degenerate_candidate_discarded(self, monkeypatch):
-        real = harness.shc_compress
+        real = shc.descend
         tried = []
 
-        def first_candidate_fails(train, m, config):
+        def first_candidate_fails(start, train, config):
             tried.append(config.gamma_sq)
             if config.gamma_sq == tried[0]:
                 raise DegeneratePi("every p_i underflowed")
-            return real(train, m, config=config)
+            return real(start, train, config)
 
-        monkeypatch.setattr(harness, "shc_compress", first_candidate_fails)
+        monkeypatch.setattr(shc, "descend", first_candidate_fails)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             records = harness.run_experiment(self.plan(), hist_data())
@@ -197,10 +220,10 @@ class TestPick:
         assert len(set(tried)) > 1
 
     def test_every_candidate_failing_raises(self, monkeypatch):
-        def always_fails(train, m, config):
+        def always_fails(start, train, config):
             raise DegeneratePi("every p_i underflowed")
 
-        monkeypatch.setattr(harness, "shc_compress", always_fails)
+        monkeypatch.setattr(shc, "descend", always_fails)
         with pytest.raises(DegeneratePi):
             harness.run_experiment(self.plan(), hist_data())
 

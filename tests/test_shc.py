@@ -200,6 +200,24 @@ class TestCompress:
         assert state.lam == 25.0
         assert state.gamma_sq == 2.0
 
+    def test_descents_share_a_start(self):
+        # the start is not changed, so a second descent from it repeats
+        # the first exactly
+        train = small_train(seed=7, per_class=4)
+        start = shc.shc_init(train, 4, seed=2, rmhc_steps=10)
+        logits = start.logits.copy()
+        cfg = shc.ShcConfig(max_iter=6, sinkhorn_tol=1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            a = shc.descend(start, train, cfg)
+            b = shc.descend(start, train, cfg)
+        assert np.array_equal(start.logits, logits)
+        assert start.gamma_sq == 1.0
+        assert start.loss_history == [] and start.best_snapshot is None
+        assert np.array_equal(a.logits, b.logits)
+        assert a.gamma_sq == b.gamma_sq
+        assert a.loss_history == b.loss_history
+
     def test_given_gamma_used_from_the_start(self, monkeypatch):
         # the start's loss and gradient are taken at the given gamma^2, in
         # one call; selecting gamma^2 takes a second
