@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .ot import check_ground_metric, check_histograms
-from .spd import chol_logdets
+from .spd import check_spd
 
 
 @dataclass
@@ -78,8 +78,8 @@ class LabeledDataset:
               > 1e-9 * np.abs(stack).max(axis=(1, 2))).any():
             raise InconsistentInput("covariance members must be symmetric")
         else:
-            try:  # the kernels' stacked Cholesky
-                chol_logdets(stack)
+            try:  # both Cholesky kernels
+                check_spd(stack)
             except NotPositiveDefinite:
                 raise NotSpdInput("covariance members must be positive "
                                   "definite") from None
@@ -190,11 +190,11 @@ def gen_covariance_dataset(classes: int, per_class: int, d: int,
         X = Z @ Z.transpose(0, 2, 1) / wishart_dof
         X = 0.5 * (X + X.transpose(0, 2, 1))
         try:
-            chol_logdets(X)
+            check_spd(X)
         except NotPositiveDefinite:  # a ridge on the members that fail
             for x in X:
                 try:
-                    chol_logdets(x)
+                    check_spd(x[None])
                 except NotPositiveDefinite:
                     x += 1e-10 * np.trace(x) / d * np.eye(d)
         members[c] = X

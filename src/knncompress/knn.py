@@ -1,10 +1,10 @@
 """Brute-force kNN classification, error measurement, and timing.
 
 No acceleration structures: speedups come entirely from reference-set
-shrinkage.  Distances are batched (JBLD per reference member, Sinkhorn
-over all query-reference pairs at once, each pair stopping as it would
-alone), so their cost is linear in the reference set, and wall time is
-measured over that (median of three repetitions on a monotonic clock).
+shrinkage.  Distances are batched (JBLD in blocks of reference members,
+Sinkhorn over all query-reference pairs at once, each pair stopping as it
+would alone), so their cost is linear in the reference set, and wall time
+is measured over that (median of three repetitions on a monotonic clock).
 """
 from __future__ import annotations
 

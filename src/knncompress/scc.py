@@ -20,7 +20,7 @@ from .neighborhood import (
     select_gamma_sq,
 )
 from .optim import ncg_minimize
-from .spd import chol_logdets, inv_chol_logdets
+from .spd import chol_logdets, chol_logdets_last, tril_inv_last
 
 # steps taking a factor below this diagonal conditioning are rejected
 _COND_FLOOR = 1e-14
@@ -73,16 +73,17 @@ def jbld_midpoints(B: np.ndarray, X: np.ndarray):
     """(n, m) JBLD distances between members X_i and prototypes B_j.T B_j,
     and the inverse lower Cholesky factors L_ij^-1 of their midpoints.
 
-    The midpoints are built stack-last, (d, d, m, n), and factored and
-    inverted by one spd.inv_chol_logdets call, whose (d, d, m, n) inverses
-    are returned; the member log-dets come from spd.chol_logdets.
+    The midpoints are built stack-last, (d, d, m, n), factored by
+    spd.chol_logdets_last and inverted in place by spd.tril_inv_last; the
+    member log-dets come from spd.chol_logdets.
     """
     S = B.transpose(0, 2, 1) @ B
     # (X_i + S_j) / 2 as X_i / 2 + S_j / 2: halving is exact
     Xh = np.ascontiguousarray(0.5 * X.transpose(1, 2, 0))
     mid = np.empty(B.shape[1:] + (len(B), len(X)))
     np.add(Xh[:, :, None], (0.5 * S).transpose(1, 2, 0)[..., None], out=mid)
-    Linv, ld_mid = inv_chol_logdets(mid)
+    L, ld_mid = chol_logdets_last(mid)
+    Linv = tril_inv_last(L)
     # log|B_j' B_j| from B_j's diagonal: every factor stack is upper
     # triangular, SCC's optimizer points included, because scc_loss_grad's
     # np.triu zeroes the strict lower triangle of every gradient

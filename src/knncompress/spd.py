@@ -14,6 +14,8 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, EmptyInput, NoConvergence, NotPositiveDefinite
 
+_JBLD_BLOCK = 1 << 19  # float64 entries in a jbld_matrix stack: 4 MB
+
 
 def _as_square(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     X = np.asarray(X, dtype=float)
@@ -44,10 +46,11 @@ def tril_inv(L: np.ndarray) -> np.ndarray:
     substitution, one row per step over a copy of the stack held
     stack-last."""
     Lt = np.array(np.moveaxis(L, (-2, -1), (0, 1)), dtype=float, order="C")
-    return np.moveaxis(_tril_inv_in_place(Lt), (0, 1), (-2, -1))
+    return np.moveaxis(tril_inv_last(Lt), (0, 1), (-2, -1))
 
 
-def _tril_inv_in_place(M: np.ndarray) -> np.ndarray:
+def tril_inv_last(M: np.ndarray) -> np.ndarray:
+    """tril_inv of a stack held stack-last, (d, d, ...), over it in place."""
     # row k of the inverse needs row k of L and the inverse's rows above
     # it, so each row can overwrite its own
     for k in range(M.shape[0]):
@@ -57,13 +60,13 @@ def _tril_inv_in_place(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def inv_chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse lower Cholesky factors L^-1 and log-determinants of an SPD
-    stack held stack-last, (d, d, ...).
+def chol_logdets_last(S) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors and log-determinants of an SPD stack held
+    stack-last, (d, d, ...): the kernel of every JBLD midpoint.
 
     A d-step left-looking Cholesky, each step one column of every member
-    at once, then tril_inv's forward substitution over the factors in
-    place.  NotPositiveDefinite if any pivot is not > 0, NaN included.
+    at once.  NotPositiveDefinite if any pivot is not > 0, NaN included.
+    numpy sums a one-element stack in another order than a larger one.
     """
     S = np.asarray(S, dtype=float)
     L = np.zeros(S.shape)
@@ -74,8 +77,15 @@ def inv_chol_logdets(S) -> tuple[np.ndarray, np.ndarray]:
                 "Cholesky failed: input not positive definite")
         L[j, j] = np.sqrt(v[0])
         L[j + 1:, j] = v[1:] / L[j, j]
-    logdets = 2.0 * np.log(np.diagonal(L, axis1=0, axis2=1)).sum(axis=-1)
-    return _tril_inv_in_place(L), logdets
+    return L, 2.0 * np.log(np.diagonal(L, axis1=0, axis2=1)).sum(axis=-1)
+
+
+def check_spd(S: np.ndarray) -> None:
+    """NotPositiveDefinite unless LAPACK and chol_logdets_last each factor
+    every member of an (n, d, d) stack, the latter with I appended."""
+    chol_logdets(S)
+    chol_logdets_last(
+        np.concatenate([S, np.eye(S.shape[-1])[None]]).transpose(1, 2, 0))
 
 
 def _check_pair(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,9 +120,11 @@ def _as_stack(A, name: str) -> np.ndarray:
 def jbld_matrix(A, B) -> np.ndarray:
     """(len(A), len(B)) matrix of jbld(A[i], B[j]), the one JBLD kernel.
 
-    Each member's log-determinant is computed once; the midpoints are
-    factored one stacked Cholesky per member of B, so the cost is linear
-    in len(B) with the rows of A batched.
+    Each block of w >= 1 columns of B, a stack within _JBLD_BLOCK entries
+    if one column fits, is one (d, d, len(A) + 1, w + 1) chol_logdets_last
+    call: the midpoints A_i / 2 + B_j / 2 (halving is exact, so a self-pair
+    gives the member itself), each A_i after its row, the block in the last
+    row and I in the corner, so no stack has fewer than four members.
     """
     if len(A) == 0 or len(B) == 0:
         return np.zeros((len(A), len(B)))
@@ -121,10 +133,17 @@ def jbld_matrix(A, B) -> np.ndarray:
     if A.shape[1:] != B.shape[1:]:
         raise DimensionMismatch(
             f"shape mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-    ld_a, ld_b = chol_logdets(A)[1], chol_logdets(B)[1]
-    D = np.empty((len(A), len(B)))
-    for j in range(len(B)):
-        D[:, j] = chol_logdets(0.5 * (A + B[j]))[1] - 0.5 * (ld_a + ld_b[j])
+    n, d = len(A), A.shape[1]
+    w = max(1, _JBLD_BLOCK // (d * d * (n + 1)) - 1)
+    At = A.transpose(1, 2, 0)
+    D = np.empty((n, len(B)))
+    for s in range(0, len(B), w):
+        Bt = B[s:s + w].transpose(1, 2, 0)
+        S = np.empty((d, d, n + 1, Bt.shape[2] + 1))
+        S[:, :, :-1, :-1] = 0.5 * At[..., None] + 0.5 * Bt[:, :, None]
+        S[:, :, :-1, -1], S[:, :, -1, :-1], S[:, :, -1, -1] = At, Bt, np.eye(d)
+        ld = chol_logdets_last(S)[1]
+        D[:, s:s + w] = ld[:-1, :-1] - 0.5 * (ld[:-1, -1:] + ld[-1, :-1])
     return D
 
 

@@ -315,6 +315,15 @@ class TestEval:
         assert cli.main(["eval", "--reference", bad, "--test", bad]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_member_only_lapack_factors_exit_2(self, cov_file, tmp_path,
+                                               capsys):
+        a = float(np.float32(3.4723482)) ** 2
+        bad = self.edited(cov_file, tmp_path, lambda doc: doc["members"]
+                          .__setitem__(0, [a, a, 0.0, a, a, 0.0, 0.0, 0.0,
+                                           1.0]))
+        assert cli.main(["eval", "--reference", bad, "--test", cov_file]) == 2
+        assert "positive definite" in capsys.readouterr().err
+
     def test_scc_rejected_start_exit_2(self, cov_file, tmp_path, capsys):
         # passes plain Cholesky on a pivot of 4e-16, so the dataset takes
         # it, but its factor is below SCC's conditioning floor

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from knncompress import datasets as ds
+from knncompress.spd import check_spd
 from knncompress.errors import (
     BadParameters,
     ClassStarved,
@@ -11,6 +12,7 @@ from knncompress.errors import (
     InconsistentInput,
     InfeasibleMarginals,
     NonFiniteInput,
+    NotPositiveDefinite,
     NotSpdInput,
     TooFewInputs,
     ValidationError,
@@ -106,6 +108,15 @@ class TestLabeledDataset:
         with pytest.raises(NotSpdInput):
             ds.LabeledDataset(family="covariance", dim=3,
                               members=[np.eye(3), np.ones((3, 3))],
+                              labels=np.array([0, 1]))
+
+    def test_member_only_lapack_factors_rejected(self):
+        # rank one: LAPACK's Cholesky passes it on a rounding pivot, the
+        # stack-last kernel that JBLD runs does not
+        a = float(np.float32(3.4723482)) ** 2
+        with pytest.raises(NotSpdInput):
+            ds.LabeledDataset(family="covariance", dim=2,
+                              members=[np.eye(2), np.full((2, 2), a)],
                               labels=np.array([0, 1]))
 
     @pytest.mark.parametrize("family", ["covariance", "histogram"])
@@ -280,8 +291,8 @@ class TestGenerators:
                 X = Z @ Z.T / dof
                 X = 0.5 * (X + X.T)
                 try:
-                    np.linalg.cholesky(X)
-                except np.linalg.LinAlgError:
+                    check_spd(X[None])
+                except NotPositiveDefinite:
                     if repair:
                         X = X + 1e-10 * np.trace(X) / d * np.eye(d)
                 members.append(X)
@@ -327,8 +338,8 @@ class TestGenerators:
         failing = []
         for i, X in enumerate(raw):
             try:
-                np.linalg.cholesky(X)
-            except np.linalg.LinAlgError:
+                check_spd(X[None])
+            except NotPositiveDefinite:
                 failing.append(i)
         assert failing  # member 1467: eigenvalues 2e-16 to 5.1
         data = ds.gen_covariance_dataset(*self.REPAIRED)

@@ -77,7 +77,8 @@ class TestInvCholLogdets:
         rng = np.random.default_rng(d)
         S = np.array([[random_spd(rng, d) for _ in range(4)]
                       for _ in range(3)])
-        Linv, ld = spd.inv_chol_logdets(S.transpose(2, 3, 0, 1))
+        factors, ld = spd.chol_logdets_last(S.transpose(2, 3, 0, 1))
+        Linv = spd.tril_inv_last(factors)
         L, ref_ld = spd.chol_logdets(S)
         ref = np.linalg.inv(L)
         got = Linv.transpose(2, 3, 0, 1)
@@ -98,7 +99,7 @@ class TestInvCholLogdets:
         else:  # singular PSD; chol_logdets rejects it too
             S[1, 2] = np.ones((3, 3))
         with pytest.raises(NotPositiveDefinite):
-            spd.inv_chol_logdets(S.transpose(2, 3, 0, 1))
+            spd.chol_logdets_last(S.transpose(2, 3, 0, 1))
 
 
 class TestJbld:
@@ -168,6 +169,53 @@ class TestJbldMatrix:
 
     def test_carried_by_jbld(self):
         assert spd.jbld.matrix is spd.jbld_matrix
+
+    def test_no_lapack_cholesky(self, monkeypatch):
+        def lapack(S):
+            raise AssertionError("LAPACK Cholesky called")
+
+        monkeypatch.setattr(spd, "chol_logdets", lapack)
+        rng = np.random.default_rng(14)
+        X = [random_spd(rng, 3) for _ in range(4)]
+        assert spd.jbld_matrix(X, X[:2]).shape == (4, 2)
+        assert spd.jbld(X[0], X[1]) > 0
+        assert spd.jbld.pairwise(X).shape == (4, 4)
+
+    @pytest.mark.parametrize("budget, widths",
+                             [(1, [1] * 7), (25 * 9 * 4, [3, 3, 1])])
+    def test_blocks_equal_one_block(self, monkeypatch, budget, widths):
+        rng = np.random.default_rng(15)
+        A = [random_spd(rng, 5, 0.1) for _ in range(8)]
+        B = [random_spd(rng, 5, 0.1) for _ in range(7)]
+        whole = spd.jbld_matrix(A, B)
+        shapes = []
+        kernel = spd.chol_logdets_last
+
+        def recording(S):
+            shapes.append(S.shape)
+            return kernel(S)
+
+        monkeypatch.setattr(spd, "chol_logdets_last", recording)
+        monkeypatch.setattr(spd, "_JBLD_BLOCK", budget)
+        assert np.array_equal(spd.jbld_matrix(A, B), whole)
+        assert shapes == [(5, 5, 9, w + 1) for w in widths]
+        # within the budget, or one column where one column is more
+        assert max(np.prod(shapes, axis=1)) <= max(budget, 25 * 9 * 2)
+
+    @pytest.mark.parametrize("d", [5, 20])
+    def test_matches_lapack_formula(self, d):
+        rng = np.random.default_rng(d)
+        A = np.array([random_spd(rng, d, 0.1) for _ in range(6)])
+        B = np.array([random_spd(rng, d, 0.1) for _ in range(5)])
+
+        def logdet(S):
+            return 2.0 * np.log(np.diagonal(np.linalg.cholesky(S),
+                                            axis1=-2, axis2=-1)).sum(-1)
+
+        ref = (logdet(0.5 * (A[:, None] + B[None]))
+               - 0.5 * (logdet(A)[:, None] + logdet(B)[None]))
+        D = spd.jbld_matrix(A, B)
+        assert np.abs(D - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestAirm:
