@@ -188,22 +188,22 @@ def gen_covariance_dataset(classes: int, per_class: int, d: int,
         L = np.linalg.cholesky(0.5 * (P + P.T))
         Z = L @ rng.standard_normal((per_class, d, wishart_dof))
         X = Z @ Z.transpose(0, 2, 1) / wishart_dof
-        X = 0.5 * (X + X.transpose(0, 2, 1))
-        try:
-            check_spd(X)
-        except NotPositiveDefinite:  # a ridge on the members that fail
-            for x in X:
-                try:
-                    check_spd(x[None])
-                except NotPositiveDefinite:
-                    x += 1e-10 * np.trace(x) / d * np.eye(d)
-        members[c] = X
-    return LabeledDataset(
+        members[c] = 0.5 * (X + X.transpose(0, 2, 1))
+    fields = dict(
         family="covariance", dim=d, members=members.reshape(-1, d, d),
         labels=np.repeat(np.arange(classes), per_class),
         metadata={"name": "wishart-synthetic", "seed": seed,
                   "classes": classes, "per_class": per_class,
                   "wishart_dof": wishart_dof, "separation": separation})
+    try:
+        return LabeledDataset(**fields)
+    except NotSpdInput:  # a ridge on the failing members; it draws no numbers
+        for x in fields["members"]:
+            try:
+                check_spd(x[None])
+            except NotPositiveDefinite:
+                x += 1e-10 * np.trace(x) / d * np.eye(d)
+    return LabeledDataset(**fields)
 
 
 def gen_histogram_dataset(classes: int, per_class: int, d: int,

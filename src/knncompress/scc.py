@@ -69,48 +69,56 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
                     gamma_sq=1.0)
 
 
-def jbld_midpoints(B: np.ndarray, X: np.ndarray):
-    """(n, m) JBLD distances between members X_i and prototypes B_j.T B_j,
-    and the inverse lower Cholesky factors L_ij^-1 of their midpoints.
+class SccObjective:
+    """SCC's loss for one run on members and m prototypes: the halved
+    members stack-last, (d, d, n), their log-dets, and the buffers each
+    call writes in place, the midpoint factors L, (d, d, m, n), whose
+    strict upper triangle stays 0, and a (d, m, n) work column."""
 
-    The midpoints are built stack-last, (d, d, m, n), factored by
-    spd.chol_logdets_last and inverted in place by spd.tril_inv_last; the
-    member log-dets come from spd.chol_logdets.
-    """
-    S = B.transpose(0, 2, 1) @ B
-    # (X_i + S_j) / 2 as X_i / 2 + S_j / 2: halving is exact
-    Xh = np.ascontiguousarray(0.5 * X.transpose(1, 2, 0))
-    mid = np.empty(B.shape[1:] + (len(B), len(X)))
-    np.add(Xh[:, :, None], (0.5 * S).transpose(1, 2, 0)[..., None], out=mid)
-    L, ld_mid = chol_logdets_last(mid)
-    Linv = tril_inv_last(L)
-    # log|B_j' B_j| from B_j's diagonal: every factor stack is upper
-    # triangular, SCC's optimizer points included, because scc_loss_grad's
-    # np.triu zeroes the strict lower triangle of every gradient
-    ld_S = 2.0 * np.log(np.abs(np.diagonal(B, axis1=1, axis2=2))).sum(axis=1)
-    D = ld_mid - 0.5 * (chol_logdets(X)[1] + ld_S[:, None])
-    return np.ascontiguousarray(D.T), Linv  # rows contiguous, as kl_loss sums
+    def __init__(self, members: np.ndarray, m: int):
+        self.Xh = np.ascontiguousarray(0.5 * members.transpose(1, 2, 0))
+        self.ld_X = chol_logdets(members)[1]
+        self.L = np.zeros(self.Xh.shape[:2] + (m, len(members)))
+        self.work = np.empty(self.L.shape[1:])
+
+    def distances(self, B: np.ndarray) -> np.ndarray:
+        """(n, m) JBLD distances to the prototypes B_j' B_j; L then holds
+        the factors of the midpoints X_i / 2 + S_j / 2 (halving is exact),
+        built there one lower column at a time."""
+        Sh = (0.5 * (B.transpose(0, 2, 1) @ B)).transpose(1, 2, 0)
+        for j in range(len(Sh)):
+            np.add(self.Xh[j:, j, None], Sh[j:, j, :, None], out=self.L[j:, j])
+        ld_mid = chol_logdets_last(self.L, self.L, self.work)[1]
+        # log|B_j' B_j| from B_j's diagonal: every factor stack is upper
+        # triangular, SCC's optimizer points included, because scc_loss_grad's
+        # np.triu zeroes the strict lower triangle of every gradient
+        ld_S = 2.0 * np.log(np.abs(np.diagonal(B, axis1=1, axis2=2))).sum(axis=1)
+        D = ld_mid - 0.5 * (self.ld_X + ld_S[:, None])
+        return np.ascontiguousarray(D.T)  # rows contiguous, as kl_loss sums
 
 
-def jbld_distance_matrix(factors, members) -> np.ndarray:
+def jbld_distance_matrix(factors, members, objective=None) -> np.ndarray:
     """(n, m) JBLD distances between members and prototypes, the loss's
-    own, for gamma^2 selection."""
-    return jbld_midpoints(factors, members)[0]
+    own, for gamma^2 selection; objective, if given, is on these members."""
+    return (objective or SccObjective(members, len(factors))).distances(factors)
 
 
-def scc_loss_grad(state: SccState, train: LabeledDataset):
-    """KL loss and its (m, d, d) gradient w.r.t. the upper-triangular factors.
+def scc_loss_grad(state: SccState, train: LabeledDataset, objective=None):
+    """KL loss and its (m, d, d) gradient w.r.t. the upper-triangular factors;
+    objective, if given, is an SccObjective on train's members.
 
     Gradient for prototype j is sum_i c_ij * d jbld(X_i, B_j' B_j)/d B_j,
     assembled as B_j V_j - (sum_i c_ij) B_j^-T with
     V_j = 2 sum_i c_ij (X_i + S_j)^-1 = sum_i c_ij L_ij^-T L_ij^-1, L_ij
-    the midpoint factor of jbld_midpoints.  One pass over all pairs on its
-    stack-last inverses: row k of each L_ij^-1 is zero past column k, so
-    it adds an outer product to V_j's leading (k+1, k+1) block, summed
-    over i by one (k+1, n) @ (n, k+1) product per prototype.
+    the midpoint factor of SccObjective.distances.  One pass over all pairs
+    on its stack-last inverses: row k of each L_ij^-1 is zero past column
+    k, so it adds an outer product to V_j's leading (k+1, k+1) block,
+    summed over i by one (k+1, n) @ (n, k+1) product per prototype.
     """
+    objective = objective or SccObjective(train.members, state.m)
     B = state.factors
-    D, Linv = jbld_midpoints(B, train.members)
+    D = objective.distances(B)
+    Linv = tril_inv_last(objective.L, objective.work)
     model = NeighborhoodModel(state.gamma_sq, state.labels, train.labels, D)
     loss = kl_loss(model)
     C = gradient_coeffs(model).T  # (m, n)
@@ -138,13 +146,14 @@ def scc_compress(train: LabeledDataset, m: int,
     config = config or SccConfig()
     state = scc_init(train, m, config.seed)
     shape = state.factors.shape
+    objective = SccObjective(train.members, m)
 
     if config.gamma_sq is not None:
         state.gamma_sq = config.gamma_sq
     else:
         state.gamma_sq = select_gamma_sq(
-            jbld_distance_matrix(state.factors, train.members), state.labels,
-            train.labels)
+            jbld_distance_matrix(state.factors, train.members, objective),
+            state.labels, train.labels)
 
     def fg(x):
         # (inf, 0), which no line search accepts, at a non-finite or
@@ -158,8 +167,8 @@ def scc_compress(train: LabeledDataset, m: int,
         if np.all(lo > 0.0) and np.all((lo / hi) ** 2 >= _COND_FLOOR):
             try:
                 with np.errstate(all="ignore"):
-                    loss, grads = scc_loss_grad(
-                        SccState(B, state.labels, state.gamma_sq), train)
+                    loss, grads = scc_loss_grad(SccState(
+                        B, state.labels, state.gamma_sq), train, objective)
             except NotPositiveDefinite:
                 return np.inf, np.zeros_like(x)
             g = grads.ravel()

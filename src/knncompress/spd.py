@@ -49,34 +49,40 @@ def tril_inv(L: np.ndarray) -> np.ndarray:
     return np.moveaxis(tril_inv_last(Lt), (0, 1), (-2, -1))
 
 
-def tril_inv_last(M: np.ndarray) -> np.ndarray:
-    """tril_inv of a stack held stack-last, (d, d, ...), over it in place."""
+def tril_inv_last(M: np.ndarray, work=None) -> np.ndarray:
+    """tril_inv of a stack held stack-last, (d, d, ...), over it in place;
+    its strict upper triangle must be 0.  work: a buffer, M.shape[1:]."""
+    work = np.empty(M.shape[1:]) if work is None else work
     # row k of the inverse needs row k of L and the inverse's rows above
     # it, so each row can overwrite its own
     for k in range(M.shape[0]):
-        M[k, k] = 1.0 / M[k, k]
-        M[k, :k] = -M[k, k] * np.einsum("p...,pq...->q...", M[k, :k],
-                                        M[:k, :k])
+        np.divide(1.0, M[k, k], out=M[k, k, ...])
+        np.multiply(-M[k, k], np.einsum("p...,pq...->q...", M[k, :k],
+                                        M[:k, :k], out=work[:k]), out=M[k, :k])
     return M
 
 
-def chol_logdets_last(S) -> tuple[np.ndarray, np.ndarray]:
+def chol_logdets_last(S, L=None, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors and log-determinants of an SPD stack held
     stack-last, (d, d, ...): the kernel of every JBLD midpoint.
 
     A d-step left-looking Cholesky, each step one column of every member
     at once.  NotPositiveDefinite if any pivot is not > 0, NaN included.
     numpy sums a one-element stack in another order than a larger one.
+    Buffers: L, with a strict upper triangle of 0s (S itself will do, as
+    step j reads S's column j before writing L's), and work, S.shape[1:].
     """
     S = np.asarray(S, dtype=float)
-    L = np.zeros(S.shape)
+    L = np.zeros(S.shape) if L is None else L
+    work = np.empty(S.shape[1:]) if work is None else work
     for j in range(S.shape[0]):
-        v = S[j:, j] - np.einsum("kp...,p...->k...", L[j:, :j], L[j, :j])
+        v = np.einsum("kp...,p...->k...", L[j:, :j], L[j, :j], out=work[j:])
+        np.subtract(S[j:, j], v, out=v)
         if not (v[0] > 0.0).all():
             raise NotPositiveDefinite(
                 "Cholesky failed: input not positive definite")
-        L[j, j] = np.sqrt(v[0])
-        L[j + 1:, j] = v[1:] / L[j, j]
+        np.sqrt(v[0], out=L[j, j, ...])
+        np.divide(v[1:], L[j, j], out=L[j + 1:, j])
     return L, 2.0 * np.log(np.diagonal(L, axis1=0, axis2=1)).sum(axis=-1)
 
 

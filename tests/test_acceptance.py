@@ -88,13 +88,13 @@ def cov_runs():
     spd_violations = [0]
     orig = scc.scc_loss_grad
 
-    def spy(state, train):
+    def spy(state, train, *objective):
         for B in state.factors:
             try:
                 np.linalg.cholesky(B.T @ B)
             except np.linalg.LinAlgError:
                 spd_violations[0] += 1
-        return orig(state, train)
+        return orig(state, train, *objective)
 
     rows = []
     t0 = time.perf_counter()

@@ -346,6 +346,18 @@ class TestGenerators:
         changed = (data.members != raw).any(axis=(1, 2))
         assert np.flatnonzero(changed).tolist() == failing
 
+    @pytest.mark.parametrize("call", [COV_CALLS[0], REPAIRED], ids=str)
+    def test_covariance_members_checked_once(self, call, monkeypatch):
+        # the dataset's own check; the ridge's per-member checks and a
+        # second build only for a draw that fails it
+        sizes = []
+        monkeypatch.setattr(ds, "check_spd",
+                            lambda S: sizes.append(len(S)) or check_spd(S))
+        data = ds.gen_covariance_dataset(*call)
+        n = len(data)
+        assert sizes == ([n] if call != self.REPAIRED
+                         else [n] + [1] * n + [n])
+
     @pytest.mark.parametrize("call", HIST_CALLS, ids=str)
     def test_histogram_equals_per_member_draw(self, call):
         members, labels, M = self.histogram_reference(*call)

@@ -5,15 +5,33 @@ import pytest
 
 from knncompress import scc
 from knncompress.datasets import LabeledDataset, gen_covariance_dataset
-from knncompress.errors import TooFewInputs, ValidationError
+from knncompress.errors import (
+    NotPositiveDefinite, TooFewInputs, ValidationError)
 from knncompress.neighborhood import (
     NeighborhoodModel, gradient_coeffs, kl_loss)
-from knncompress.spd import jbld, jbld_gradient_chol, jbld_matrix, tril_inv
+from knncompress.spd import (
+    chol_logdets, chol_logdets_last, jbld, jbld_gradient_chol, jbld_matrix,
+    tril_inv, tril_inv_last)
 
 
 def small_train(seed=0, classes=2, per_class=5, d=3):
     return gen_covariance_dataset(classes=classes, per_class=per_class, d=d,
                                   wishart_dof=20, separation=1.5, seed=seed)
+
+
+def midpoints_reference(B, X):
+    """The distances and inverse midpoint factors as the loss computed them
+    before SccObjective: every stack allocated afresh, every member
+    factored again."""
+    S = B.transpose(0, 2, 1) @ B
+    Xh = np.ascontiguousarray(0.5 * X.transpose(1, 2, 0))
+    mid = np.empty(B.shape[1:] + (len(B), len(X)))
+    np.add(Xh[:, :, None], (0.5 * S).transpose(1, 2, 0)[..., None], out=mid)
+    L, ld_mid = chol_logdets_last(mid)
+    Linv = tril_inv_last(L)
+    ld_S = 2.0 * np.log(np.abs(np.diagonal(B, axis1=1, axis2=2))).sum(axis=1)
+    D = ld_mid - 0.5 * (chol_logdets(X)[1] + ld_S[:, None])
+    return np.ascontiguousarray(D.T), Linv
 
 
 def numeric_grad(state, train, h=1e-6):
@@ -68,7 +86,7 @@ class TestDistanceMatrix:
     def test_matches_jbld(self):
         train = small_train()
         state = scc.scc_init(train, 3, seed=1)
-        D = scc.jbld_midpoints(state.factors, train.members)[0]
+        D = scc.jbld_distance_matrix(state.factors, train.members)
         protos = state.prototypes()
         for i, X in enumerate(train.members):
             for j, P in enumerate(protos):
@@ -77,18 +95,21 @@ class TestDistanceMatrix:
     def test_matches_jbld_matrix(self):
         train = small_train(seed=3)
         state = scc.scc_init(train, 4, seed=2)
-        D = scc.jbld_midpoints(state.factors, train.members)[0]
+        D = scc.jbld_distance_matrix(state.factors, train.members)
         ref = jbld_matrix(train.members, state.prototypes())
         # relative to the largest entry: the prototypes are members, so
         # their own distances are rounding-level zeros
         assert np.max(np.abs(D - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_gamma_selection_reads_the_loss_distances(self):
+    def test_gamma_selection_reads_the_loss_distances(self, monkeypatch):
         train = small_train(seed=3)
-        factors = scc.scc_init(train, 4, seed=2).factors
+        state = scc.scc_init(train, 4, seed=2)
+        seen = []
+        monkeypatch.setattr(scc, "NeighborhoodModel", lambda g, p, t, D: (
+            seen.append(D) or NeighborhoodModel(g, p, t, D)))
+        scc.scc_loss_grad(state, train)
         assert np.array_equal(
-            scc.jbld_distance_matrix(factors, train.members),
-            scc.jbld_midpoints(factors, train.members)[0])
+            scc.jbld_distance_matrix(state.factors, train.members), seen[0])
 
 
 class TestLossGrad:
@@ -118,7 +139,7 @@ class TestLossGrad:
         # the gradient as it was written with every B_j^-T in full
         def reference(state, train):
             B = state.factors
-            D, Linv = scc.jbld_midpoints(B, train.members)
+            D, Linv = midpoints_reference(B, train.members)
             model = NeighborhoodModel(state.gamma_sq, state.labels,
                                       train.labels, D)
             C = gradient_coeffs(model).T
@@ -163,8 +184,98 @@ class TestLossGrad:
                 assert np.max(rel[np.triu_indices(3)]) < 1e-4
 
 
+class TestObjective:
+    def test_calls_write_into_the_objectives_buffers(self, monkeypatch):
+        train = small_train(seed=3, classes=3, per_class=6, d=4)
+        state = scc.scc_init(train, 5, seed=1)
+        objective = scc.SccObjective(train.members, 5)
+        L, work = objective.L, objective.work
+        seen, chol, inv = [], scc.chol_logdets_last, scc.tril_inv_last
+
+        def chol_spy(S, *buffers):
+            out = chol(S, *buffers)
+            seen.append((S, out[0]) + buffers)
+            return out
+
+        def inv_spy(M, *buffers):
+            seen.append((M, inv(M, *buffers)) + buffers)
+            return seen[-1][1]
+
+        monkeypatch.setattr(scc, "chol_logdets_last", chol_spy)
+        monkeypatch.setattr(scc, "tril_inv_last", inv_spy)
+        for factors in (state.factors, 1.1 * state.factors):
+            scc.scc_loss_grad(scc.SccState(factors, state.labels, 1.5),
+                              train, objective)
+        assert len(seen) == 4  # one factorization, one inverse per call
+        assert all(S is L and out is L and fL is L and w is work
+                   for S, out, fL, w in seen[::2])
+        assert all(M is L and out is L and w is work
+                   for M, out, w in seen[1::2])
+        assert objective.L is L and objective.work is work
+        # the strict upper triangle of every factor stays exactly zero
+        assert not np.triu(np.moveaxis(L, (0, 1), (-2, -1)), 1).any()
+
+    def test_equals_a_fresh_objective_at_every_point(self, monkeypatch):
+        train = small_train(seed=3, classes=3, per_class=6, d=4)
+        seen, orig = {}, scc.ncg_minimize
+
+        def spy(fg, x0, **kwargs):
+            seen["fg"] = fg
+            return orig(fg, x0, **kwargs)
+
+        monkeypatch.setattr(scc, "ncg_minimize", spy)
+        state = scc.scc_compress(train, 5, scc.SccConfig(max_iter=2, seed=1))
+        rng = np.random.default_rng(1)
+        good = state.factors + 0.05 * np.triu(
+            rng.standard_normal(state.factors.shape))
+        bad = good.copy()
+        bad[0, 0, 1] = 1e300  # B_0' B_0 overflows: no midpoint factors
+        objective = scc.SccObjective(train.members, 5)
+        with np.errstate(all="ignore"):
+            for factors in (state.factors, bad, good):
+                trial = scc.SccState(factors, state.labels, state.gamma_sq)
+                if factors is bad:
+                    for obj in ((), (objective,)):
+                        with pytest.raises(NotPositiveDefinite):
+                            scc.scc_loss_grad(trial, train, *obj)
+                    continue
+                loss, G = scc.scc_loss_grad(trial, train)
+                got_loss, got_G = scc.scc_loss_grad(trial, train, objective)
+                assert got_loss == loss and np.array_equal(got_G, G)
+        # the run's own objective, through fg: (inf, 0) at the point that
+        # does not factor, and the fresh objective's values after it
+        loss_bad, g_bad = seen["fg"](bad.ravel())
+        assert loss_bad == np.inf and not g_bad.any()
+        got_loss, got_g = seen["fg"](good.ravel())
+        assert got_loss == loss and np.array_equal(got_g, G.ravel())
+
+    # scc_compress(small_train(seed=13, classes=3, per_class=8), 6,
+    # SccConfig(max_iter=8, seed=0)).loss_history, recorded when every loss
+    # call still built its stacks afresh; the arithmetic is unchanged, so
+    # the same numpy and BLAS reproduce it bit for bit
+    LOSS_HISTORY = [0.008966111483514429, 0.0020880596488389333,
+                    0.0006463175729282441, 0.00029879516626003214,
+                    0.00021028445049893276, 4.0772918591894806e-05,
+                    1.6577610687119215e-05, 7.205944196854664e-06,
+                    6.124853412046975e-06]
+
+    def test_one_objective_per_run_keeps_the_loss_history(self, monkeypatch):
+        objectives, orig = [], scc.scc_loss_grad
+
+        def spy(state, tr, *objective):
+            objectives.extend(objective)
+            return orig(state, tr, *objective)
+
+        monkeypatch.setattr(scc, "scc_loss_grad", spy)
+        state = scc.scc_compress(small_train(seed=13, classes=3, per_class=8),
+                                 6, scc.SccConfig(max_iter=8, seed=0))
+        assert len(objectives) > 8
+        assert all(obj is objectives[0] for obj in objectives)
+        assert np.array_equal(state.loss_history, self.LOSS_HISTORY)
+
+
 def loo_error_free(state, train):
-    D = scc.jbld_midpoints(state.factors, train.members)[0]
+    D = scc.jbld_distance_matrix(state.factors, train.members)
     pred = state.labels[np.argmin(D, axis=1)]
     return np.array_equal(pred, train.labels)
 
@@ -225,12 +336,12 @@ class TestCompress:
         assert lf <= li + 1e-12
 
     def test_every_factor_stack_stays_upper_triangular(self, monkeypatch):
-        # jbld_midpoints reads log|B_j' B_j| from the diagonal of B_j
+        # SccObjective.distances reads log|B_j' B_j| from B_j's diagonal
         seen, orig = [], scc.scc_loss_grad
 
-        def spy(state, tr):
+        def spy(state, tr, *objective):
             seen.append(not np.tril(state.factors, -1).any())
-            return orig(state, tr)
+            return orig(state, tr, *objective)
 
         monkeypatch.setattr(scc, "scc_loss_grad", spy)
         state = scc.scc_compress(small_train(seed=13, classes=3, per_class=8),
@@ -252,8 +363,8 @@ class TestCompress:
         train = small_train()
         calls, orig = [0], scc.scc_loss_grad
 
-        def poisoned(state, tr):
-            loss, grads = orig(state, tr)
+        def poisoned(state, tr, *objective):
+            loss, grads = orig(state, tr, *objective)
             calls[0] += 1
             if calls[0] == 2:  # the first trial point of the first step
                 if part == "loss":
