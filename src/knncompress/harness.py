@@ -10,17 +10,15 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import baselines, ot, shc, spd
+from . import baselines, ot, scc, shc, spd
 from .datasets import LabeledDataset, stratified_indices
 from .errors import BadParameters, DegeneratePi
 from .knn import evaluate, pairwise_distances
 from .neighborhood import gamma_sq_grid
-from .scc import SccConfig, jbld_distance_matrix, scc_compress, scc_init
-from .shc import ShcConfig, default_lambda, shc_compress
 
 FEW_CLASS_RATIOS = (0.02, 0.04, 0.08, 0.16)
 
@@ -110,7 +108,7 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
     if dataset.family == "covariance":
         return _JBLD, None
     M = dataset.ground_metric
-    lam = lam if lam is not None else default_lambda(M)
+    lam = lam if lam is not None else shc.default_lambda(M)
 
     def metric(h, hp):
         return float(metric.matrix([h], [hp])[0][0, 0])
@@ -192,19 +190,20 @@ def _rmhc(c: _Cell) -> baselines.ReducedSet:
 
 
 def _scc(c: _Cell) -> LabeledDataset:
-    cfg = SccConfig(max_iter=c.plan.scc_max_iter, gamma_sq=c.plan.gamma_sq,
-                    seed=c.seed)
+    cfg = scc.SccConfig(max_iter=c.plan.scc_max_iter,
+                        gamma_sq=c.plan.gamma_sq, seed=c.seed)
     if c.plan.tune:
         cfg.gamma_sq = _tune_scc(c, cfg)
-    return scc_compress(c.train, c.m, cfg).to_dataset(c.train)
+    return scc.scc_compress(c.train, c.m, cfg).to_dataset(c.train)
 
 
 def _shc(c: _Cell) -> LabeledDataset:
-    cfg = ShcConfig(max_iter=c.plan.shc_max_iter, gamma_sq=c.plan.gamma_sq,
-                    lam=c.lam, rmhc_steps=c.plan.rmhc_steps, seed=c.seed)
+    cfg = shc.ShcConfig(max_iter=c.plan.shc_max_iter,
+                        gamma_sq=c.plan.gamma_sq, lam=c.lam,
+                        rmhc_steps=c.plan.rmhc_steps, seed=c.seed)
     if c.plan.tune:
         cfg.gamma_sq, cfg.learn_rate = _tune_shc(c, cfg)
-    return shc_compress(c.train, c.m, config=cfg).to_dataset(c.train)
+    return shc.shc_compress(c.train, c.m, cfg).to_dataset(c.train)
 
 
 # method name -> builder of its reference set; the only list of methods
@@ -235,7 +234,7 @@ def compress(method: str, train: LabeledDataset, ratio: float, seed: int,
         _Cell(train, ratio, seed, plan, {} if cache is None else cache))
 
 
-def _pick(configs, run, val, metric, k):
+def _pick(c: _Cell, val, configs, run):
     """The first config whose reference set run(config) errs least on val.
 
     A config whose run raises DegeneratePi is discarded; if every one
@@ -249,37 +248,42 @@ def _pick(configs, run, val, metric, k):
             errs.append(np.inf)
             failure = e
             continue
-        errs.append(evaluate(val, reference, metric, k=k, reps=1).error_rate)
+        errs.append(evaluate(val, reference, c.metric, k=c.plan.k,
+                             reps=1).error_rate)
     if min(errs) == np.inf:
         raise failure
     return configs[int(np.argmin(errs))]
 
 
-def _tune_scc(c: _Cell, cfg: SccConfig) -> float:
-    """Pick gamma^2 on a 20% validation carve-out by kNN error."""
+def _carve_out(c: _Cell, cfg):
+    """Tuning's 20% validation carve-out: (sub, val, the m of the start on
+    sub, cfg at the candidates' iteration budget)."""
     sub, val = split_dataset(c.train, c.seed + 1, test_frac=0.2)
-    m_sub = min(c.m, len(sub))
-    st = scc_init(sub, m_sub, c.seed)
-    D0 = jbld_distance_matrix(st.factors, sub.members)
-    configs = [SccConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g,
-                         seed=c.seed) for g in gamma_sq_grid(D0)]
-    return _pick(configs, lambda k: scc_compress(sub, m_sub, k).to_dataset(sub),
-                 val, c.metric, c.plan.k).gamma_sq
+    return (sub, val, min(c.m, len(sub)),
+            replace(cfg, max_iter=max(10, cfg.max_iter // 4)))
 
 
-def _tune_shc(c: _Cell, cfg: ShcConfig) -> tuple[float, float]:
-    """Pick gamma^2 and the learning rate as _tune_scc picks gamma^2; the
-    grid and every candidate start from one carve-out start."""
-    sub, val = split_dataset(c.train, c.seed + 1, test_frac=0.2)
-    start = shc.shc_init(sub, min(c.m, len(sub)), c.seed,
-                         rmhc_steps=cfg.rmhc_steps, lam=cfg.lam)
-    _, _, D0 = shc.shc_loss_grad(start, sub)
-    configs = [ShcConfig(max_iter=max(10, cfg.max_iter // 4), gamma_sq=g,
-                         learn_rate=lr)
+def _tune_scc(c: _Cell, cfg: scc.SccConfig) -> float:
+    """Pick gamma^2 on the carve-out by kNN error; the grid and every
+    candidate start from one carve-out start and share its objective."""
+    sub, val, m, base = _carve_out(c, cfg)
+    start = scc.scc_init(sub, m, c.seed)
+    objective = scc.SccObjective(sub.members, m)
+    D0 = scc.jbld_distance_matrix(start.factors, sub.members, objective)
+    configs = [replace(base, gamma_sq=g) for g in gamma_sq_grid(D0)]
+    return _pick(c, val, configs, lambda k: scc.descend(
+        start, sub, k, objective).to_dataset(sub)).gamma_sq
+
+
+def _tune_shc(c: _Cell, cfg: shc.ShcConfig) -> tuple[float, float]:
+    """Pick gamma^2 and the learning rate as _tune_scc picks gamma^2."""
+    sub, val, m, base = _carve_out(c, cfg)
+    start = shc.shc_init(sub, m, cfg)
+    _, _, D0 = shc.shc_loss_grad(start, sub, config=cfg)
+    configs = [replace(base, gamma_sq=g, learn_rate=lr)
                for g in gamma_sq_grid(D0) for lr in (0.1, 1.0, 10.0)]
-    best = _pick(configs,
-                 lambda k: shc.descend(start, sub, k).to_dataset(sub),
-                 val, c.metric, c.plan.k)
+    best = _pick(c, val, configs, lambda k: shc.descend(
+        start, sub, k).to_dataset(sub))
     return best.gamma_sq, best.learn_rate
 
 

@@ -104,9 +104,11 @@ def check_ground_metric(M: np.ndarray, dim: int | None = None) -> np.ndarray:
     return M
 
 
-def _check_lam_iter(lam, max_iter):
+def _check_lam_iter(lam, tol, max_iter):
     if not 0 < lam < np.inf:  # also false for NaN
         raise InfeasibleMarginals("lambda must be positive and finite")
+    if not 0 < tol < np.inf:
+        raise BadParameters("tol must be positive and finite")
     if max_iter < 1:
         raise BadParameters("max_iter must be at least 1")
 
@@ -320,7 +322,7 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
         raise DimensionMismatch(f"second marginals {Hpc.shape} vs {Hc.shape}")
     HT, HpT = Hc.T.take(qi, 1), Hpc.T.take(pj, 1)
     M = check_ground_metric(M, d)
-    _check_lam_iter(lam, max_iter)
+    _check_lam_iter(lam, tol, max_iter)
     K = np.exp(-lam * M)
     V = np.ones((d, n)) if V0 is None else np.array(V0, dtype=float)
     if V.shape != (d, n):
@@ -438,7 +440,7 @@ def sinkhorn_barycenter(members: np.ndarray, M: np.ndarray, lam: float,
     H = clamp_histogram(check_histograms(members))
     N, d = H.shape
     M = check_ground_metric(M, d)
-    _check_lam_iter(lam, max_iter)
+    _check_lam_iter(lam, tol, max_iter)
     if N == 1:
         return H[0].copy()
 

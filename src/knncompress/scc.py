@@ -137,23 +137,25 @@ def scc_loss_grad(state: SccState, train: LabeledDataset, objective=None):
 
 def scc_compress(train: LabeledDataset, m: int,
                  config: SccConfig | None = None) -> SccState:
-    """Learn m synthetic SPD prototypes by conjugate-gradient descent.
-
-    The optimizer's vector is the raveled factor stack.  Returns the state
-    at the last iterate, whose training KL loss is the lowest of the run
-    (every step descends); prototype labels stay fixed throughout.
-    """
+    """Learn m synthetic SPD prototypes: ``descend`` from ``scc_init``."""
     config = config or SccConfig()
-    state = scc_init(train, m, config.seed)
-    shape = state.factors.shape
-    objective = SccObjective(train.members, m)
+    return descend(scc_init(train, m, config.seed), train, config)
 
-    if config.gamma_sq is not None:
-        state.gamma_sq = config.gamma_sq
-    else:
-        state.gamma_sq = select_gamma_sq(
-            jbld_distance_matrix(state.factors, train.members, objective),
-            state.labels, train.labels)
+
+def descend(start: SccState, train: LabeledDataset, config: SccConfig,
+            objective: SccObjective | None = None) -> SccState:
+    """Conjugate-gradient descent on the raveled factor stack from start,
+    which is left as it is, so descents can share a start and an objective
+    (on train's members, for start.m prototypes).  Returns the last
+    iterate, whose training KL loss is the lowest of the run (every step
+    descends), with start's prototype labels."""
+    shape, labels = start.factors.shape, start.labels
+    objective = objective or SccObjective(train.members, start.m)
+    gamma_sq = config.gamma_sq
+    if gamma_sq is None:
+        gamma_sq = select_gamma_sq(
+            jbld_distance_matrix(start.factors, train.members, objective),
+            labels, train.labels)
 
     def fg(x):
         # (inf, 0), which no line search accepts, at a non-finite or
@@ -167,8 +169,8 @@ def scc_compress(train: LabeledDataset, m: int,
         if np.all(lo > 0.0) and np.all((lo / hi) ** 2 >= _COND_FLOOR):
             try:
                 with np.errstate(all="ignore"):
-                    loss, grads = scc_loss_grad(SccState(
-                        B, state.labels, state.gamma_sq), train, objective)
+                    loss, grads = scc_loss_grad(
+                        SccState(B, labels, gamma_sq), train, objective)
             except NotPositiveDefinite:
                 return np.inf, np.zeros_like(x)
             g = grads.ravel()
@@ -176,13 +178,12 @@ def scc_compress(train: LabeledDataset, m: int,
                 return loss, g
         return np.inf, np.zeros_like(x)
 
-    result = ncg_minimize(fg, state.factors.ravel(), max_iter=config.max_iter)
+    result = ncg_minimize(fg, start.factors.ravel(), max_iter=config.max_iter)
     if not np.isfinite(result.fun):
         raise ValidationError(
             "scc cannot start from the sampled members: its objective "
             "rejects them (a factor below the conditioning floor, a "
             "midpoint that does not factor, or a non-finite loss)")
-    state = SccState(result.x.reshape(shape), state.labels, state.gamma_sq,
-                     result.history)
+    state = SccState(result.x.reshape(shape), labels, gamma_sq, result.history)
     chol_logdets(state.prototypes())  # every factor reconstructs to SPD
     return state

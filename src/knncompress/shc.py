@@ -78,10 +78,7 @@ def default_lambda(M: np.ndarray) -> float:
     return 10.0 / med if med > 0 else 10.0
 
 
-def shc_init(train: LabeledDataset, m: int, seed: int,
-             rmhc_steps: int = 100, lam: float | None = None,
-             sinkhorn_tol: float = 1e-6,
-             sinkhorn_max_iter: int = 2000) -> ShcState:
+def shc_init(train: LabeledDataset, m: int, config: ShcConfig) -> ShcState:
     """Initialize from the RMHC selection: logits are the (clamped) logs of
     the selected training histograms.  rmhc_steps = 0 reduces to the
     stratified subsample."""
@@ -90,34 +87,33 @@ def shc_init(train: LabeledDataset, m: int, seed: int,
     if m > len(train):
         raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     M = train.ground_metric
-    lam = lam if lam is not None else default_lambda(M)
-    if rmhc_steps > 0:
-        D = sinkhorn_pairwise(train.members, M, lam, sinkhorn_tol,
-                              sinkhorn_max_iter)
-        picked = rmhc_reduce(train, m, D, rmhc_steps, seed)
+    lam = config.lam if config.lam is not None else default_lambda(M)
+    if config.rmhc_steps > 0:
+        D = sinkhorn_pairwise(train.members, M, lam, config.sinkhorn_tol,
+                              config.sinkhorn_max_iter)
+        picked = rmhc_reduce(train, m, D, config.rmhc_steps, config.seed)
     else:
-        picked = subsample(train, m, seed)
+        picked = subsample(train, m, config.seed)
     logits = np.log(clamp_histogram(train.members[picked.indices]))
     return ShcState(logits=logits, labels=picked.labels.copy(),
                     gamma_sq=1.0, lam=lam)
 
 
 def shc_loss_grad(state: ShcState, train: LabeledDataset,
-                  warm: dict | None = None,
-                  sinkhorn_tol: float = 1e-6,
-                  sinkhorn_max_iter: int = 2000):
+                  config: ShcConfig | None = None, warm: dict | None = None):
     """KL loss under Sinkhorn distances and its gradient in logit space.
 
     The per-pair distance gradient is the centered dual beta*, mapped to
     logits through the softmax Jacobian: h o beta* - (beta* . h) h.
-    Pairs whose Sinkhorn solve did not converge are dropped from the
-    gradient with a warning.  Returns (loss, (m, d) gradient, (n, m)
+    Pairs whose Sinkhorn solve, to config's tolerance and pass cap, did
+    not converge are dropped from the gradient with a warning.  Returns (loss, (m, d) gradient, (n, m)
     distance matrix).
     """
+    config = config or ShcConfig()
     P = state.prototypes()
     D, betas, conv = sinkhorn_matrix(train.members, P, train.ground_metric,
-                                     state.lam, sinkhorn_tol,
-                                     sinkhorn_max_iter, warm)
+                                     state.lam, config.sinkhorn_tol,
+                                     config.sinkhorn_max_iter, warm)
     if not conv.all():
         warnings.warn(f"{(~conv).sum()} Sinkhorn pairs did not converge; "
                       "skipped in the gradient", stacklevel=2)
@@ -143,33 +139,33 @@ def shc_compress(train: LabeledDataset, m: int,
     Steps that increase the KL loss or make it non-finite are rejected and
     halve the learning rate; accepted steps grow it by 1.1x.  The returned
     snapshot is the one with the best training 1-NN error (ties broken by
-    KL loss).  A given gamma^2 that is not positive and finite raises
+    KL loss).  A config out of range (a gamma^2 or learning rate that is
+    not positive and finite, or a negative max_iter or rmhc_steps) raises
     ``BadParameters`` before any Sinkhorn solve.
     """
     config = config or ShcConfig()
     if config.gamma_sq is not None and not 0 < config.gamma_sq < np.inf:
         raise BadParameters(
             f"gamma_sq must be positive and finite, got {config.gamma_sq}")
-    start = shc_init(train, m, config.seed, rmhc_steps=config.rmhc_steps,
-                     lam=config.lam, sinkhorn_tol=config.sinkhorn_tol,
-                     sinkhorn_max_iter=config.sinkhorn_max_iter)
-    return descend(start, train, config)
+    if not 0 < config.learn_rate < np.inf:
+        raise BadParameters(
+            f"learn_rate must be positive and finite, got {config.learn_rate}")
+    if config.max_iter < 0 or config.rmhc_steps < 0:
+        raise BadParameters("max_iter and rmhc_steps must be at least 0")
+    return descend(shc_init(train, m, config), train, config)
 
 
 def descend(start: ShcState, train: LabeledDataset,
             config: ShcConfig) -> ShcState:
     """``shc_compress``'s descent from start, on a copy of it: start is
     left as it is, so several descents can share it."""
-    state = ShcState(start.logits, start.labels, start.gamma_sq, start.lam)
+    gamma_sq = start.gamma_sq if config.gamma_sq is None else config.gamma_sq
+    state = ShcState(start.logits, start.labels, gamma_sq, start.lam)
     warm: dict = {}
-    kw = dict(warm=warm, sinkhorn_tol=config.sinkhorn_tol,
-              sinkhorn_max_iter=config.sinkhorn_max_iter)
-    if config.gamma_sq is not None:
-        state.gamma_sq = config.gamma_sq
-    loss, grad, D = shc_loss_grad(state, train, **kw)
+    loss, grad, D = shc_loss_grad(state, train, config=config, warm=warm)
     if config.gamma_sq is None:  # picked on the start's distances
         state.gamma_sq = select_gamma_sq(D, state.labels, train.labels)
-        loss, grad, D = shc_loss_grad(state, train, **kw)
+        loss, grad, D = shc_loss_grad(state, train, config=config, warm=warm)
 
     err = _train_error(D, state.labels, train.labels)
     best = (state.logits.copy(), loss, err)
@@ -179,7 +175,8 @@ def descend(start: ShcState, train: LabeledDataset,
     for _ in range(config.max_iter):
         trial = ShcState(w - lr * grad, state.labels, state.gamma_sq,
                          state.lam)
-        t_loss, t_grad, t_D = shc_loss_grad(trial, train, **kw)
+        t_loss, t_grad, t_D = shc_loss_grad(
+            trial, train, config=config, warm=warm)
         if not (t_loss <= loss):  # also rejects a NaN loss
             lr *= 0.5
             continue

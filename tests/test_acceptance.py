@@ -206,7 +206,7 @@ def test_01_scc_gradient_correctness():
 
 def test_02_shc_gradient_adequacy():
     errs = []
-    kw = dict(sinkhorn_tol=1e-12, sinkhorn_max_iter=50000)
+    cfg = shc.ShcConfig(sinkhorn_tol=1e-12, sinkhorn_max_iter=50000)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         d, n, m = 4, 3, 2
@@ -223,7 +223,7 @@ def test_02_shc_gradient_adequacy():
                              gamma_sq=1.0, lam=100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, g, _ = shc.shc_loss_grad(state, train, **kw)
+            _, g, _ = shc.shc_loss_grad(state, train, config=cfg)
             rng2 = np.random.default_rng(seed + 1000)
             v = rng2.standard_normal(logits.shape)
             v /= np.linalg.norm(v)
@@ -231,7 +231,7 @@ def test_02_shc_gradient_adequacy():
 
             def at(L):
                 st = shc.ShcState(L, state.labels, 1.0, 100.0)
-                return shc.shc_loss_grad(st, train, **kw)[0]
+                return shc.shc_loss_grad(st, train, config=cfg)[0]
 
             fd = (at(logits + h * v) - at(logits - h * v)) / (2 * h)
         errs.append(abs(fd - np.sum(g * v)) / max(abs(fd), 1e-12))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from knncompress import harness, shc
+from knncompress import harness, scc, shc
 from knncompress.datasets import gen_covariance_dataset, gen_histogram_dataset
 from knncompress.errors import BadParameters, DegeneratePi
 
@@ -158,6 +158,20 @@ class TestRunExperiment:
         assert len(records) == 1
         assert records[0]["m_actual"] == round(0.2 * 28)
         assert 0.0 <= records[0]["error_rate"] <= 1.0
+
+    def test_tune_scc_builds_one_start_and_objective(self, monkeypatch):
+        # one start and one objective for the carve-out's gamma^2 grid and
+        # its 9 candidates, and one of each for the cell
+        calls = {"scc_init": 0, "SccObjective": 0}
+        for name in calls:
+            def counting(*args, real=getattr(scc, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(scc, name, counting)
+        plan = harness.ExperimentPlan(ratios=(0.2,), methods=("scc",),
+                                      seeds=(0,), scc_max_iter=8, tune=True)
+        harness.run_experiment(plan, cov_data())
+        assert calls == {"scc_init": 2, "SccObjective": 2}
 
     @pytest.mark.parametrize("rmhc_steps", [0, 5])
     def test_tune_shc(self, rmhc_steps):

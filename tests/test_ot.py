@@ -65,6 +65,21 @@ class TestValidation:
         with pytest.raises(InfeasibleMarginals):
             ot.sinkhorn(h, h, line_metric(2), lam)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_tol_not_positive_finite(self, tol):
+        # a NaN or infinite tol used to end every solve after one pass (a
+        # distance of 1.092 here, against 2.200 converged), and a tol of 0
+        # or less ran every solve to max_iter unconverged
+        h = ot.clamp_histogram(np.array([0.7, 0.2, 0.1, 0.0]))
+        hp = ot.clamp_histogram(np.array([0.0, 0.1, 0.2, 0.7]))
+        M = line_metric(4)
+        assert ot.sinkhorn(h, hp, M, 2.0).distance == pytest.approx(
+            2.200, abs=1e-3)
+        with pytest.raises(BadParameters):
+            ot.sinkhorn(h, hp, M, 2.0, tol=tol)
+        with pytest.raises(BadParameters):
+            ot.sinkhorn_barycenter(np.stack([h, hp]), M, 2.0, tol=tol)
+
     def test_clamp(self):
         h = ot.clamp_histogram(np.array([1.0, 0.0, 0.0]))
         assert np.all(h > 0.5 * ot.CLAMP_EPS)

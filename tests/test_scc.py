@@ -325,6 +325,26 @@ class TestCompress:
                          scc.SccConfig(max_iter=2, gamma_sq=gamma_sq, seed=0))
         assert len(made) == calls
 
+    def test_descents_share_a_start_and_objective(self):
+        # the start is not changed and the objective's buffers are written
+        # afresh on every call, so a second descent repeats the first, and
+        # both repeat scc_compress, which builds its own
+        train = small_train(seed=17)
+        cfg = scc.SccConfig(max_iter=15, seed=4)
+        start = scc.scc_init(train, 4, cfg.seed)
+        factors = start.factors.copy()
+        objective = scc.SccObjective(train.members, 4)
+        a = scc.descend(start, train, cfg, objective)
+        b = scc.descend(start, train, cfg, objective)
+        want = scc.scc_compress(train, 4, cfg)
+        assert np.array_equal(start.factors, factors)
+        assert start.gamma_sq == 1.0 and start.loss_history == []
+        for got in (a, b):
+            assert np.array_equal(got.factors, want.factors)
+            assert np.array_equal(got.labels, want.labels)
+            assert got.gamma_sq == want.gamma_sq
+            assert got.loss_history == want.loss_history
+
     def test_reduces_loo_error_vs_init(self):
         train = small_train(seed=29, classes=3, per_class=10, d=3)
         init = scc.scc_init(train, 6, seed=0)

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from knncompress import ot, shc
+from knncompress import harness, ot, shc
 from knncompress.datasets import LabeledDataset, gen_histogram_dataset
-from knncompress.errors import NonFiniteInput, TooFewInputs, ValidationError
+from knncompress.errors import (
+    BadParameters, NonFiniteInput, TooFewInputs, ValidationError)
 from knncompress.neighborhood import NeighborhoodModel, gradient_coeffs
 from knncompress.ot import clamp_histogram
 
@@ -58,7 +59,7 @@ class TestDefaultLambda:
 class TestInit:
     def test_stratified_no_search(self):
         train = small_train()
-        state = shc.shc_init(train, 4, seed=0, rmhc_steps=0)
+        state = shc.shc_init(train, 4, shc.ShcConfig(rmhc_steps=0))
         assert state.m == 4
         assert sorted(state.labels.tolist()) == [0, 0, 1, 1]
         protos = state.prototypes()
@@ -67,21 +68,21 @@ class TestInit:
 
     def test_prototypes_near_train_members(self):
         train = small_train()
-        state = shc.shc_init(train, 3, seed=1, rmhc_steps=0)
+        state = shc.shc_init(train, 3, shc.ShcConfig(rmhc_steps=0, seed=1))
         for h in state.prototypes():
             gaps = [np.abs(h - hm).sum() for hm in train.members]
             assert min(gaps) < 1e-6
 
     def test_m_too_large(self):
         with pytest.raises(TooFewInputs):
-            shc.shc_init(small_train(), 100, seed=0)
+            shc.shc_init(small_train(), 100, shc.ShcConfig())
 
     def test_wrong_family(self):
         ds = LabeledDataset(family="covariance", dim=2,
                             members=[np.eye(2)], labels=np.array([0]),
                             metadata={})
         with pytest.raises(ValidationError):
-            shc.shc_init(ds, 1, seed=0)
+            shc.shc_init(ds, 1, shc.ShcConfig())
 
 
 class TestLossGrad:
@@ -90,17 +91,18 @@ class TestLossGrad:
         train, state = fd_instance(0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, g, _ = shc.shc_loss_grad(state, train, sinkhorn_tol=1e-10)
+            _, g, _ = shc.shc_loss_grad(
+                state, train, config=shc.ShcConfig(sinkhorn_tol=1e-10))
         assert np.max(np.abs(g.sum(axis=1))) < 1e-10
 
     def test_directional_fd_ten_seeds(self):
         errs = []
         for seed in range(10):
             train, state = fd_instance(seed)
-            kw = dict(sinkhorn_tol=1e-12, sinkhorn_max_iter=50000)
+            cfg = shc.ShcConfig(sinkhorn_tol=1e-12, sinkhorn_max_iter=50000)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                _, g, _ = shc.shc_loss_grad(state, train, **kw)
+                _, g, _ = shc.shc_loss_grad(state, train, config=cfg)
                 rng = np.random.default_rng(seed + 1000)
                 v = rng.standard_normal(state.logits.shape)
                 v /= np.linalg.norm(v)
@@ -108,7 +110,7 @@ class TestLossGrad:
 
                 def at(L):
                     st = shc.ShcState(L, state.labels, 1.0, 100.0)
-                    return shc.shc_loss_grad(st, train, **kw)[0]
+                    return shc.shc_loss_grad(st, train, config=cfg)[0]
 
                 fd = (at(state.logits + h * v)
                       - at(state.logits - h * v)) / (2 * h)
@@ -119,11 +121,11 @@ class TestLossGrad:
         # the loop over prototypes that the einsum replaced is the
         # reference; max_iter 40 leaves 23 of the 48 pairs unconverged
         train = small_train(seed=4)
-        state = shc.shc_init(train, 4, seed=0, rmhc_steps=0)
-        kw = dict(sinkhorn_tol=1e-4, sinkhorn_max_iter=40)
+        state = shc.shc_init(train, 4, shc.ShcConfig(rmhc_steps=0))
+        cfg = shc.ShcConfig(sinkhorn_tol=1e-4, sinkhorn_max_iter=40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, g, _ = shc.shc_loss_grad(state, train, **kw)
+            _, g, _ = shc.shc_loss_grad(state, train, config=cfg)
         P = state.prototypes()
         D, betas, conv = ot.sinkhorn_matrix(
             train.members, P, train.ground_metric, state.lam, 1e-4, 40)
@@ -152,8 +154,8 @@ class TestLossGrad:
         logits = np.log(np.stack([h0, far]))
         state = shc.ShcState(logits=logits, labels=np.array([0, 1]),
                              gamma_sq=50.0, lam=20.0)
-        _, g, _ = shc.shc_loss_grad(state, train, sinkhorn_tol=1e-11,
-                                    sinkhorn_max_iter=20000)
+        _, g, _ = shc.shc_loss_grad(state, train, config=shc.ShcConfig(
+            sinkhorn_tol=1e-11, sinkhorn_max_iter=20000))
         assert np.max(np.abs(g)) < 1e-4
 
 
@@ -204,7 +206,7 @@ class TestCompress:
         # the start is not changed, so a second descent from it repeats
         # the first exactly
         train = small_train(seed=7, per_class=4)
-        start = shc.shc_init(train, 4, seed=2, rmhc_steps=10)
+        start = shc.shc_init(train, 4, shc.ShcConfig(rmhc_steps=10, seed=2))
         logits = start.logits.copy()
         cfg = shc.ShcConfig(max_iter=6, sinkhorn_tol=1e-8)
         with warnings.catch_warnings():
@@ -217,6 +219,31 @@ class TestCompress:
         assert np.array_equal(a.logits, b.logits)
         assert a.gamma_sq == b.gamma_sq
         assert a.loss_history == b.loss_history
+
+    @pytest.mark.parametrize("field, value", [
+        ("learn_rate", 0.0), ("learn_rate", -1.0), ("learn_rate", np.nan),
+        ("learn_rate", np.inf), ("max_iter", -1), ("rmhc_steps", -1)])
+    def test_config_out_of_range_rejected_before_any_solve(
+            self, field, value, monkeypatch):
+        # a learning rate of 0 or -1 and a negative max_iter used to return
+        # the start, and a negative rmhc_steps to subsample, without a word
+        solves, real = [], ot.sinkhorn_batch
+        monkeypatch.setattr(ot, "sinkhorn_batch",
+                            lambda *a, **kw: solves.append(1) or real(*a, **kw))
+        cfg = shc.ShcConfig(max_iter=3, rmhc_steps=5)
+        setattr(cfg, field, value)
+        with pytest.raises(BadParameters, match=field):
+            shc.shc_compress(small_train(), 4, cfg)
+        assert solves == []
+
+    @pytest.mark.parametrize("rmhc_steps", [0, 5])
+    def test_nan_sinkhorn_tol_rejected(self, rmhc_steps):
+        # every pair used to end unconverged after one pass, so the
+        # gradient dropped them all and the run returned its start
+        cfg = shc.ShcConfig(max_iter=3, rmhc_steps=rmhc_steps,
+                            sinkhorn_tol=np.nan)
+        with pytest.raises(BadParameters):
+            shc.shc_compress(small_train(), 4, cfg)
 
     def test_given_gamma_used_from_the_start(self, monkeypatch):
         # the start's loss and gradient are taken at the given gamma^2, in
@@ -234,7 +261,7 @@ class TestCompress:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             state = shc.shc_compress(train, 4, config=cfg)
-            start = shc.shc_init(train, 4, seed=0, rmhc_steps=0)
+            start = shc.shc_init(train, 4, shc.ShcConfig(rmhc_steps=0))
             start.gamma_sq = 5.0
             want = real(start, train)[0]
         assert gammas == [5.0] * (1 + cfg.max_iter)
@@ -289,3 +316,64 @@ class TestCompress:
         for lams in solves:
             assert lams == pytest.approx([200.0, 12.5, 25.0, 50.0, 100.0,
                                           200.0])
+
+
+class TestSinkhornSettings:
+    """shc_init and shc_loss_grad solve at their config's sinkhorn_tol and
+    sinkhorn_max_iter."""
+    TOL, CAP = 1e-5, 1500
+
+    def solves(self, monkeypatch):
+        """(name, tol, max_iter) of every sinkhorn_pairwise call that shc
+        makes and of every sinkhorn_batch call."""
+        seen = []
+        for module, name, at in ((shc, "sinkhorn_pairwise", 3),
+                                 (ot, "sinkhorn_batch", 4)):
+            def spy(*args, real=getattr(module, name), name=name, at=at,
+                    **kwargs):
+                seen.append((name,) + args[at:at + 2])
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        return seen
+
+    def check(self, seen, pairwise, batch):
+        names = [name for name, _, _ in seen]
+        assert names.count("sinkhorn_pairwise") == pairwise
+        assert names.count("sinkhorn_batch") == batch
+        assert {s[1:] for s in seen} == {(self.TOL, self.CAP)}
+
+    def test_compress(self, monkeypatch):
+        seen = self.solves(monkeypatch)
+        cfg = shc.ShcConfig(max_iter=4, rmhc_steps=5, sinkhorn_tol=self.TOL,
+                            sinkhorn_max_iter=self.CAP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            shc.shc_compress(small_train(), 4, cfg)
+        # the start's matrix; two loss calls at the start, one per step
+        self.check(seen, 1, 1 + 2 + cfg.max_iter)
+
+    def test_tuning(self, monkeypatch):
+        # the carve-out's start, its gamma^2 grid and every candidate; the
+        # validation metric's own solves are not the config's
+        seen = self.solves(monkeypatch)
+        evaluate = harness.evaluate
+
+        def unseen(*args, **kwargs):
+            n = len(seen)
+            out = evaluate(*args, **kwargs)
+            del seen[n:]
+            return out
+
+        monkeypatch.setattr(harness, "evaluate", unseen)
+        plan = harness.ExperimentPlan(ratios=(0.2,), methods=("shc",),
+                                      shc_max_iter=8, lam=2.0, rmhc_steps=5,
+                                      tune=True)
+        cell = harness._Cell(small_train(per_class=10), 0.2, 0, plan, {})
+        cfg = shc.ShcConfig(max_iter=8, lam=2.0, rmhc_steps=5,
+                            sinkhorn_tol=self.TOL, sinkhorn_max_iter=self.CAP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            harness._tune_shc(cell, cfg)
+        # the start's matrix and D0; 27 candidates, each at its given
+        # gamma^2, with one loss call at the start and 10 steps
+        self.check(seen, 1, 1 + 1 + 27 * (1 + 10))
