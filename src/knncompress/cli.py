@@ -191,7 +191,7 @@ def _cmd_selfcheck(_args) -> int:
     # exp(-lam*M) underflows at lam=200 (log domain), not at lam=50
     H, hp, M = rng.dirichlet(np.ones(5), size=2), hp[:5] / hp[:5].sum(), M[:5, :5]
     check("sinkhorn_batch equals per-pair sinkhorn", all(np.allclose(
-        ot.sinkhorn_batch(H, hp, M, lam)[0],
+        ot.sinkhorn_batch(H, hp[None], M, lam, pairs=([0, 1], [0, 0]))[0],
         [ot.sinkhorn(x, hp, M, lam).distance for x in H], rtol=0, atol=1e-8)
         for lam in (50.0, 200.0)))
     check("sinkhorn_matrix equals per-pair sinkhorn", all(np.allclose(

@@ -18,7 +18,7 @@ from . import baselines, ot, scc, shc, spd
 from .datasets import LabeledDataset, stratified_indices
 from .errors import BadParameters, DegeneratePi
 from .knn import evaluate, pairwise_distances
-from .neighborhood import gamma_sq_grid
+from .neighborhood import check_config, gamma_sq_grid
 
 FEW_CLASS_RATIOS = (0.02, 0.04, 0.08, 0.16)
 
@@ -77,9 +77,7 @@ class ExperimentPlan:
         for m in self.methods:
             if m not in COMPRESSORS:
                 raise BadParameters(f"unknown method {m!r}")
-        for name in ("scc_max_iter", "shc_max_iter", "rmhc_steps"):
-            if getattr(self, name) < 0:
-                raise BadParameters(f"{name} must be at least 0")
+        check_config(self, ("scc_max_iter", "shc_max_iter", "rmhc_steps"), ())
         if any(s < 0 for s in self.seeds):  # numpy's generators refuse them
             raise BadParameters("seeds must be at least 0")
         if self.tune and self.gamma_sq is not None:  # tuning would drop it
@@ -193,7 +191,7 @@ def _scc(c: _Cell) -> LabeledDataset:
     cfg = scc.SccConfig(max_iter=c.plan.scc_max_iter,
                         gamma_sq=c.plan.gamma_sq, seed=c.seed)
     if c.plan.tune:
-        cfg.gamma_sq = _tune_scc(c, cfg)
+        cfg = replace(cfg, gamma_sq=_tune_scc(c, cfg))
     return scc.scc_compress(c.train, c.m, cfg).to_dataset(c.train)
 
 
@@ -202,7 +200,8 @@ def _shc(c: _Cell) -> LabeledDataset:
                         gamma_sq=c.plan.gamma_sq, lam=c.lam,
                         rmhc_steps=c.plan.rmhc_steps, seed=c.seed)
     if c.plan.tune:
-        cfg.gamma_sq, cfg.learn_rate = _tune_shc(c, cfg)
+        gamma_sq, learn_rate = _tune_shc(c, cfg)
+        cfg = replace(cfg, gamma_sq=gamma_sq, learn_rate=learn_rate)
     return shc.shc_compress(c.train, c.m, cfg).to_dataset(c.train)
 
 

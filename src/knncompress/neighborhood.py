@@ -7,6 +7,7 @@ about the underlying descriptor family.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,7 @@ class NeighborhoodModel:
     distances: np.ndarray         # (n, m), nonnegative
 
     def __post_init__(self):
-        if not 0 < self.gamma_sq < np.inf:  # NaN included
-            raise BadParameters(
-                f"gamma_sq must be positive and finite, got {self.gamma_sq}")
+        check_config(self, (), ("gamma_sq",))
         self.prototype_labels = np.asarray(self.prototype_labels)
         self.train_labels = np.asarray(self.train_labels)
         self.distances = np.asarray(self.distances, dtype=float)
@@ -52,6 +51,21 @@ class NeighborhoodModel:
         self.probs /= self.probs.sum(axis=1, keepdims=True)
         # (n,) p_i = sum over same-label prototypes of p_ij
         self.correct = np.where(self.label_match, self.probs, 0.0).sum(axis=1)
+
+
+def check_config(config, counts, positives) -> None:
+    """BadParameters unless config's fields named in counts are integers
+    >= 0 and those in positives None or positive and finite (not NaN)."""
+    for name in counts:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise BadParameters(
+                f"{name} must be at least 0 and an integer, got {value!r}")
+    for name in positives:
+        value = getattr(config, name)
+        if value is not None and not 0 < value < np.inf:
+            raise BadParameters(
+                f"{name} must be positive and finite, got {value}")
 
 
 def kl_loss(model: NeighborhoodModel) -> float:

@@ -2,24 +2,23 @@
 
 Histograms are 1-D numpy arrays summing to one; the ground metric is a
 finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
-One Sinkhorn solver, ``sinkhorn_batch``, serves every caller: ``sinkhorn``
-is one batch of one pair, and ``sinkhorn_matrix`` and
-``sinkhorn_pairwise`` one batch over all their pairs, given as index pairs
-into their distinct histograms, each of which is checked and clamped once
-per call; the (d, n) block is gathered C-contiguous from them and
-compacted by index.  Of the dual variables it
-returns beta, whose centered form is the approximate gradient of the
-distance w.r.t. the second marginal.  Its log domain (where exp(-lambda
-M) underflows) starts cold, in blocks of bounded memory, and solves a
-column plain scaling leaves unconverged again with epsilon-scaling and
-safeguarded over-relaxation.  The log domain's passes are absorbed
-(Schmitzer 2019): linear-domain mat-vecs on a kernel exp(f0 + logK + g0)
-whose potentials f0, g0 take the scalings in once one passes
-exp(+-_ABSORB).  Each of its stages starts, and the barycenter iterates,
-with a hand-written max-shifted log-sum-exp.
+One Sinkhorn solver, ``sinkhorn_batch``, serves every caller with one
+input shape, the distinct histograms of each side and index pairs into
+them: ``sinkhorn`` is one batch of one pair, and ``sinkhorn_matrix`` and
+``sinkhorn_pairwise`` one batch over all their pairs.  Of the dual
+variables it returns beta, whose centered form is the approximate
+gradient of the distance w.r.t. the second marginal.  Its log domain
+(where exp(-lambda M) underflows) starts cold, in blocks of bounded
+memory, and solves a column plain scaling leaves unconverged again with
+epsilon-scaling and safeguarded over-relaxation.  The log domain's passes
+are absorbed (Schmitzer 2019): linear-domain mat-vecs on a kernel
+exp(f0 + logK + g0) whose potentials f0, g0 take the scalings in once
+one passes exp(+-_ABSORB).  Each of its stages starts, and the
+barycenter iterates, with a hand-written max-shifted log-sum-exp.
 """
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -109,8 +108,8 @@ def _check_lam_iter(lam, tol, max_iter):
         raise InfeasibleMarginals("lambda must be positive and finite")
     if not 0 < tol < np.inf:
         raise BadParameters("tol must be positive and finite")
-    if max_iter < 1:
-        raise BadParameters("max_iter must be at least 1")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise BadParameters("max_iter must be an integer >= 1")
 
 
 def clamp_histogram(h: np.ndarray) -> np.ndarray:
@@ -260,7 +259,7 @@ def sinkhorn(h: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
     """
     dists, betas, _, conv, it = sinkhorn_batch(
         np.asarray(h, dtype=float)[None], np.asarray(hp, dtype=float)[None],
-        M, lam, tol, max_iter)
+        M, lam, tol, max_iter, pairs=([0], [0]))
     return SinkhornSolution(distance=float(dists[0]), dual_beta=betas[0],
                             iterations=it, converged=bool(conv[0]))
 
@@ -277,12 +276,12 @@ def sinkhorn_grad_dual(sol: SinkhornSolution) -> np.ndarray:
     return beta - beta.mean()
 
 
-def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
+def sinkhorn_batch(H: np.ndarray, Hp: np.ndarray, M: np.ndarray, lam: float,
                    tol: float = 1e-9, max_iter: int = 10000,
-                   V0: np.ndarray | None = None, pairs=None):
-    """Solve sinkhorn(H[i], hp[i] or hp) for all rows of H at once, or,
-    given pairs = (qi, pj), sinkhorn(H[qi[k]], hp[pj[k]]) for every k, as
-    the columns of one (d, n) block.
+                   V0: np.ndarray | None = None, *, pairs):
+    """Solve sinkhorn(H[qi[k]], Hp[pj[k]]) for every pair k of pairs =
+    (qi, pj), index arrays into the rows of H and Hp, as the columns of
+    one (d, n) block.
 
     Each distinct marginal is checked and clamped once per call, row by
     row, and the pairs' (d, n) blocks are gathered C-contiguous from them.
@@ -302,19 +301,12 @@ def sinkhorn_batch(H: np.ndarray, hp: np.ndarray, M: np.ndarray, lam: float,
     (n,), loop passes run in both domains), n the number of pairs.  V
     seeds warm starts of later calls.
     """
-    Hp = np.atleast_2d(hp)
-    if pairs is None:
-        n = len(H)
-        if len(Hp) not in (1, n):
-            raise DimensionMismatch(f"second marginals {Hp.shape} vs {n} rows")
-        pj = np.arange(n) if len(Hp) == n else np.zeros(n, dtype=int)
-        pairs = np.arange(n), pj
     qi, pj = map(np.asarray, pairs)
     if qi.ndim != 1 or qi.shape != pj.shape or not (
             ((0 <= qi) & (qi < len(H))).all()
             and ((0 <= pj) & (pj < len(Hp))).all()):
         raise DimensionMismatch("pairs must be two equal-length index arrays "
-                                "into H and hp")
+                                "into H and Hp")
     Hc = clamp_histogram(check_histograms(H))
     Hpc = Hc if Hp is H else clamp_histogram(check_histograms(Hp))
     d, n = Hc.shape[1], len(qi)

@@ -15,6 +15,7 @@ from .datasets import LabeledDataset, stratified_indices
 from .errors import NotPositiveDefinite, TooFewInputs, ValidationError
 from .neighborhood import (
     NeighborhoodModel,
+    check_config,
     gradient_coeffs,
     kl_loss,
     select_gamma_sq,
@@ -26,11 +27,14 @@ from .spd import chol_logdets, chol_logdets_last, tril_inv_last
 _COND_FLOOR = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, when built
 class SccConfig:
     max_iter: int = 200
     gamma_sq: float | None = None  # None: grid-picked at initialization
     seed: int = 0
+
+    def __post_init__(self):
+        check_config(self, ("max_iter", "seed"), ("gamma_sq",))
 
 
 @dataclass
@@ -88,7 +92,7 @@ class SccObjective:
         Sh = (0.5 * (B.transpose(0, 2, 1) @ B)).transpose(1, 2, 0)
         for j in range(len(Sh)):
             np.add(self.Xh[j:, j, None], Sh[j:, j, :, None], out=self.L[j:, j])
-        ld_mid = chol_logdets_last(self.L, self.L, self.work)[1]
+        ld_mid = chol_logdets_last(self.L, self.work)[1]
         # log|B_j' B_j| from B_j's diagonal: every factor stack is upper
         # triangular, SCC's optimizer points included, because scc_loss_grad's
         # np.triu zeroes the strict lower triangle of every gradient

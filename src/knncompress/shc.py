@@ -13,10 +13,10 @@ import numpy as np
 
 from .baselines import rmhc_reduce, subsample
 from .datasets import LabeledDataset
-from .errors import (
-    BadParameters, NonFiniteInput, TooFewInputs, ValidationError)
+from .errors import NonFiniteInput, TooFewInputs, ValidationError
 from .neighborhood import (
     NeighborhoodModel,
+    check_config,
     gradient_coeffs,
     kl_loss,
     select_gamma_sq,
@@ -26,7 +26,7 @@ from .ot import clamp_histogram, sinkhorn_matrix, sinkhorn_pairwise
 from .ot import sinkhorn_batch  # noqa: F401
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, when built
 class ShcConfig:
     max_iter: int = 100
     learn_rate: float = 1.0
@@ -36,6 +36,11 @@ class ShcConfig:
     seed: int = 0
     sinkhorn_tol: float = 1e-6
     sinkhorn_max_iter: int = 2000
+
+    def __post_init__(self):
+        check_config(
+            self, ("max_iter", "rmhc_steps", "seed", "sinkhorn_max_iter"),
+            ("gamma_sq", "learn_rate", "lam", "sinkhorn_tol"))
 
 
 @dataclass
@@ -139,19 +144,9 @@ def shc_compress(train: LabeledDataset, m: int,
     Steps that increase the KL loss or make it non-finite are rejected and
     halve the learning rate; accepted steps grow it by 1.1x.  The returned
     snapshot is the one with the best training 1-NN error (ties broken by
-    KL loss).  A config out of range (a gamma^2 or learning rate that is
-    not positive and finite, or a negative max_iter or rmhc_steps) raises
-    ``BadParameters`` before any Sinkhorn solve.
+    KL loss).
     """
     config = config or ShcConfig()
-    if config.gamma_sq is not None and not 0 < config.gamma_sq < np.inf:
-        raise BadParameters(
-            f"gamma_sq must be positive and finite, got {config.gamma_sq}")
-    if not 0 < config.learn_rate < np.inf:
-        raise BadParameters(
-            f"learn_rate must be positive and finite, got {config.learn_rate}")
-    if config.max_iter < 0 or config.rmhc_steps < 0:
-        raise BadParameters("max_iter and rmhc_steps must be at least 0")
     return descend(shc_init(train, m, config), train, config)
 
 

@@ -62,36 +62,35 @@ def tril_inv_last(M: np.ndarray, work=None) -> np.ndarray:
     return M
 
 
-def chol_logdets_last(S, L=None, work=None) -> tuple[np.ndarray, np.ndarray]:
+def chol_logdets_last(S, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors and log-determinants of an SPD stack held
     stack-last, (d, d, ...): the kernel of every JBLD midpoint.
 
     A d-step left-looking Cholesky, each step one column of every member
-    at once.  NotPositiveDefinite if any pivot is not > 0, NaN included.
-    numpy sums a one-element stack in another order than a larger one.
-    Buffers: L, with a strict upper triangle of 0s (S itself will do, as
-    step j reads S's column j before writing L's), and work, S.shape[1:].
+    at once, in place on the lower triangle of the float array S, whose
+    column j step j reads before it writes the factor's there; S, returned
+    as the factors, keeps its strict upper triangle.  NotPositiveDefinite
+    if any pivot is not > 0, NaN included.  numpy sums a one-element stack
+    in another order than a larger one.  work: a buffer, S.shape[1:].
     """
-    S = np.asarray(S, dtype=float)
-    L = np.zeros(S.shape) if L is None else L
     work = np.empty(S.shape[1:]) if work is None else work
     for j in range(S.shape[0]):
-        v = np.einsum("kp...,p...->k...", L[j:, :j], L[j, :j], out=work[j:])
+        v = np.einsum("kp...,p...->k...", S[j:, :j], S[j, :j], out=work[j:])
         np.subtract(S[j:, j], v, out=v)
         if not (v[0] > 0.0).all():
             raise NotPositiveDefinite(
                 "Cholesky failed: input not positive definite")
-        np.sqrt(v[0], out=L[j, j, ...])
-        np.divide(v[1:], L[j, j], out=L[j + 1:, j])
-    return L, 2.0 * np.log(np.diagonal(L, axis1=0, axis2=1)).sum(axis=-1)
+        np.sqrt(v[0], out=S[j, j, ...])
+        np.divide(v[1:], S[j, j], out=S[j + 1:, j])
+    return S, 2.0 * np.log(np.diagonal(S, axis1=0, axis2=1)).sum(axis=-1)
 
 
 def check_spd(S: np.ndarray) -> None:
     """NotPositiveDefinite unless LAPACK and chol_logdets_last each factor
     every member of an (n, d, d) stack, the latter with I appended."""
     chol_logdets(S)
-    chol_logdets_last(
-        np.concatenate([S, np.eye(S.shape[-1])[None]]).transpose(1, 2, 0))
+    chol_logdets_last(np.concatenate(
+        [S.transpose(1, 2, 0), np.eye(S.shape[-1])[..., None]], axis=2))
 
 
 def _check_pair(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,10 +126,11 @@ def jbld_matrix(A, B) -> np.ndarray:
     """(len(A), len(B)) matrix of jbld(A[i], B[j]), the one JBLD kernel.
 
     Each block of w >= 1 columns of B, a stack within _JBLD_BLOCK entries
-    if one column fits, is one (d, d, len(A) + 1, w + 1) chol_logdets_last
-    call: the midpoints A_i / 2 + B_j / 2 (halving is exact, so a self-pair
-    gives the member itself), each A_i after its row, the block in the last
-    row and I in the corner, so no stack has fewer than four members.
+    if one column fits, is one (d, d, w + 1, len(A) + 1) stack factored in
+    place by chol_logdets_last: the midpoints B_j / 2 + A_i / 2 (halving is
+    exact, so a self-pair gives the member itself), B_j after its row, A in
+    the last row and I in the corner, so no stack has fewer than four
+    members; A's is the last axis, so the kernel's passes run along it.
     """
     if len(A) == 0 or len(B) == 0:
         return np.zeros((len(A), len(B)))
@@ -145,11 +145,11 @@ def jbld_matrix(A, B) -> np.ndarray:
     D = np.empty((n, len(B)))
     for s in range(0, len(B), w):
         Bt = B[s:s + w].transpose(1, 2, 0)
-        S = np.empty((d, d, n + 1, Bt.shape[2] + 1))
-        S[:, :, :-1, :-1] = 0.5 * At[..., None] + 0.5 * Bt[:, :, None]
-        S[:, :, :-1, -1], S[:, :, -1, :-1], S[:, :, -1, -1] = At, Bt, np.eye(d)
+        S = np.empty((d, d, Bt.shape[2] + 1, n + 1))
+        np.add(0.5 * Bt[..., None], 0.5 * At[:, :, None], out=S[..., :-1, :-1])
+        S[:, :, :-1, -1], S[:, :, -1, :-1], S[:, :, -1, -1] = Bt, At, np.eye(d)
         ld = chol_logdets_last(S)[1]
-        D[:, s:s + w] = ld[:-1, :-1] - 0.5 * (ld[:-1, -1:] + ld[-1, :-1])
+        D[:, s:s + w] = (ld[:-1, :-1] - 0.5 * (ld[-1, :-1] + ld[:-1, -1:])).T
     return D
 
 

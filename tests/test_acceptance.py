@@ -74,9 +74,10 @@ def hist_error(test, ref_members, ref_labels, M):
     """1-NN error under batched Sinkhorn distances."""
     H = np.stack(test.members)
     D = np.empty((len(test), len(ref_members)))
+    against_one = np.arange(len(H)), np.zeros(len(H), dtype=int)
     for j, hp in enumerate(ref_members):
-        D[:, j] = sinkhorn_batch(H, hp, M, HIST_LAM, tol=HIST_TOL,
-                                 max_iter=3000)[0]
+        D[:, j] = sinkhorn_batch(H, hp[None], M, HIST_LAM, tol=HIST_TOL,
+                                 max_iter=3000, pairs=against_one)[0]
     pred = np.asarray(ref_labels)[np.argmin(D, axis=1)]
     return float(np.mean(pred != test.labels))
 

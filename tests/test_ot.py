@@ -25,6 +25,16 @@ def random_pair(rng, d, alpha=1.0):
             ot.clamp_histogram(rng.dirichlet([alpha] * d)))
 
 
+def against_one(n):
+    """sinkhorn_batch's pairs for n rows against one second marginal."""
+    return np.arange(n), np.zeros(n, dtype=int)
+
+
+def row_by_row(n):
+    """sinkhorn_batch's pairs for row k of each side, k < n."""
+    return np.arange(n), np.arange(n)
+
+
 def emd_line_closed_form(h, hp):
     """EMD under |i - j| cost is the L1 distance between the CDFs."""
     return float(np.abs(np.cumsum(h) - np.cumsum(hp))[:-1].sum())
@@ -79,6 +89,24 @@ class TestValidation:
             ot.sinkhorn(h, hp, M, 2.0, tol=tol)
         with pytest.raises(BadParameters):
             ot.sinkhorn_barycenter(np.stack([h, hp]), M, 2.0, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0])
+    def test_max_iter_not_an_integer(self, max_iter):
+        # a pass count never equals a cap of 2.5: this pair ran 76 passes
+        # and reported converged, and at tol 1e-17 it never stopped
+        rng = np.random.default_rng(11)
+        h, hp = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
+        M = line_metric(6)
+        for cap in (3, np.int64(3)):
+            sol = ot.sinkhorn(h, hp, M, 5.0, tol=1e-12, max_iter=cap)
+            assert not sol.converged and sol.iterations == 3
+        with pytest.raises(BadParameters):
+            ot.sinkhorn(h, hp, M, 5.0, tol=1e-12, max_iter=max_iter)
+        with pytest.raises(BadParameters):
+            ot.sinkhorn_matrix(h[None], hp[None], M, 5.0, 1e-12, max_iter)
+        with pytest.raises(BadParameters):
+            ot.sinkhorn_barycenter(np.stack([h, hp]), M, 5.0,
+                                   max_iter=max_iter)
 
     def test_clamp(self):
         h = ot.clamp_histogram(np.array([1.0, 0.0, 0.0]))
@@ -142,8 +170,9 @@ class TestSinkhorn:
         M = line_metric(5)
         cold = ot.sinkhorn(h, hp, M, lam=60.0, tol=1e-11)
         v0 = np.exp(cold.dual_beta * 60.0)
-        dists, _, _, _, it = ot.sinkhorn_batch(h[None], hp, M, lam=60.0,
-                                               tol=1e-11, V0=v0[:, None])
+        dists, _, _, _, it = ot.sinkhorn_batch(
+            h[None], hp[None], M, lam=60.0, tol=1e-11, V0=v0[:, None],
+            pairs=against_one(1))
         assert dists[0] == pytest.approx(cold.distance, abs=1e-9)
         assert it <= cold.iterations
 
@@ -157,21 +186,22 @@ class TestSinkhorn:
         v0 = np.ones(5)
         v0[2] = bad
         with pytest.raises(BadParameters):
-            ot.sinkhorn_batch(h[None], hp, line_metric(5), lam,
-                              V0=v0[:, None])
+            ot.sinkhorn_batch(h[None], hp[None], line_metric(5), lam,
+                              V0=v0[:, None], pairs=against_one(1))
         with pytest.raises(BadParameters):
-            ot.sinkhorn_batch(np.stack([h, hp]), hp, line_metric(5), lam,
-                              V0=np.column_stack([v0, np.ones(5)]))
+            ot.sinkhorn_batch(np.stack([h, hp]), hp[None], line_metric(5),
+                              lam, V0=np.column_stack([v0, np.ones(5)]),
+                              pairs=against_one(2))
 
     @pytest.mark.parametrize("lam", [2.0, 800.0])
     def test_warm_start_wrong_shape_raises(self, lam):
         h, hp = random_pair(np.random.default_rng(4), 5)
         with pytest.raises(DimensionMismatch):
-            ot.sinkhorn_batch(h[None], hp, line_metric(5), lam,
-                              V0=np.ones((4, 1)))
+            ot.sinkhorn_batch(h[None], hp[None], line_metric(5), lam,
+                              V0=np.ones((4, 1)), pairs=against_one(1))
         with pytest.raises(DimensionMismatch):
-            ot.sinkhorn_batch(np.stack([h, hp]), hp, line_metric(5), lam,
-                              V0=np.ones((5, 3)))
+            ot.sinkhorn_batch(np.stack([h, hp]), hp[None], line_metric(5),
+                              lam, V0=np.ones((5, 3)), pairs=against_one(2))
 
 
 def plain_log_scaling(h, hp, M, lam, tol, max_iter):
@@ -251,9 +281,10 @@ class TestLogDomain:
             return log_stage(H, Hp, logK, tol, cap, F, G, omega)
 
         monkeypatch.setattr(ot, "_log_stage", spy)
-        conv = ot.sinkhorn_batch(h[None], hp, M, 800.0, tol=1e-9,
+        conv = ot.sinkhorn_batch(h[None], hp[None], M, 800.0, tol=1e-9,
                                  max_iter=2000,
-                                 V0=np.ones((5, 1)) if warm else None)[3]
+                                 V0=np.ones((5, 1)) if warm else None,
+                                 pairs=against_one(1))[3]
         assert conv[0]
         assert kernels == [(800.0, 1.0)] + [(lam, ot._OMEGA) for lam in lams]
 
@@ -270,9 +301,9 @@ class TestLogDomain:
             return log_scaling(HT, *rest)
 
         monkeypatch.setattr(ot, "_log_scaling", spy)
-        one = ot.sinkhorn_batch(*args)
+        one = ot.sinkhorn_batch(*args, pairs=row_by_row(36))
         monkeypatch.setattr(ot, "_LOG_BLOCK", 1)
-        many = ot.sinkhorn_batch(*args)
+        many = ot.sinkhorn_batch(*args, pairs=row_by_row(36))
         assert blocks == [36] + [1] * 36
         for a, b in zip(one, many):
             assert np.array_equal(a, b)
@@ -425,8 +456,8 @@ class TestBatch:
         H = np.stack([ot.clamp_histogram(rng.dirichlet(np.ones(d)))
                       for _ in range(n)])
         hp = ot.clamp_histogram(rng.dirichlet(np.ones(d)))
-        dists, betas, V, conv, _ = ot.sinkhorn_batch(H, hp, M, lam=50.0,
-                                                     tol=1e-11)
+        dists, betas, V, conv, _ = ot.sinkhorn_batch(
+            H, hp[None], M, lam=50.0, tol=1e-11, pairs=against_one(n))
         assert conv.all()
         for i in range(n):
             sol = ot.sinkhorn(H[i], hp, M, lam=50.0, tol=1e-11)
@@ -445,8 +476,9 @@ class TestBatch:
         H = np.stack([ot.clamp_histogram(rng.dirichlet(np.ones(d)))
                       for _ in range(n)])
         hp = ot.clamp_histogram(rng.dirichlet(np.ones(d)))
-        dists, betas, V, conv, _ = ot.sinkhorn_batch(H, hp, M, lam, tol=1e-9,
-                                                     max_iter=100000)
+        dists, betas, V, conv, _ = ot.sinkhorn_batch(
+            H, hp[None], M, lam, tol=1e-9, max_iter=100000,
+            pairs=against_one(n))
         assert conv.all()
         assert np.all(V == 1.0)
         for i in range(n):
@@ -474,8 +506,9 @@ class TestBatch:
             return log_scaling(HT, *args)
 
         monkeypatch.setattr(ot, "_log_scaling", spy)
-        dists, _, _, conv, _ = ot.sinkhorn_batch(H, hp, M, lam, tol=1e-9,
-                                                 max_iter=20000)
+        dists, _, _, conv, _ = ot.sinkhorn_batch(
+            H, hp[None], M, lam, tol=1e-9, max_iter=20000,
+            pairs=against_one(len(H)))
         assert redone == [1]
         assert conv.all()
         for i in range(len(H)):
@@ -493,12 +526,13 @@ class TestBatch:
         hp = np.random.default_rng(11).dirichlet(np.ones(d))
         peaked = ot.clamp_histogram(np.eye(d)[-1] * 0.98 + 0.02 / d)
         slow = 0.95 * hp + 0.05 / d
-        alone = ot.sinkhorn_batch(peaked[None], hp, M, lam, tol=1e-9,
-                                  max_iter=max_iter)
+        alone = ot.sinkhorn_batch(peaked[None], hp[None], M, lam, tol=1e-9,
+                                  max_iter=max_iter, pairs=against_one(1))
         assert alone[3][0]
         for H, i in (([peaked, slow], 0), ([slow, peaked], 1)):
             dists, betas, _, conv, _ = ot.sinkhorn_batch(
-                np.stack(H), hp, M, lam, tol=1e-9, max_iter=max_iter)
+                np.stack(H), hp[None], M, lam, tol=1e-9, max_iter=max_iter,
+                pairs=against_one(2))
             assert not conv[1 - i]
             assert conv[i]
             np.testing.assert_allclose(dists[i], alone[0][0], rtol=1e-12)
@@ -518,8 +552,8 @@ class TestBatch:
         H = np.stack([ot.clamp_histogram(np.eye(d)[-1] * 0.98 + 0.02 / d),
                       0.9 * HP[1] + 0.1 / d, rng.dirichlet(np.ones(d)),
                       ot.clamp_histogram(np.eye(d)[0] * 0.9 + 0.1 / d)])
-        dists, betas, _, conv, it = ot.sinkhorn_batch(H, HP, M, lam, 1e-9,
-                                                      max_iter)
+        dists, betas, _, conv, it = ot.sinkhorn_batch(
+            H, HP, M, lam, 1e-9, max_iter, pairs=row_by_row(4))
         sols = [ot.sinkhorn(h, hp, M, lam, 1e-9, max_iter)
                 for h, hp in zip(H, HP)]
         assert len({s.iterations for s in sols}) >= 3
@@ -533,9 +567,11 @@ class TestBatch:
     def test_second_marginals_must_match_columns(self):
         H = np.full((3, 4), 0.25)
         with pytest.raises(DimensionMismatch):
-            ot.sinkhorn_batch(H, H[:2], line_metric(4), 2.0)
+            ot.sinkhorn_batch(H, H[:2], line_metric(4), 2.0,
+                              pairs=row_by_row(3))
         with pytest.raises(DimensionMismatch):
-            ot.sinkhorn_batch(H, np.full((3, 5), 0.2), line_metric(4), 2.0)
+            ot.sinkhorn_batch(H, np.full((3, 5), 0.2), line_metric(4), 2.0,
+                              pairs=row_by_row(3))
 
     @pytest.mark.parametrize("row", [np.array([0.7, -0.1, 0.4]),
                                      np.array([0.5, 0.3, 0.3]),
@@ -545,7 +581,8 @@ class TestBatch:
         H = np.stack([rng.dirichlet(np.ones(3)) for _ in range(4)])
         H[2] = row
         with pytest.raises(InfeasibleMarginals):
-            ot.sinkhorn_batch(H, np.full(3, 1 / 3), line_metric(3), 5.0)
+            ot.sinkhorn_batch(H, np.full((1, 3), 1 / 3), line_metric(3), 5.0,
+                              pairs=against_one(4))
         with pytest.raises(InfeasibleMarginals):
             ot.check_histograms(H)
 
@@ -581,8 +618,9 @@ class TestMatrix:
         for j, hp in enumerate(P):
             for i, h in enumerate(Q):
                 V0 = None if seeds is None else seeds[:, [j * n + i]]
-                d1, b1, _, c1, _ = ot.sinkhorn_batch(h[None], hp, self.M, 2.0,
-                                                     1e-6, 2000, V0)
+                d1, b1, _, c1, _ = ot.sinkhorn_batch(
+                    h[None], hp[None], self.M, 2.0, 1e-6, 2000, V0,
+                    pairs=against_one(1))
                 np.testing.assert_allclose(D[i, j], d1[0], rtol=1e-12)
                 np.testing.assert_allclose(betas[j, i], b1[0], rtol=1e-12,
                                            atol=1e-14)
@@ -637,7 +675,7 @@ class TestMatrix:
                                  warm)
         dists, betas, V, conv, _ = ot.sinkhorn_batch(
             np.tile(self.Q, (3, 1)), np.repeat(self.P, 5, axis=0), self.M,
-            lam, 1e-6, 2000)
+            lam, 1e-6, 2000, pairs=row_by_row(15))
         want = (dists.reshape(3, 5).T, betas.reshape(3, 5, 6),
                 conv.reshape(3, 5).T)
         for a, b in zip(got + (warm["V"],), want + (V,)):
@@ -648,7 +686,8 @@ class TestMatrix:
         i, j = np.triu_indices(5, 1)
         want = np.zeros((5, 5))
         want[i, j] = want[j, i] = ot.sinkhorn_batch(
-            self.Q[i], self.Q[j], self.M, lam, 1e-6, 2000)[0]
+            self.Q[i], self.Q[j], self.M, lam, 1e-6, 2000,
+            pairs=row_by_row(len(i)))[0]
         assert np.array_equal(
             ot.sinkhorn_pairwise(self.Q, self.M, lam, 1e-6, 2000), want)
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from knncompress import scc
 from knncompress.datasets import LabeledDataset, gen_covariance_dataset
 from knncompress.errors import (
-    NotPositiveDefinite, TooFewInputs, ValidationError)
+    BadParameters, NotPositiveDefinite, TooFewInputs, ValidationError)
 from knncompress.neighborhood import (
     NeighborhoodModel, gradient_coeffs, kl_loss)
 from knncompress.spd import (
@@ -28,7 +29,9 @@ def midpoints_reference(B, X):
     mid = np.empty(B.shape[1:] + (len(B), len(X)))
     np.add(Xh[:, :, None], (0.5 * S).transpose(1, 2, 0)[..., None], out=mid)
     L, ld_mid = chol_logdets_last(mid)
-    Linv = tril_inv_last(L)
+    # the factors overwrote mid's lower triangle; the inverse reads a
+    # lower-triangular copy
+    Linv = tril_inv_last(L * np.tri(len(L))[:, :, None, None])
     ld_S = 2.0 * np.log(np.abs(np.diagonal(B, axis1=1, axis2=2))).sum(axis=1)
     D = ld_mid - 0.5 * (chol_logdets(X)[1] + ld_S[:, None])
     return np.ascontiguousarray(D.T), Linv
@@ -207,10 +210,8 @@ class TestObjective:
             scc.scc_loss_grad(scc.SccState(factors, state.labels, 1.5),
                               train, objective)
         assert len(seen) == 4  # one factorization, one inverse per call
-        assert all(S is L and out is L and fL is L and w is work
-                   for S, out, fL, w in seen[::2])
-        assert all(M is L and out is L and w is work
-                   for M, out, w in seen[1::2])
+        # the factors and the inverse are both written over L in place
+        assert all(S is L and out is L and w is work for S, out, w in seen)
         assert objective.L is L and objective.work is work
         # the strict upper triangle of every factor stays exactly zero
         assert not np.triu(np.moveaxis(L, (0, 1), (-2, -1)), 1).any()
@@ -368,6 +369,27 @@ class TestCompress:
                                  6, scc.SccConfig(max_iter=30, seed=0))
         assert len(seen) > 30 and all(seen)
         assert not np.tril(state.factors, -1).any()
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", -1), ("max_iter", 2.5), ("seed", -1), ("seed", 2.5),
+        ("gamma_sq", 0.0), ("gamma_sq", -1.0), ("gamma_sq", np.nan),
+        ("gamma_sq", np.inf)])
+    def test_config_out_of_range_rejected_before_any_step(
+            self, field, value, monkeypatch):
+        # max_iter -1 used to return the start and 2.5 to run 3 steps, and
+        # a negative seed ended in numpy's ValueError.  The config is
+        # checked when it is built, tuning's replace()d candidates too.
+        calls = []
+        monkeypatch.setattr(scc, "scc_loss_grad",
+                            lambda *a: calls.append(1))
+        with pytest.raises(BadParameters, match=field):
+            scc.scc_compress(small_train(), 2, scc.SccConfig(
+                **{"max_iter": 3, field: value}))
+        with pytest.raises(BadParameters, match=field):
+            replace(scc.SccConfig(), **{field: value})
+        with pytest.raises(FrozenInstanceError):  # nor set afterwards
+            setattr(scc.SccConfig(), field, value)
+        assert calls == []
 
     def test_rejected_start_is_an_input_error(self):
         # singular, but plain Cholesky passes on a last pivot of 4e-16

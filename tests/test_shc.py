@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -222,28 +223,35 @@ class TestCompress:
 
     @pytest.mark.parametrize("field, value", [
         ("learn_rate", 0.0), ("learn_rate", -1.0), ("learn_rate", np.nan),
-        ("learn_rate", np.inf), ("max_iter", -1), ("rmhc_steps", -1)])
+        ("learn_rate", np.inf), ("max_iter", -1), ("rmhc_steps", -1),
+        ("seed", -1), ("max_iter", 2.5), ("rmhc_steps", 2.5), ("seed", 2.5),
+        ("sinkhorn_max_iter", 2.5), ("gamma_sq", 0.0), ("lam", -1.0),
+        ("sinkhorn_tol", np.inf)])
     def test_config_out_of_range_rejected_before_any_solve(
             self, field, value, monkeypatch):
         # a learning rate of 0 or -1 and a negative max_iter used to return
-        # the start, and a negative rmhc_steps to subsample, without a word
+        # the start, and a negative rmhc_steps to subsample, without a word;
+        # a negative seed ended in numpy's ValueError and a fractional
+        # count in a TypeError.  The config is checked when it is built.
         solves, real = [], ot.sinkhorn_batch
         monkeypatch.setattr(ot, "sinkhorn_batch",
                             lambda *a, **kw: solves.append(1) or real(*a, **kw))
-        cfg = shc.ShcConfig(max_iter=3, rmhc_steps=5)
-        setattr(cfg, field, value)
         with pytest.raises(BadParameters, match=field):
-            shc.shc_compress(small_train(), 4, cfg)
+            shc.shc_compress(small_train(), 4, shc.ShcConfig(
+                **{"max_iter": 3, "rmhc_steps": 5, field: value}))
+        with pytest.raises(BadParameters, match=field):
+            replace(shc.ShcConfig(), **{field: value})
+        with pytest.raises(FrozenInstanceError):  # nor set afterwards
+            setattr(shc.ShcConfig(), field, value)
         assert solves == []
 
     @pytest.mark.parametrize("rmhc_steps", [0, 5])
     def test_nan_sinkhorn_tol_rejected(self, rmhc_steps):
         # every pair used to end unconverged after one pass, so the
         # gradient dropped them all and the run returned its start
-        cfg = shc.ShcConfig(max_iter=3, rmhc_steps=rmhc_steps,
-                            sinkhorn_tol=np.nan)
         with pytest.raises(BadParameters):
-            shc.shc_compress(small_train(), 4, cfg)
+            shc.shc_compress(small_train(), 4, shc.ShcConfig(
+                max_iter=3, rmhc_steps=rmhc_steps, sinkhorn_tol=np.nan))
 
     def test_given_gamma_used_from_the_start(self, monkeypatch):
         # the start's loss and gradient are taken at the given gamma^2, in

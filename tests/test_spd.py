@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -77,7 +79,9 @@ class TestInvCholLogdets:
         rng = np.random.default_rng(d)
         S = np.array([[random_spd(rng, d) for _ in range(4)]
                       for _ in range(3)])
-        factors, ld = spd.chol_logdets_last(S.transpose(2, 3, 0, 1))
+        # a lower-triangular copy: the factors overwrite it, and the
+        # inverse reads a strict upper triangle of 0s
+        factors, ld = spd.chol_logdets_last(np.tril(S).transpose(2, 3, 0, 1))
         Linv = spd.tril_inv_last(factors)
         L, ref_ld = spd.chol_logdets(S)
         ref = np.linalg.inv(L)
@@ -86,6 +90,20 @@ class TestInvCholLogdets:
         assert np.abs(ld - ref_ld).max() <= 1e-13 * np.abs(ref_ld).max()
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+
+    def test_factors_in_place(self):
+        # S is the factor, and its strict upper triangle is left as it was
+        rng = np.random.default_rng(3)
+        X = np.array([[random_spd(rng, 4) for _ in range(3)]
+                      for _ in range(2)])
+        S = X.transpose(2, 3, 0, 1).copy()
+        factors, ld = spd.chol_logdets_last(S)
+        assert factors is S
+        got = np.moveaxis(S, (0, 1), (-2, -1))  # (2, 3, 4, 4) view of S
+        assert np.array_equal(np.triu(got, 1), np.triu(X, 1))
+        ref, ref_ld = spd.chol_logdets(X)
+        assert np.abs(np.tril(got) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(ld - ref_ld).max() <= 1e-13 * np.abs(ref_ld).max()
 
     @pytest.mark.parametrize("bad", ["negative identity", "nan", "all ones"])
     def test_not_positive_definite_member_raises(self, bad):
@@ -181,26 +199,55 @@ class TestJbldMatrix:
         assert spd.jbld(X[0], X[1]) > 0
         assert spd.jbld.pairwise(X).shape == (4, 4)
 
-    @pytest.mark.parametrize("budget, widths",
-                             [(1, [1] * 7), (25 * 9 * 4, [3, 3, 1])])
-    def test_blocks_equal_one_block(self, monkeypatch, budget, widths):
+    @staticmethod
+    def check_blocks(monkeypatch, d, budget, widths):
         rng = np.random.default_rng(15)
-        A = [random_spd(rng, 5, 0.1) for _ in range(8)]
-        B = [random_spd(rng, 5, 0.1) for _ in range(7)]
+        A = [random_spd(rng, d, 0.1) for _ in range(8)]
+        B = [random_spd(rng, d, 0.1) for _ in range(7)]
         whole = spd.jbld_matrix(A, B)
         shapes = []
         kernel = spd.chol_logdets_last
 
         def recording(S):
+            # the kernel factors the block's one stack, as it was allocated
+            assert S.base is None and S.flags.c_contiguous
             shapes.append(S.shape)
-            return kernel(S)
+            out = kernel(S)
+            assert out[0] is S
+            return out
 
         monkeypatch.setattr(spd, "chol_logdets_last", recording)
         monkeypatch.setattr(spd, "_JBLD_BLOCK", budget)
         assert np.array_equal(spd.jbld_matrix(A, B), whole)
-        assert shapes == [(5, 5, 9, w + 1) for w in widths]
+        assert shapes == [(d, d, w + 1, 9) for w in widths]
         # within the budget, or one column where one column is more
-        assert max(np.prod(shapes, axis=1)) <= max(budget, 25 * 9 * 2)
+        assert max(np.prod(shapes, axis=1)) <= max(budget, d * d * 9 * 2)
+
+    @pytest.mark.parametrize("budget, widths",
+                             [(1, [1] * 7), (25 * 9 * 4, [3, 3, 1])])
+    def test_blocks_equal_one_block(self, monkeypatch, budget, widths):
+        self.check_blocks(monkeypatch, 5, budget, widths)
+
+    @pytest.mark.parametrize("budget, widths",
+                             [(1, [1] * 7), (400 * 9 * 4, [3, 3, 1])])
+    def test_blocks_equal_one_block_at_d20(self, monkeypatch, budget, widths):
+        self.check_blocks(monkeypatch, 20, budget, widths)
+
+    def test_one_stack_per_block(self):
+        # the midpoints are written into the stack the kernel factors, so
+        # a block holds one stack-sized array, not three
+        rng = np.random.default_rng(16)
+        A = np.array([random_spd(rng, 5, 0.1) for _ in range(300)])
+        B = np.array([random_spd(rng, 5, 0.1) for _ in range(24)])
+        stack = 8 * 5 * 5 * 301 * 25
+        assert stack <= 8 * spd._JBLD_BLOCK  # one block
+        tracemalloc.start()
+        try:
+            spd.jbld_matrix(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack < peak < 2 * stack
 
     @pytest.mark.parametrize("d", [5, 20])
     def test_matches_lapack_formula(self, d):
