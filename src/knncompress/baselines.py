@@ -5,6 +5,12 @@ pluggable class-centroid routine), and random-mutation hill climbing.
 All are metric-agnostic: they see the training set's distances only
 through one (n, n) train-by-train matrix D.  FCNN also takes the metric
 and a class-centroid routine, for its member-to-centroid distances.
+
+Each run keeps one array, every training point's nearest selected member
+(the lowest index on a tie), and updates it per change: an added member
+is compared with each row's nearest in O(n), and only the rows that lose
+their nearest member are re-scanned.  Selections are those of a full
+n x |S| rescan after every change.
 """
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ from .datasets import LabeledDataset, stratified_indices
 from .errors import (DimensionMismatch, InconsistentInput, NonFiniteInput,
                      TooFewInputs)
 from .knn import distance_matrix
+from .neighborhood import check_counts
 
 
 @dataclass
@@ -51,19 +58,16 @@ def _nearest(D: np.ndarray, rows, candidates: np.ndarray) -> np.ndarray:
     Equidistant ties go to the lowest training index; candidates are kept
     sorted so argmin's first-hit rule implements that.
     """
-    return candidates[np.argmin(D[np.ix_(rows, candidates)], axis=1)]
+    return candidates[np.argmin(D[np.asarray(rows)[:, None], candidates],
+                                axis=1)]
 
 
-def _one_nn_wrong(D: np.ndarray, labels: np.ndarray,
-                  indices: np.ndarray) -> np.ndarray:
-    """Which training points 1-NN on the reduced set misclassifies."""
-    return labels[_nearest(D, np.arange(len(labels)), indices)] != labels
-
-
-def _is_consistent(D: np.ndarray, labels: np.ndarray,
-                   indices: np.ndarray) -> bool:
-    """1-NN on the reduced set classifies every training point correctly."""
-    return not _one_nn_wrong(D, labels, indices).any()
+def _admit(D: np.ndarray, nn: np.ndarray, j: int) -> None:
+    """Update nn, each row's nearest member, in place for a new member j,
+    under _nearest's rule: j takes the rows it is nearer to, or as near to
+    with a lower index."""
+    new, old = D[:, j], D[np.arange(len(nn)), nn]
+    nn[(new < old) | ((new == old) & (j < nn))] = j
 
 
 def _snapshot(snapshots: dict, ratios, size: int, n: int, indices) -> None:
@@ -74,6 +78,7 @@ def _snapshot(snapshots: dict, ratios, size: int, n: int, indices) -> None:
 
 def subsample(train: LabeledDataset, m: int, seed: int) -> ReducedSet:
     """Class-stratified random sample of size m."""
+    check_counts(m=m, seed=seed)
     if m > len(train):
         raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     rng = np.random.default_rng(seed)
@@ -85,6 +90,7 @@ def cnn_reduce(train: LabeledDataset, D: np.ndarray, seed: int,
                snapshot_ratios=None) -> ReducedSet:
     """Condensed nearest neighbor: grow a reference set until it classifies
     the whole training set, scanning in a seeded order with repeated passes."""
+    check_counts(seed=seed)
     D = _checked(train, D)
     labels = train.labels
     n = len(labels)
@@ -92,26 +98,23 @@ def cnn_reduce(train: LabeledDataset, D: np.ndarray, seed: int,
     order = rng.permutation(n)
 
     selected = [int(order[0])]
+    nn = np.full(n, selected[0])
     snapshots: dict[float, np.ndarray] = {}
     _snapshot(snapshots, snapshot_ratios, 1, n, selected)
     changed = True
     while changed:
         changed = False
-        cand = np.sort(np.array(selected))
         for i in order:
-            i = int(i)
-            if i in selected:
-                continue
-            if labels[_nearest(D, [i], cand)[0]] != labels[i]:
-                selected.append(i)
-                cand = np.sort(np.array(selected))
+            if labels[nn[i]] != labels[i] and i not in selected:
+                selected.append(int(i))
+                _admit(D, nn, i)
                 changed = True
                 _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
 
     idx = np.sort(np.array(selected))
     _snapshot(snapshots, snapshot_ratios, n, n, idx)  # ratios not reached
     return ReducedSet(indices=idx, labels=labels[idx],
-                      consistent=_is_consistent(D, labels, idx),
+                      consistent=bool(np.all(labels[nn] == labels)),
                       snapshots=snapshots)
 
 
@@ -120,23 +123,30 @@ def rnn_reduce(cnn_result: ReducedSet, train: LabeledDataset, D: np.ndarray,
     """Reduced nearest neighbor: greedy deletion pass over the CNN output.
 
     Each member is tentatively dropped in a seeded random order; the drop is
-    kept when training consistency survives.
+    kept when training consistency survives.  Only the rows whose nearest
+    member is the one dropped can change, so only they are re-scanned.
     """
+    check_counts(seed=seed)
     D = _checked(train, D)
-    if not cnn_result.consistent:
-        raise InconsistentInput("rnn_reduce needs a consistent CNN result")
     labels = train.labels
-    keep = list(cnn_result.indices)
+    keep = np.unique(cnn_result.indices)
+    if not (cnn_result.consistent and len(keep)):
+        raise InconsistentInput("rnn_reduce needs a consistent CNN result")
+    nn = _nearest(D, np.arange(len(labels)), keep)
+    if np.any(labels[nn] != labels):
+        raise InconsistentInput(
+            "the CNN result flagged consistent misclassifies training points")
     rng = np.random.default_rng(seed)
     for i in rng.permutation(cnn_result.indices):
         if len(keep) <= 1:
             break
-        trial = np.sort(np.array([j for j in keep if j != i]))
-        if _is_consistent(D, labels, trial):
-            keep = list(trial)
-    idx = np.sort(np.array(keep))
-    return ReducedSet(indices=idx, labels=labels[idx],
-                      consistent=_is_consistent(D, labels, idx))
+        rows = np.flatnonzero(nn == i)
+        trial = keep[keep != i]
+        moved = _nearest(D, rows, trial)
+        if np.all(labels[moved] == labels[rows]):
+            keep, nn[rows] = trial, moved
+    return ReducedSet(indices=keep, labels=labels[keep],
+                      consistent=bool(np.all(labels[nn] == labels)))
 
 
 def fcnn_reduce(train: LabeledDataset, D: np.ndarray, metric, centroid,
@@ -161,27 +171,26 @@ def fcnn_reduce(train: LabeledDataset, D: np.ndarray, metric, centroid,
     snapshots: dict[float, np.ndarray] = {}
     _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
 
+    owner = _nearest(D, np.arange(n), np.array(selected))
     while True:
-        owner = _nearest(D, np.arange(n), np.array(selected))
-        wrong = labels[owner] != labels
-        if not wrong.any():
+        wrong = np.flatnonzero(labels[owner] != labels)
+        if len(wrong) == 0:
             break
-        additions = set()
-        for s in selected:
-            cell = np.where((owner == s) & wrong)[0]
-            if len(cell) == 0:
-                continue
-            additions.add(int(_nearest(D, [s], cell)[0]))
-        additions -= set(selected)
+        # for each member, the nearest misclassified point in its cell
+        cells = owner[wrong]
+        additions = {int(_nearest(D, [s], wrong[cells == s])[0])
+                     for s in np.unique(cells)} - set(selected)
         if not additions:
             break
         selected = sorted(set(selected) | additions)
+        for j in additions:
+            _admit(D, owner, j)
         _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
 
-    idx = np.array(sorted(selected))
+    idx = np.array(selected)
     _snapshot(snapshots, snapshot_ratios, n, n, idx)  # ratios not reached
     return ReducedSet(indices=idx, labels=labels[idx],
-                      consistent=_is_consistent(D, labels, idx),
+                      consistent=bool(np.all(labels[owner] == labels)),
                       snapshots=snapshots)
 
 
@@ -193,6 +202,7 @@ def rmhc_reduce(train: LabeledDataset, m: int, D: np.ndarray, steps: int,
     for one unselected, keeping the swap iff the 1-NN training error does
     not increase.  The subset size is invariant.
     """
+    check_counts(m=m, steps=steps, seed=seed)
     D = _checked(train, D)
     labels = train.labels
     n = len(labels)
@@ -204,15 +214,25 @@ def rmhc_reduce(train: LabeledDataset, m: int, D: np.ndarray, steps: int,
     selected = np.sort(idx)
     if m == n or steps < 1:
         return ReducedSet(indices=selected, labels=labels[selected])
-    err = _one_nn_wrong(D, labels, selected).mean()
+    nn = _nearest(D, np.arange(n), selected)
+    wrong = np.count_nonzero(labels[nn] != labels)
+    unselected = np.delete(np.arange(n), selected)  # sorted, unique
     for _ in range(steps):
         out_pos = int(rng.integers(m))
-        unselected = np.delete(np.arange(n), selected)  # sorted, unique
-        new = int(unselected[rng.integers(len(unselected))])
+        k = rng.integers(len(unselected))
+        new = int(unselected[k])
         trial = selected.copy()
         trial[out_pos] = new
         trial = np.sort(trial)
-        trial_err = _one_nn_wrong(D, labels, trial).mean()
-        if trial_err <= err:
-            selected, err = trial, trial_err
+        # rows that lose their nearest member are re-scanned; the rest
+        # only compare it with the new one
+        rows = np.flatnonzero(nn == selected[out_pos])
+        trial_nn = nn.copy()
+        _admit(D, trial_nn, new)
+        trial_nn[rows] = _nearest(D, rows, trial)
+        trial_wrong = np.count_nonzero(labels[trial_nn] != labels)
+        if trial_wrong <= wrong:  # counts order as error rates at fixed n
+            unselected[k] = selected[out_pos]
+            unselected.sort()
+            selected, nn, wrong = trial, trial_nn, trial_wrong
     return ReducedSet(indices=selected, labels=labels[selected])

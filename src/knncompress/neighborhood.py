@@ -53,14 +53,18 @@ class NeighborhoodModel:
         self.correct = np.where(self.label_match, self.probs, 0.0).sum(axis=1)
 
 
-def check_config(config, counts, positives) -> None:
-    """BadParameters unless config's fields named in counts are integers
-    >= 0 and those in positives None or positive and finite (not NaN)."""
-    for name in counts:
-        value = getattr(config, name)
+def check_counts(**values) -> None:
+    """BadParameters unless every value given is an integer >= 0."""
+    for name, value in values.items():
         if not isinstance(value, numbers.Integral) or value < 0:
             raise BadParameters(
                 f"{name} must be at least 0 and an integer, got {value!r}")
+
+
+def check_config(config, counts, positives) -> None:
+    """BadParameters unless config's fields named in counts are integers
+    >= 0 and those in positives None or positive and finite (not NaN)."""
+    check_counts(**{name: getattr(config, name) for name in counts})
     for name in positives:
         value = getattr(config, name)
         if value is not None and not 0 < value < np.inf:

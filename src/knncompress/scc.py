@@ -16,6 +16,7 @@ from .errors import NotPositiveDefinite, TooFewInputs, ValidationError
 from .neighborhood import (
     NeighborhoodModel,
     check_config,
+    check_counts,
     gradient_coeffs,
     kl_loss,
     select_gamma_sq,
@@ -63,6 +64,7 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
     """Class-stratified sample of m training covariances, Cholesky-factored."""
     if train.family != "covariance":
         raise ValidationError("scc requires a covariance dataset")
+    check_counts(m=m, seed=seed)
     if m > len(train):
         raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     rng = np.random.default_rng(seed)

@@ -3,8 +3,12 @@ import pytest
 
 from knncompress import baselines as bl
 from knncompress.datasets import LabeledDataset
-from knncompress.errors import (DimensionMismatch, InconsistentInput,
-                                 NonFiniteInput, TooFewInputs)
+from knncompress.datasets import stratified_indices
+from knncompress.errors import (BadParameters, DimensionMismatch,
+                                 InconsistentInput, NonFiniteInput,
+                                 TooFewInputs)
+from knncompress.knn import distance_matrix
+from knncompress.scc import scc_init
 
 
 def euclid(x, y):
@@ -126,6 +130,16 @@ class TestRnn:
         with pytest.raises(InconsistentInput):
             bl.rnn_reduce(fake, train, euclid_matrix(train))
 
+    @pytest.mark.parametrize("indices", [[0], []])
+    def test_checks_consistency_not_the_flag(self, indices):
+        # a set flagged consistent that does not classify a 2-class train
+        # set is refused, not reduced further
+        train = blob_train(seed=7, classes=2)
+        flagged = bl.ReducedSet(indices=indices,
+                                labels=train.labels[indices], consistent=True)
+        with pytest.raises(InconsistentInput):
+            bl.rnn_reduce(flagged, train, euclid_matrix(train))
+
 
 class TestFcnn:
     def test_consistent(self):
@@ -216,3 +230,211 @@ class TestEntryCheck:
         D[3, 7] = D[7, 3] = bad
         with pytest.raises(NonFiniteInput):
             READERS[method](train, D)
+
+
+class TestBadCounts:
+    # (call, bad value): a seed, m or step count that is negative or not an
+    # integer is refused before any work, with the library's error
+    CALLS = {
+        "subsample-seed": lambda t, D, v: bl.subsample(t, 3, v),
+        "subsample-m": lambda t, D, v: bl.subsample(t, v, 0),
+        "cnn-seed": lambda t, D, v: bl.cnn_reduce(t, D, v),
+        "rnn-seed": lambda t, D, v: bl.rnn_reduce(
+            bl.cnn_reduce(t, D, 0), t, D, v),
+        "rmhc-seed": lambda t, D, v: bl.rmhc_reduce(t, 3, D, 5, v),
+        "rmhc-m": lambda t, D, v: bl.rmhc_reduce(t, v, D, 5, 0),
+        "rmhc-steps": lambda t, D, v: bl.rmhc_reduce(t, 3, D, v, 0),
+        "scc_init-seed": lambda t, D, v: scc_init(t, 3, v),
+    }
+
+    @pytest.mark.parametrize("value", [-1, 2.5])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, call, value):
+        train = blob_train(per_class=4)
+        with pytest.raises(BadParameters, match="at least 0 and an integer"):
+            self.CALLS[call](train, euclid_matrix(train), value)
+
+
+# The full-scan baselines as they were before the nearest-member bookkeeping:
+# every check re-derives each row's nearest selected member from D.
+
+def ref_nearest(D, rows, candidates):
+    return candidates[np.argmin(D[np.ix_(rows, candidates)], axis=1)]
+
+
+def ref_wrong(D, labels, indices):
+    return labels[ref_nearest(D, np.arange(len(labels)), indices)] != labels
+
+
+def ref_snapshot(snapshots, ratios, size, n, indices):
+    for r in ratios or ():
+        if r not in snapshots and size >= max(1, round(r * n)):
+            snapshots[r] = np.sort(np.asarray(indices, dtype=int)).copy()
+
+
+def ref_cnn(train, D, seed, ratios):
+    labels, n = train.labels, len(train)
+    order = np.random.default_rng(seed).permutation(n)
+    selected, snapshots = [int(order[0])], {}
+    ref_snapshot(snapshots, ratios, 1, n, selected)
+    changed = True
+    while changed:
+        changed = False
+        cand = np.sort(np.array(selected))
+        for i in order:
+            i = int(i)
+            if i in selected:
+                continue
+            if labels[ref_nearest(D, [i], cand)[0]] != labels[i]:
+                selected.append(i)
+                cand = np.sort(np.array(selected))
+                changed = True
+                ref_snapshot(snapshots, ratios, len(selected), n, selected)
+    idx = np.sort(np.array(selected))
+    ref_snapshot(snapshots, ratios, n, n, idx)
+    return idx, not ref_wrong(D, labels, idx).any(), snapshots
+
+
+def ref_rnn(indices, train, D, seed):
+    labels, keep = train.labels, list(indices)
+    for i in np.random.default_rng(seed).permutation(indices):
+        if len(keep) <= 1:
+            break
+        trial = np.sort(np.array([j for j in keep if j != i]))
+        if not ref_wrong(D, labels, trial).any():
+            keep = list(trial)
+    idx = np.sort(np.array(keep))
+    return idx, not ref_wrong(D, labels, idx).any()
+
+
+def ref_fcnn(train, D, ratios):
+    labels, n = train.labels, len(train)
+    selected = []
+    for c in np.unique(labels):
+        idx_c = np.where(labels == c)[0]
+        cen = mean_centroid(train.members[idx_c])
+        d = distance_matrix(train.members[idx_c], [cen], euclid)[:, 0]
+        selected.append(int(idx_c[np.argmin(d)]))
+    selected, snapshots = sorted(set(selected)), {}
+    ref_snapshot(snapshots, ratios, len(selected), n, selected)
+    while True:
+        owner = ref_nearest(D, np.arange(n), np.array(selected))
+        wrong = labels[owner] != labels
+        if not wrong.any():
+            break
+        additions = set()
+        for s in selected:
+            cell = np.where((owner == s) & wrong)[0]
+            if len(cell):
+                additions.add(int(ref_nearest(D, [s], cell)[0]))
+        additions -= set(selected)
+        if not additions:
+            break
+        selected = sorted(set(selected) | additions)
+        ref_snapshot(snapshots, ratios, len(selected), n, selected)
+    idx = np.array(sorted(selected))
+    ref_snapshot(snapshots, ratios, n, n, idx)
+    return idx, not ref_wrong(D, labels, idx).any(), snapshots
+
+
+def ref_rmhc(train, m, D, steps, seed):
+    labels, n = train.labels, len(train)
+    rng = np.random.default_rng(seed)
+    selected = np.sort(stratified_indices(labels, m, rng))
+    if m == n or steps < 1:
+        return selected
+    err = ref_wrong(D, labels, selected).mean()
+    for _ in range(steps):
+        out_pos = int(rng.integers(m))
+        unselected = np.delete(np.arange(n), selected)
+        new = int(unselected[rng.integers(len(unselected))])
+        trial = selected.copy()
+        trial[out_pos] = new
+        trial = np.sort(trial)
+        trial_err = ref_wrong(D, labels, trial).mean()
+        if trial_err <= err:
+            selected, err = trial, trial_err
+    return selected
+
+
+def tied_train(seed):
+    """Members on a half-integer grid (many equidistant pairs) and a matrix
+    rounded to one decimal; at even seeds member 1 is a copy of member 0
+    with another label."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 60))
+    X = np.round(4 * rng.standard_normal((n, 2))) / 2
+    labels = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0)
+    if seed % 2 == 0:
+        X[1], labels[1] = X[0], (labels[0] + 1) % 3
+    train = LabeledDataset(family="covariance", dim=2,
+                           members=[np.diag(np.exp(x)) for x in X],
+                           labels=labels, metadata={})
+    return train, np.round(euclid_matrix(train), 1)
+
+
+RATIOS = (0.02, 0.1, 0.3)
+
+
+def assert_same(rs, train, indices, consistent=None, snapshots=None):
+    assert np.array_equal(rs.indices, indices)
+    assert np.array_equal(rs.labels, train.labels[indices])
+    assert rs.consistent is consistent
+    assert rs.snapshots.keys() == (snapshots or {}).keys()
+    for r in rs.snapshots:
+        assert np.array_equal(rs.snapshots[r], snapshots[r])
+
+
+@pytest.mark.parametrize("seed", range(12))
+class TestEqualsFullScan:
+    def test_cnn_and_rnn(self, seed):
+        train, D = tied_train(seed)
+        idx, consistent, snaps = ref_cnn(train, D, seed, RATIOS)
+        cnn = bl.cnn_reduce(train, D, seed, snapshot_ratios=RATIOS)
+        assert_same(cnn, train, idx, consistent, snaps)
+        if not consistent:  # the duplicate with another label
+            with pytest.raises(InconsistentInput):
+                bl.rnn_reduce(cnn, train, D, seed)
+            return
+        assert_same(bl.rnn_reduce(cnn, train, D, seed), train,
+                    *ref_rnn(cnn.indices, train, D, seed))
+
+    def test_fcnn(self, seed):
+        train, D = tied_train(seed)
+        rs = bl.fcnn_reduce(train, D, euclid, mean_centroid,
+                            snapshot_ratios=RATIOS)
+        assert_same(rs, train, *ref_fcnn(train, D, RATIOS))
+
+    @pytest.mark.filterwarnings("ignore::knncompress.errors.ClassStarved")
+    @pytest.mark.parametrize("steps", [0, 40])
+    def test_rmhc(self, seed, steps):
+        train, D = tied_train(seed)
+        n = len(train)
+        for m in sorted({1, 3, n // 3, n}):
+            assert_same(bl.rmhc_reduce(train, m, D, steps, seed), train,
+                        ref_rmhc(train, m, D, steps, seed))
+
+
+def test_rmhc_rescans_only_rows_that_lose_their_nearest(monkeypatch):
+    # each swap re-scans the rows whose nearest member was swapped out, so
+    # the rows passed to _nearest per step stay far below n; a full scan
+    # per step would pass n = 400
+    rng = np.random.default_rng(0)
+    n, steps = 400, 50
+    X = rng.standard_normal((n, 2))
+    train = LabeledDataset(family="covariance", dim=2,
+                           members=[np.diag(np.exp(x)) for x in X],
+                           labels=(X[:, 0] > 0).astype(int), metadata={})
+    D = np.sqrt(((X[:, None] - X[None]) ** 2).sum(-1))
+    scanned = []
+    real = bl._nearest
+
+    def spy(D, rows, candidates):
+        scanned.append(len(rows))
+        return real(D, rows, candidates)
+
+    monkeypatch.setattr(bl, "_nearest", spy)
+    rs = bl.rmhc_reduce(train, 40, D, steps, seed=0)
+    assert np.array_equal(rs.indices, ref_rmhc(train, 40, D, steps, 0))
+    assert scanned[0] == n and len(scanned) == steps + 1
+    assert np.mean(scanned[1:]) < n / 10
