@@ -79,8 +79,6 @@ def _snapshot(snapshots: dict, ratios, size: int, n: int, indices) -> None:
 def subsample(train: LabeledDataset, m: int, seed: int) -> ReducedSet:
     """Class-stratified random sample of size m."""
     check_counts(m=m, seed=seed)
-    if m > len(train):
-        raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     rng = np.random.default_rng(seed)
     idx = stratified_indices(train.labels, m, rng)
     return ReducedSet(indices=idx, labels=train.labels[idx])
@@ -206,8 +204,6 @@ def rmhc_reduce(train: LabeledDataset, m: int, D: np.ndarray, steps: int,
     D = _checked(train, D)
     labels = train.labels
     n = len(labels)
-    if m > n:
-        raise TooFewInputs(f"m={m} exceeds n={n}")
     rng = np.random.default_rng(seed)
     idx = stratified_indices(labels, m, rng)
 

@@ -100,8 +100,8 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
     Both families' callables carry the batched forms
     ``.matrix(queries, members)`` and ``.pairwise(members)`` and compute
     one pair through their own ``.matrix``.  The Sinkhorn ones are
-    ``ot.sinkhorn_matrix``, which also returns the pairs' converged flags,
-    and ``ot.sinkhorn_pairwise``.
+    ``ot.sinkhorn_matrix``, which returns the distances and the pairs'
+    converged flags, and ``ot.sinkhorn_pairwise``.
     """
     if dataset.family == "covariance":
         return _JBLD, None
@@ -112,7 +112,7 @@ def make_metric(dataset: LabeledDataset, lam: float | None = None,
         return float(metric.matrix([h], [hp])[0][0, 0])
 
     metric.matrix = lambda queries, members: ot.sinkhorn_matrix(
-        queries, members, M, lam, 1e-6, sinkhorn_max_iter)[::2]
+        queries, members, M, lam, 1e-6, sinkhorn_max_iter)
     metric.pairwise = lambda members: ot.sinkhorn_pairwise(
         members, M, lam, 1e-6, sinkhorn_max_iter)
     return metric, lam

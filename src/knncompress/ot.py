@@ -5,10 +5,12 @@ finite, symmetric, nonnegative ``(d, d)`` cost matrix with zero diagonal.
 One Sinkhorn solver, ``sinkhorn_batch``, serves every caller with one
 input shape, the distinct histograms of each side and index pairs into
 them: ``sinkhorn`` is one batch of one pair, and ``sinkhorn_matrix`` and
-``sinkhorn_pairwise`` one batch over all their pairs.  Of the dual
-variables it returns beta, whose centered form is the approximate
-gradient of the distance w.r.t. the second marginal.  Its log domain
-(where exp(-lambda M) underflows) starts cold, in blocks of bounded
+``sinkhorn_pairwise`` one cold batch over all their pairs, of which they
+return the distances (and converged flags).  Of the dual variables it
+returns beta, whose centered form is the approximate gradient of the
+distance w.r.t. the second marginal; SHC's descent (``shc.ShcObjective``)
+reads it, and seeds each solve with the scaling V of the last.  Its log
+domain (where exp(-lambda M) underflows) starts cold, in blocks of bounded
 memory, and solves a column plain scaling leaves unconverged again with
 epsilon-scaling and safeguarded over-relaxation.  The log domain's passes
 are absorbed (Schmitzer 2019): linear-domain mat-vecs on a kernel
@@ -299,7 +301,7 @@ def sinkhorn_batch(H: np.ndarray, Hp: np.ndarray, M: np.ndarray, lam: float,
     returned as it is: the log domain's passes cost several times as
     much.  Returns (distances (n,), betas (n, d), V (d, n), converged
     (n,), loop passes run in both domains), n the number of pairs.  V
-    seeds warm starts of later calls.
+    seeds warm starts of later calls (SHC's descent keeps it).
     """
     qi, pj = map(np.asarray, pairs)
     if qi.ndim != 1 or qi.shape != pj.shape or not (
@@ -356,24 +358,21 @@ def sinkhorn_batch(H: np.ndarray, Hp: np.ndarray, M: np.ndarray, lam: float,
 
 
 def sinkhorn_matrix(Q, P, M: np.ndarray, lam: float, tol: float = 1e-9,
-                    max_iter: int = 10000, warm: dict | None = None):
+                    max_iter: int = 10000):
     """Sinkhorn distances between the rows of Q (n, d) and of P (m, d).
 
-    One ``sinkhorn_batch`` over all n·m pairs, looked up in this module
-    when called, with each row of Q and P checked once; column j·n + i is
-    the pair (Q[i], P[j]).  ``warm["V"]``, the (d, n·m) V of the last
-    call, seeds this one and is replaced by it.  An empty side makes no
-    solve.  Returns (distances (n, m), betas (m, n, d), converged (n, m)).
+    One cold ``sinkhorn_batch`` over all n·m pairs, looked up in this
+    module when called, with each row of Q and P checked once; column
+    j·n + i is the pair (Q[i], P[j]).  An empty side makes no solve.
+    Returns (distances (n, m), converged (n, m)).
     """
-    Q, P = np.asarray(Q, dtype=float), np.asarray(P, dtype=float)
-    n, m, d = len(Q), len(P), P.shape[-1]
+    n, m = len(Q), len(P)
     if not (n and m):
-        return np.empty((n, m)), np.empty((m, n, d)), np.empty((n, m), bool)
-    warm = {} if warm is None else warm
-    dists, betas, warm["V"], conv, _ = sinkhorn_batch(
-        Q, P, M, lam, tol, max_iter, warm.get("V"),
+        return np.empty((n, m)), np.empty((n, m), bool)
+    dists, _, _, conv, _ = sinkhorn_batch(
+        Q, P, M, lam, tol, max_iter,
         pairs=(np.tile(np.arange(n), m), np.repeat(np.arange(m), n)))
-    return dists.reshape(m, n).T, betas.reshape(m, n, d), conv.reshape(m, n).T
+    return dists.reshape(m, n).T, conv.reshape(m, n).T
 
 
 def sinkhorn_pairwise(H: np.ndarray, M: np.ndarray, lam: float,

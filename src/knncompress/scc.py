@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import LabeledDataset, stratified_indices
-from .errors import NotPositiveDefinite, TooFewInputs, ValidationError
+from .errors import NotPositiveDefinite, ValidationError
 from .neighborhood import (
     NeighborhoodModel,
     check_config,
@@ -65,8 +65,6 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
     if train.family != "covariance":
         raise ValidationError("scc requires a covariance dataset")
     check_counts(m=m, seed=seed)
-    if m > len(train):
-        raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     rng = np.random.default_rng(seed)
     idx = stratified_indices(train.labels, m, rng)
     L, _ = chol_logdets(train.members[idx])

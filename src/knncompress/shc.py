@@ -21,9 +21,7 @@ from .neighborhood import (
     kl_loss,
     select_gamma_sq,
 )
-from .ot import clamp_histogram, sinkhorn_matrix, sinkhorn_pairwise
-# unused here, but profilers (perfbench/tracer.py) wrap this name on shc
-from .ot import sinkhorn_batch  # noqa: F401
+from .ot import clamp_histogram, sinkhorn_batch, sinkhorn_pairwise
 
 
 @dataclass(frozen=True)  # checked once, when built
@@ -104,21 +102,36 @@ def shc_init(train: LabeledDataset, m: int, config: ShcConfig) -> ShcState:
                     gamma_sq=1.0, lam=lam)
 
 
+class ShcObjective:
+    """SHC's Sinkhorn solves for one run on train and m prototypes: the
+    pairs, column j·n + i the pair (train i, prototype j), and the (d, n·m)
+    V of the last solve, which seeds the next (None: the next is cold)."""
+
+    def __init__(self, train: LabeledDataset, m: int):
+        n = len(train)
+        self.pairs = (np.tile(np.arange(n), m), np.repeat(np.arange(m), n))
+        self.V = None
+
+
 def shc_loss_grad(state: ShcState, train: LabeledDataset,
-                  config: ShcConfig | None = None, warm: dict | None = None):
-    """KL loss under Sinkhorn distances and its gradient in logit space.
+                  config: ShcConfig | None = None, objective=None):
+    """KL loss under Sinkhorn distances and its gradient in logit space;
+    objective, if given, is an ShcObjective on train for state.m.
 
     The per-pair distance gradient is the centered dual beta*, mapped to
     logits through the softmax Jacobian: h o beta* - (beta* . h) h.
     Pairs whose Sinkhorn solve, to config's tolerance and pass cap, did
-    not converge are dropped from the gradient with a warning.  Returns (loss, (m, d) gradient, (n, m)
-    distance matrix).
+    not converge are dropped from the gradient with a warning.  Returns
+    (loss, (m, d) gradient, (n, m) distance matrix).
     """
     config = config or ShcConfig()
+    objective = objective or ShcObjective(train, state.m)
     P = state.prototypes()
-    D, betas, conv = sinkhorn_matrix(train.members, P, train.ground_metric,
-                                     state.lam, config.sinkhorn_tol,
-                                     config.sinkhorn_max_iter, warm)
+    n, (m, d) = len(train), P.shape
+    dists, betas, objective.V, conv, _ = sinkhorn_batch(
+        train.members, P, train.ground_metric, state.lam, config.sinkhorn_tol,
+        config.sinkhorn_max_iter, objective.V, pairs=objective.pairs)
+    D, conv = dists.reshape(m, n).T, conv.reshape(m, n).T
     if not conv.all():
         warnings.warn(f"{(~conv).sum()} Sinkhorn pairs did not converge; "
                       "skipped in the gradient", stacklevel=2)
@@ -126,6 +139,7 @@ def shc_loss_grad(state: ShcState, train: LabeledDataset,
     loss = kl_loss(model)
     # the Jacobian is linear: applied once to S_j = sum_i C_ij B_ij, B centered
     W = np.where(conv, gradient_coeffs(model), 0.0)
+    betas = betas.reshape(m, n, d)
     S = np.einsum("nm,mnd->md", W, betas - betas.mean(axis=2, keepdims=True))
     grads = S * P - (S * P).sum(axis=1, keepdims=True) * P
     return loss, grads, D
@@ -156,11 +170,13 @@ def descend(start: ShcState, train: LabeledDataset,
     left as it is, so several descents can share it."""
     gamma_sq = start.gamma_sq if config.gamma_sq is None else config.gamma_sq
     state = ShcState(start.logits, start.labels, gamma_sq, start.lam)
-    warm: dict = {}
-    loss, grad, D = shc_loss_grad(state, train, config=config, warm=warm)
+    objective = ShcObjective(train, start.m)
+    loss, grad, D = shc_loss_grad(state, train, config=config,
+                                  objective=objective)
     if config.gamma_sq is None:  # picked on the start's distances
         state.gamma_sq = select_gamma_sq(D, state.labels, train.labels)
-        loss, grad, D = shc_loss_grad(state, train, config=config, warm=warm)
+        loss, grad, D = shc_loss_grad(state, train, config=config,
+                                      objective=objective)
 
     err = _train_error(D, state.labels, train.labels)
     best = (state.logits.copy(), loss, err)
@@ -171,7 +187,7 @@ def descend(start: ShcState, train: LabeledDataset,
         trial = ShcState(w - lr * grad, state.labels, state.gamma_sq,
                          state.lam)
         t_loss, t_grad, t_D = shc_loss_grad(
-            trial, train, config=config, warm=warm)
+            trial, train, config=config, objective=objective)
         if not (t_loss <= loss):  # also rejects a NaN loss
             lr *= 0.5
             continue

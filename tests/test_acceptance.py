@@ -386,13 +386,12 @@ def test_08_speedup_accounting():
 # 9. Baseline properties
 # ---------------------------------------------------------------------------
 
-def _check_consistent(train, metric, indices):
-    for i in range(len(train)):
-        d = [metric(train.members[i], train.members[j]) for j in indices]
-        j = indices[int(np.argmin(d))]
-        if train.labels[j] != train.labels[i]:
-            return False
-    return True
+def _check_consistent(train, matrix, indices):
+    """Each member's nearest among train.members[indices] has its label;
+    matrix(queries, members) is the metric's distance matrix, one batch."""
+    D = matrix(train.members, train.members[indices])
+    nearest = np.asarray(indices)[np.argmin(D, axis=1)]
+    return bool((train.labels[nearest] == train.labels).all())
 
 
 def test_09_baseline_properties():
@@ -405,15 +404,15 @@ def test_09_baseline_properties():
                                            separation=1.2, seed=seed)
             D = pairwise_distances(train.members, jbld)
             c = cnn_reduce(train, D, seed=seed)
-            ok &= bool(c.consistent) and _check_consistent(train, jbld,
-                                                           c.indices)
+            ok &= bool(c.consistent) and _check_consistent(
+                train, spd.jbld_matrix, c.indices)
             r = rnn_reduce(c, train, D, seed=seed)
             ok &= set(r.indices) <= set(c.indices)
-            ok &= _check_consistent(train, jbld, r.indices)
+            ok &= _check_consistent(train, spd.jbld_matrix, r.indices)
             f = fcnn_reduce(train, D, jbld,
                             lambda ms: spd.jbld_centroid(ms, tol=1e-8))
-            ok &= bool(f.consistent) and _check_consistent(train, jbld,
-                                                           f.indices)
+            ok &= bool(f.consistent) and _check_consistent(
+                train, spd.jbld_matrix, f.indices)
 
             # histogram instance
             htrain = gen_histogram_dataset(2, 8, 6, concentration=25.0,
@@ -425,7 +424,8 @@ def test_09_baseline_properties():
             hD = sinkhorn_pairwise(htrain.members, M, lam, 1e-6, 3000)
             hc = cnn_reduce(htrain, hD, seed=seed)
             ok &= bool(hc.consistent)
-            ok &= _check_consistent(htrain, hmetric, hc.indices)
+            ok &= _check_consistent(htrain, lambda Q, P: ot.sinkhorn_matrix(
+                Q, P, M, lam, 1e-6, 3000)[0], hc.indices)
             hf = fcnn_reduce(
                 htrain, hD, hmetric,
                 lambda ms: ot.sinkhorn_barycenter(ms, M, lam, tol=1e-8,

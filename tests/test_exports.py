@@ -1,6 +1,8 @@
 """Every exported name is reached by the package, a demo or the benchmark,
 and every field of an exported dataclass is read there, so that a public
-name or field only its own unit tests use does not come back."""
+name or field only its own unit tests use does not come back.  The
+package's imports kept only for perfbench's tracer do not grow."""
+import ast
 import dataclasses
 import glob
 import os
@@ -47,3 +49,30 @@ def test_every_exported_dataclass_field_is_read():
             if not any(read.search(t) for t in texts):
                 unread.append(f"{name}.{f.name}")
     assert unread == []
+
+
+# module.name of each import that a package module keeps unused, with
+# "# noqa: F401", only so that perfbench/tracer.py can wrap it there; the
+# list may shrink, and a test that fails because it did should shrink it
+TRACER_ONLY_IMPORTS = {
+    "cli.cnn_reduce", "cli.fcnn_reduce", "cli.rmhc_reduce",
+    "cli.rnn_reduce", "cli.subsample",
+}
+
+
+def test_tracer_only_imports_do_not_grow():
+    found = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "knncompress", "*.py")):
+        module = os.path.basename(path)[:-3]
+        if module == "__init__":
+            continue
+        with open(path) as f:
+            text = f.read()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                found |= {f"{module}.{a.asname or a.name}"
+                          for a in node.names}
+    assert found == TRACER_ONLY_IMPORTS

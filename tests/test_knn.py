@@ -224,9 +224,9 @@ class TestSinkhornMetric:
         metric, _ = harness.make_metric(reference, 200.0,
                                         sinkhorn_max_iter=max_iter)
         rep = knn.evaluate(queries, reference, metric, reps=1)
-        _, _, conv = ot.sinkhorn_matrix(queries.members, reference.members,
-                                        reference.ground_metric, 200.0, 1e-6,
-                                        max_iter)
+        _, conv = ot.sinkhorn_matrix(queries.members, reference.members,
+                                     reference.ground_metric, 200.0, 1e-6,
+                                     max_iter)
         assert rep.unconverged == (~conv).sum()
         assert rep.unconverged > 0 or max_iter == 2000
 

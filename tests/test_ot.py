@@ -239,17 +239,16 @@ class TestLogDomain:
 
     def test_hist_tight_pairs_converge(self, hist_tight):
         queries, reference = hist_tight
-        _, _, conv = ot.sinkhorn_matrix(queries.members, reference.members,
-                                        queries.ground_metric, 200.0, 1e-6,
-                                        2000)
+        _, conv = ot.sinkhorn_matrix(queries.members, reference.members,
+                                     queries.ground_metric, 200.0, 1e-6, 2000)
         assert conv.size == 36 and conv.sum() >= 34
 
     def test_converged_distances_match_a_tight_solve(self, hist_tight):
         queries, reference = hist_tight
         args = (queries.members[4:6], reference.members,
                 queries.ground_metric, 200.0)
-        D, _, conv = ot.sinkhorn_matrix(*args, 1e-6, 2000)
-        D_tight, _, conv_tight = ot.sinkhorn_matrix(*args, 1e-10, 20000)
+        D, conv = ot.sinkhorn_matrix(*args, 1e-6, 2000)
+        D_tight, conv_tight = ot.sinkhorn_matrix(*args, 1e-10, 20000)
         assert conv.all() and conv_tight.all()
         assert np.abs(D - D_tight).max() <= 2e-6
 
@@ -323,9 +322,9 @@ class TestLogDomain:
             return conv, n
 
         monkeypatch.setattr(ot, "_log_stage", spy)
-        D, _, conv = ot.sinkhorn_matrix(*args)
+        D, conv = ot.sinkhorn_matrix(*args)
         monkeypatch.setattr(ot, "_ABSORB", 0.0)
-        D_every, _, conv_every = ot.sinkhorn_matrix(*args)
+        D_every, conv_every = ot.sinkhorn_matrix(*args)
         half = len(passes) // 2
         assert conv.sum() >= 35 and np.array_equal(conv, conv_every)
         for a, b in zip(passes[:half], passes[half:]):
@@ -611,27 +610,17 @@ class TestMatrix:
         self.Q = rng.dirichlet(np.ones(6), size=5)
         self.P = rng.dirichlet(np.ones(6), size=3)
 
-    def assert_per_pair(self, Q, P, D, betas, conv, seeds=None):
-        """D, betas and conv equal one-pair sinkhorn_batch, column j·n + i
-        of seeds warm-starting the pair (Q[i], P[j])."""
-        n = len(Q)
-        for j, hp in enumerate(P):
-            for i, h in enumerate(Q):
-                V0 = None if seeds is None else seeds[:, [j * n + i]]
-                d1, b1, _, c1, _ = ot.sinkhorn_batch(
-                    h[None], hp[None], self.M, 2.0, 1e-6, 2000, V0,
+    def test_equals_per_pair_sinkhorn(self):
+        # column j·n + i of the batch is the pair (Q[i], P[j])
+        D, conv = ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0, 1e-6, 2000)
+        assert D.shape == conv.shape == (5, 3)
+        for j, hp in enumerate(self.P):
+            for i, h in enumerate(self.Q):
+                d1, _, _, c1, _ = ot.sinkhorn_batch(
+                    h[None], hp[None], self.M, 2.0, 1e-6, 2000,
                     pairs=against_one(1))
                 np.testing.assert_allclose(D[i, j], d1[0], rtol=1e-12)
-                np.testing.assert_allclose(betas[j, i], b1[0], rtol=1e-12,
-                                           atol=1e-14)
                 assert conv[i, j] == c1[0]
-
-    def test_equals_per_pair_sinkhorn(self):
-        D, betas, conv = ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0,
-                                            1e-6, 2000)
-        assert D.shape == conv.shape == (5, 3)
-        assert betas.shape == (3, 5, 6)
-        self.assert_per_pair(self.Q, self.P, D, betas, conv)
 
     def test_one_batch_over_all_pairs(self, monkeypatch):
         batches, sinkhorn_batch = [], ot.sinkhorn_batch
@@ -645,40 +634,16 @@ class TestMatrix:
         ot.sinkhorn_pairwise(self.Q, self.M, 2.0)
         assert batches == [5 * 3, 5 * 4 // 2]
 
-    def test_warm_V_seeds_and_takes_the_block(self, monkeypatch):
-        warm: dict = {}
-        ot.sinkhorn_matrix(self.Q, self.P, self.M, 2.0, 1e-6, 2000, warm)
-        assert sorted(warm) == ["V"]
-        assert warm["V"].shape == (6, 5 * 3)
-        seeds, seen, sinkhorn_batch = warm["V"].copy(), [], ot.sinkhorn_batch
-
-        def spy(*args, **kwargs):
-            seen.append(args[-1])
-            return sinkhorn_batch(*args, **kwargs)
-
-        monkeypatch.setattr(ot, "sinkhorn_batch", spy)
-        P2 = ot.clamp_histogram(self.P + 0.05)
-        D, betas, conv = ot.sinkhorn_matrix(self.Q, P2, self.M, 2.0, 1e-6,
-                                            2000, warm)
-        assert len(seen) == 1 and np.array_equal(seen[0], seeds)
-        monkeypatch.undo()
-        self.assert_per_pair(self.Q, P2, D, betas, conv, seeds)
-        # the V left behind is the linear-domain scaling exp(lam * beta)
-        np.testing.assert_allclose(
-            warm["V"], np.exp(2.0 * betas.reshape(-1, 6).T), rtol=1e-12)
-
     # lam 200 underflows exp(-lam * M) on line_metric(6): the log domain
     @pytest.mark.parametrize("lam", [2.0, 200.0])
     def test_equals_batch_over_tiled_rows(self, lam):
-        warm: dict = {}
-        got = ot.sinkhorn_matrix(self.Q, self.P, self.M, lam, 1e-6, 2000,
-                                 warm)
-        dists, betas, V, conv, _ = ot.sinkhorn_batch(
+        got = ot.sinkhorn_matrix(self.Q, self.P, self.M, lam, 1e-6, 2000)
+        dists, _, _, conv, _ = ot.sinkhorn_batch(
             np.tile(self.Q, (3, 1)), np.repeat(self.P, 5, axis=0), self.M,
             lam, 1e-6, 2000, pairs=row_by_row(15))
-        want = (dists.reshape(3, 5).T, betas.reshape(3, 5, 6),
-                conv.reshape(3, 5).T)
-        for a, b in zip(got + (warm["V"],), want + (V,)):
+        want = (dists.reshape(3, 5).T, conv.reshape(3, 5).T)
+        assert len(got) == 2
+        for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("lam", [2.0, 200.0])

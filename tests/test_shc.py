@@ -128,8 +128,12 @@ class TestLossGrad:
             warnings.simplefilter("ignore")
             _, g, _ = shc.shc_loss_grad(state, train, config=cfg)
         P = state.prototypes()
-        D, betas, conv = ot.sinkhorn_matrix(
-            train.members, P, train.ground_metric, state.lam, 1e-4, 40)
+        n, m = len(train), len(P)
+        dists, betas, _, conv, _ = ot.sinkhorn_batch(
+            train.members, P, train.ground_metric, state.lam, 1e-4, 40,
+            pairs=(np.tile(np.arange(n), m), np.repeat(np.arange(m), n)))
+        D, betas, conv = (dists.reshape(m, n).T, betas.reshape(m, n, -1),
+                          conv.reshape(m, n).T)
         assert 0 < conv.sum() < conv.size
         C = gradient_coeffs(NeighborhoodModel(state.gamma_sq, state.labels,
                                               train.labels, D))
@@ -234,8 +238,9 @@ class TestCompress:
         # a negative seed ended in numpy's ValueError and a fractional
         # count in a TypeError.  The config is checked when it is built.
         solves, real = [], ot.sinkhorn_batch
-        monkeypatch.setattr(ot, "sinkhorn_batch",
-                            lambda *a, **kw: solves.append(1) or real(*a, **kw))
+        for module in (ot, shc):
+            monkeypatch.setattr(module, "sinkhorn_batch", lambda *a, **kw:
+                                solves.append(1) or real(*a, **kw))
         with pytest.raises(BadParameters, match=field):
             shc.shc_compress(small_train(), 4, shc.ShcConfig(
                 **{"max_iter": 3, "rmhc_steps": 5, field: value}))
@@ -325,6 +330,55 @@ class TestCompress:
             assert lams == pytest.approx([200.0, 12.5, 25.0, 50.0, 100.0,
                                           200.0])
 
+    def test_each_solve_warm_starts_from_the_last_of_its_run(
+            self, monkeypatch):
+        # a descent builds one ShcObjective, and each of its loss calls
+        # seeds its solve with the V the last call left; the first is cold.
+        # Tuning builds one objective for the start's distances and one per
+        # candidate, so each candidate's first solve is cold too
+        built, solves, real = [], [], shc.sinkhorn_batch
+
+        class Counting(shc.ShcObjective):
+            def __init__(self, *args):
+                built.append(len(solves))  # the index of its first solve
+                super().__init__(*args)
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            solves.append((args[6], out))
+            return out
+
+        monkeypatch.setattr(shc, "ShcObjective", Counting)
+        monkeypatch.setattr(shc, "sinkhorn_batch", spy)
+        train = small_train()
+        cfg = shc.ShcConfig(max_iter=4, rmhc_steps=0, lam=2.0,
+                            sinkhorn_tol=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            shc.shc_compress(train, 4, cfg)
+        assert built == [0] and len(solves) == 2 + cfg.max_iter
+        assert solves[0][0] is None
+        for (V0, _), (_, last) in zip(solves[1:], solves):
+            assert V0 is last[2]
+        for _, (_, betas, V, conv, _) in solves:
+            # lambda 2 keeps every column in the linear domain
+            assert conv.all() and V.shape == (5, len(train) * 4)
+            np.testing.assert_allclose(V, np.exp(2.0 * betas.T), rtol=1e-12)
+
+        built.clear()
+        solves.clear()
+        plan = harness.ExperimentPlan(ratios=(0.2,), methods=("shc",),
+                                      shc_max_iter=8, lam=2.0, rmhc_steps=5,
+                                      tune=True)
+        cell = harness._Cell(small_train(per_class=10), 0.2, 0, plan, {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            harness._tune_shc(cell, shc.ShcConfig(max_iter=8, lam=2.0,
+                                                  rmhc_steps=5))
+        assert len(built) == 1 + 27
+        assert [V0 is None for V0, _ in solves] == [
+            k in built for k in range(len(solves))]
+
 
 class TestSinkhornSettings:
     """shc_init and shc_loss_grad solve at their config's sinkhorn_tol and
@@ -333,9 +387,10 @@ class TestSinkhornSettings:
 
     def solves(self, monkeypatch):
         """(name, tol, max_iter) of every sinkhorn_pairwise call that shc
-        makes and of every sinkhorn_batch call."""
+        makes and of every sinkhorn_batch call, shc's own included."""
         seen = []
         for module, name, at in ((shc, "sinkhorn_pairwise", 3),
+                                 (shc, "sinkhorn_batch", 4),
                                  (ot, "sinkhorn_batch", 4)):
             def spy(*args, real=getattr(module, name), name=name, at=at,
                     **kwargs):
