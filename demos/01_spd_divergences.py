@@ -61,8 +61,11 @@ print(f"\n||B'B - X|| / ||X|| = {np.linalg.norm(B.T @ B - X) / np.linalg.norm(X)
 # Centroids under the divergence
 # ---------------------------------------------------------------------------
 # The class centroid used by the FCNN baseline minimizes the summed jbld to
-# its members via a fixed-point iteration.  It lands strictly "between" the
-# members: its objective is at least as good as any member's.
+# its members: the fixed point of X <- [mean_i ((X + X_i)/2)^-1]^-1, sped up
+# by Anderson mixing over the last 3 steps.  It stops once a step moves X by
+# less than tol (Frobenius) and returns that step's plain image, which is
+# SPD.  It lands strictly "between" the members: its objective is at least as
+# good as any member's.
 
 members = [random_spd(4) for _ in range(5)]
 cen = jbld_centroid(members)

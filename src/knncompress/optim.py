@@ -1,4 +1,4 @@
-"""Nonlinear conjugate gradient for the covariance compressor.
+"""Nonlinear conjugate gradient for SCC, and Anderson mixing for centroids.
 
 scipy's CG (Polak-Ribiere+, strong-Wolfe line search, Gilbert-Nocedal
 sufficient-descent test) does the work.  Where its line search fails, as
@@ -7,11 +7,14 @@ CG restarts from there with the iterations left.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
+
+from .errors import NoConvergence
 
 
 @dataclass
@@ -75,3 +78,25 @@ def ncg_minimize(fg: Callable, x0: np.ndarray, max_iter: int = 200,
         history.append(f)
     return NcgResult(x=x, fun=f, history=history, n_iter=len(history) - 1,
                      converged=res.status == 0)
+
+
+def _anderson(step: Callable, x, tol: float, max_iter: int, memory: int,
+              name: str, admissible: Callable = lambda x: True):
+    """Fixed point of step by Anderson mixing (Walker & Ni, SINUM 2011):
+    step(x) = (g, out); the next x is g less the mix of the last `memory`
+    image steps that best cancels f = g - x in least squares, or g if that
+    is not finite or admissible.  Returns the out of the first step with
+    ||f||_2 < tol, or of step max_iter with a NoConvergence warning."""
+    G, F = [], []  # the last memory + 1 images and residuals
+    for _ in range(max_iter):
+        g, out = step(x)
+        if np.linalg.norm(g - x) < tol:
+            return out
+        G, F, x = (G + [g])[-memory - 1:], (F + [g - x])[-memory - 1:], g
+        dF = np.diff(F, axis=0).reshape(len(F) - 1, g.size).T
+        c = np.linalg.lstsq(dF, F[-1].ravel(), rcond=None)[0]
+        trial = g - np.tensordot(c, np.diff(G, axis=0), 1)  # g at first
+        if np.isfinite(trial).all() and admissible(trial):
+            x = trial
+    warnings.warn(f"{name} hit max_iter; last image returned", NoConvergence)
+    return out

@@ -262,3 +262,49 @@ class TestSummaryTable:
         table = harness.summary_table(records)
         assert "subsample" in table
         assert "0.10" in table
+
+
+# cov-select's FCNN selections (`gen_covariance_dataset(3, 100, 5, 8, 1.0,
+# 2)`, split at each seed), as the plain centroid iteration made them
+COV_SELECT_FCNN = {
+    1: [
+        3, 7, 13, 16, 18, 19, 25, 31, 33, 42, 43, 47, 52, 54, 66, 68, 69, 76,
+        78, 80, 86, 98, 106, 107, 109, 110, 117, 118, 121, 125, 127, 129, 131,
+        132, 133, 139, 140, 143, 155, 162, 164, 166, 172, 176, 179, 180, 190,
+        193, 201, 208],
+    2: [
+        5, 10, 24, 26, 39, 41, 45, 48, 50, 51, 52, 59, 64, 71, 72, 77, 78, 80,
+        85, 88, 91, 93, 99, 101, 102, 103, 104, 105, 106, 107, 109, 130, 132,
+        137, 144, 145, 154, 166, 168, 172, 177, 178, 179, 181, 186, 187, 195,
+        208],
+    3: [
+        3, 6, 8, 16, 17, 19, 21, 22, 26, 30, 37, 39, 40, 42, 46, 48, 49, 51,
+        52, 55, 56, 57, 68, 69, 72, 75, 77, 78, 79, 80, 85, 88, 90, 92, 98,
+        104, 105, 106, 107, 108, 110, 112, 125, 134, 139, 141, 153, 164, 166,
+        170, 176, 178, 181, 185, 190, 191, 193, 194, 195, 196, 201, 203],
+    7: [
+        5, 18, 20, 22, 26, 27, 32, 37, 46, 47, 48, 50, 51, 57, 58, 66, 68, 69,
+        72, 75, 76, 82, 87, 90, 92, 94, 99, 104, 111, 121, 126, 130, 133, 136,
+        139, 140, 141, 145, 149, 154, 155, 157, 166, 167, 168, 173, 178, 181,
+        184, 188, 193, 196, 200, 203],
+    11: [
+        5, 9, 12, 13, 14, 15, 17, 18, 20, 22, 32, 38, 41, 43, 46, 52, 55, 63,
+        66, 67, 69, 76, 81, 82, 84, 88, 93, 99, 101, 102, 103, 106, 109, 112,
+        115, 120, 127, 130, 134, 136, 139, 140, 141, 151, 152, 154, 159, 163,
+        165, 166, 176, 179, 182, 184, 188, 193, 197, 207],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(COV_SELECT_FCNN))
+def test_cov_select_fcnn_selections_are_pinned(seed):
+    from knncompress import baselines
+    from knncompress.knn import pairwise_distances
+    data = gen_covariance_dataset(3, 100, 5, 8, 1.0, 2)
+    train, _ = harness.split_dataset(data, seed)
+    metric, lam = harness.make_metric(train, None)
+    D = pairwise_distances(train.members, metric)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = baselines.fcnn_reduce(train, D, metric,
+                                   harness._centroid_fn(train, lam))
+    assert rs.indices.tolist() == COV_SELECT_FCNN[seed]

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from knncompress import spd
+from knncompress.datasets import gen_covariance_dataset
 from knncompress.errors import (DimensionMismatch, NoConvergence,
                                  NotPositiveDefinite)
 
@@ -12,6 +13,25 @@ from knncompress.errors import (DimensionMismatch, NoConvergence,
 def random_spd(rng, d, scale=1.0):
     A = rng.standard_normal((d, d))
     return A @ A.T + scale * d * np.eye(d)
+
+
+def plain_centroid_step(members, X):
+    """X <- [ mean_i ((X + X_i)/2)^-1 ]^-1, by plain inverses."""
+    inv = np.linalg.inv
+    X = inv(np.mean([inv(0.5 * (X + M)) for M in members], axis=0))
+    return 0.5 * (X + X.T)
+
+
+def plain_centroid(members, tol=1e-14, max_iter=10_000):
+    """The plain fixed-point iteration from the members' mean, stopped
+    once a step moves X by less than tol in Frobenius norm."""
+    X = np.mean(members, axis=0)
+    for _ in range(max_iter):
+        X_new = plain_centroid_step(members, X)
+        if np.linalg.norm(X_new - X) < tol:
+            break
+        X = X_new
+    return X_new
 
 
 class TestCholesky:
@@ -383,8 +403,57 @@ class TestJbldCentroid:
             spd.jbld_centroid([np.eye(2), np.eye(3)])
 
     def test_max_iter_warns_and_returns_last_iterate(self):
+        # the last iterate is a plain image G(X), here G of the mean
         rng = np.random.default_rng(11)
         members = [random_spd(rng, 3) for _ in range(4)]
         with pytest.warns(NoConvergence):
             X = spd.jbld_centroid(members, max_iter=1)
         assert np.allclose(X, X.T) and np.all(np.linalg.eigvalsh(X) > 0)
+        assert np.allclose(X, plain_centroid_step(members,
+                                                  np.mean(members, axis=0)),
+                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_matches_a_tight_plain_iteration(self, tol):
+        # bound 2 tol in Frobenius norm: the plain map contracts by about
+        # rho = 0.6 a step here (36-38 plain steps to 1e-8), so the image of
+        # a point whose step is below tol is within rho / (1 - rho) tol =
+        # 1.5 tol of the fixed point, as the plain loop's last iterate was
+        data = gen_covariance_dataset(3, 100, 5, 8, 1.0, 2)
+        rng = np.random.default_rng(10)
+        sets = [data.members[data.labels == c] for c in range(3)]
+        sets += [np.stack([random_spd(rng, 5, 0.2) for _ in range(7)])
+                 for _ in range(3)]
+        for members in sets:
+            X = spd.jbld_centroid(members, tol=tol, max_iter=100)
+            assert np.linalg.norm(X - plain_centroid(members)) <= 2 * tol
+
+    def test_inadmissible_trial_falls_back_to_the_plain_step(self,
+                                                             monkeypatch):
+        rng = np.random.default_rng(12)
+        members = np.stack([random_spd(rng, 4) for _ in range(5)])
+        real = spd._anderson
+        points, images, checks = [], [], []
+
+        def refusing(step, x, tol, max_iter, memory, name, admissible):
+            def spy(X):
+                points.append(X)
+                images.append(step(X)[0])
+                return images[-1], images[-1]
+
+            checks.append(admissible)
+            return real(spy, x, tol, max_iter, memory, name, lambda X: False)
+
+        monkeypatch.setattr(spd, "_anderson", refusing)
+        X = spd.jbld_centroid(members, tol=1e-12)
+        # every trial refused: each step starts from the last plain image
+        assert len(points) > 3
+        for image, point in zip(images, points[1:]):
+            assert point is image
+        assert np.allclose(X, X.T) and np.all(np.linalg.eigvalsh(X) > 0)
+        assert np.linalg.norm(X - plain_centroid(members)) <= 2e-12
+        # the routine's own test is a Cholesky factorization
+        (admissible,) = checks
+        shifted = X - 2 * np.linalg.eigvalsh(X)[0] * np.eye(4)
+        assert admissible(X) and not admissible(shifted)
+        assert not admissible(-X)
