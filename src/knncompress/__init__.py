@@ -17,7 +17,7 @@ from .datasets import (
     save_dataset,
 )
 from .knn import EvalReport, distance_matrix, evaluate
-from .neighborhood import NeighborhoodModel, gradient_coeffs, kl_loss
+from .neighborhood import assign, gradient_coeffs, kl_loss
 from .ot import (
     SinkhornSolution,
     emd_exact,
@@ -56,7 +56,7 @@ __all__ = [
     "LabeledDataset", "gen_covariance_dataset", "gen_histogram_dataset",
     "load_dataset", "save_dataset",
     "EvalReport", "distance_matrix", "evaluate",
-    "NeighborhoodModel", "gradient_coeffs", "kl_loss",
+    "assign", "gradient_coeffs", "kl_loss",
     "SinkhornSolution", "emd_exact", "sinkhorn", "sinkhorn_barycenter",
     "sinkhorn_grad_dual",
     "SccConfig", "SccState", "scc_compress", "scc_init", "scc_loss_grad",

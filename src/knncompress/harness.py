@@ -63,9 +63,10 @@ class ExperimentPlan:
     def __post_init__(self):
         for name, kind, what in _PLAN_LISTS:
             values = getattr(self, name)
-            if (not isinstance(values, (list, tuple))
+            if (not isinstance(values, (list, tuple)) or not values
                     or not all(_is(v, kind) for v in values)):
-                raise BadParameters(f"{name} must be a list of {what}")
+                raise BadParameters(f"{name} must be a non-empty list of "
+                                    f"{what}")
             setattr(self, name, tuple(values))
         for name, kind, what in _PLAN_SCALARS:
             value = getattr(self, name)

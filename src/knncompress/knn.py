@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import (
-    BadParameters, EmptyReference, NumericalError)
+from .errors import BadParameters, EmptyInput, EmptyReference, NumericalError
 
 
 @dataclass
@@ -117,6 +116,8 @@ def evaluate(test: LabeledDataset, reference: LabeledDataset, metric,
     """
     if len(reference) == 0:
         raise EmptyReference("empty reference set")
+    if len(test) == 0:  # no error rate to report
+        raise EmptyInput("empty test set")
     if reps < 1:
         raise BadParameters(f"reps={reps} must be at least 1")
     k = _cap_k(k, len(reference))

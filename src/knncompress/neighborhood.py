@@ -1,14 +1,13 @@
 """Stochastic 1-NN neighborhood: assignment probabilities, KL loss, and the
 per-pair gradient coefficients shared by both compressors.
 
-The model is purely a function of the (n, m) train-to-prototype distance
-matrix, the two label vectors, and the sharpness gamma^2; it knows nothing
-about the underlying descriptor family.
+Each is a function of the (n, m) train-to-prototype distances, their (n, m)
+label match and the sharpness gamma^2, which its callers have checked; none
+knows the underlying descriptor family.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,40 +16,6 @@ from .errors import (
 
 P_FLOOR = 1e-300     # floor for p_i before taking logs
 P_DEGENERATE = 1e-30  # below this, gradient coefficients are meaningless
-
-
-@dataclass
-class NeighborhoodModel:
-    """The model at one gamma^2; its label match, assignment probabilities
-    and correct-label mass are computed once, when it is built."""
-    gamma_sq: float
-    prototype_labels: np.ndarray  # (m,)
-    train_labels: np.ndarray      # (n,)
-    distances: np.ndarray         # (n, m), nonnegative
-
-    def __post_init__(self):
-        check_config(self, (), ("gamma_sq",))
-        self.prototype_labels = np.asarray(self.prototype_labels)
-        self.train_labels = np.asarray(self.train_labels)
-        self.distances = np.asarray(self.distances, dtype=float)
-        if self.distances.ndim != 2:
-            raise DimensionMismatch("distances must be (n, m)")
-        if self.distances.shape != (len(self.train_labels),
-                                    len(self.prototype_labels)):
-            raise DimensionMismatch("distances do not match the label counts")
-        if self.distances.shape[1] == 0:
-            raise EmptyPrototypeSet("no prototypes")
-        # (n, m) boolean: prototype j shares the label of train point i
-        self.label_match = (self.train_labels[:, None]
-                            == self.prototype_labels[None, :])
-        # max-subtraction keeps the softmax stable for large gamma^2
-        logits = -self.gamma_sq * self.distances
-        logits -= logits.max(axis=1, keepdims=True)
-        # (n, m) p_ij = exp(-gamma^2 D_ij) / sum_k exp(-gamma^2 D_ik)
-        self.probs = np.exp(logits)
-        self.probs /= self.probs.sum(axis=1, keepdims=True)
-        # (n,) p_i = sum over same-label prototypes of p_ij
-        self.correct = np.where(self.label_match, self.probs, 0.0).sum(axis=1)
 
 
 def check_counts(**values) -> None:
@@ -72,23 +37,36 @@ def check_config(config, counts, positives) -> None:
                 f"{name} must be positive and finite, got {value}")
 
 
-def kl_loss(model: NeighborhoodModel) -> float:
+def assign(distances: np.ndarray, match: np.ndarray,
+           gamma_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, correct): the (n, m) p_ij = exp(-gamma^2 D_ij) / sum_k
+    exp(-gamma^2 D_ik) and the (n,) p_i, the sum of p_ij over match."""
+    # max-subtraction keeps the softmax stable for large gamma^2
+    logits = -gamma_sq * distances
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs, np.where(match, probs, 0.0).sum(axis=1)
+
+
+def kl_loss(correct: np.ndarray) -> float:
     """-sum_i log p_i, with p_i floored to avoid infinities."""
-    return float(-np.log(np.maximum(model.correct, P_FLOOR)).sum())
+    return float(-np.log(np.maximum(correct, P_FLOOR)).sum())
 
 
-def gradient_coeffs(model: NeighborhoodModel) -> np.ndarray:
+def gradient_coeffs(probs: np.ndarray, correct: np.ndarray,
+                    match: np.ndarray, gamma_sq: float) -> np.ndarray:
     """c_ij = (p_ij / p_i) (delta_{y_i y_j} - p_i) gamma^2.
 
     The scalar multiplying the distance gradient for pair (i, j);
     wrong-label prototypes get c_ij <= 0, and each row sums to zero.
     """
-    p = model.correct[:, None]
+    p = correct[:, None]
     if np.any(p < P_DEGENERATE):
         raise DegeneratePi(
             "some p_i underflew; gamma^2 too large or no same-label "
             "prototype reachable")
-    return (model.probs / p) * (model.label_match - p) * model.gamma_sq
+    return (probs / p) * (match - p) * gamma_sq
 
 
 def gamma_sq_grid(distances: np.ndarray) -> list[float]:
@@ -105,11 +83,15 @@ def select_gamma_sq(distances: np.ndarray, prototype_labels: np.ndarray,
 
     distances: the (typically initialization-time) train-to-prototype matrix.
     """
+    if distances.shape != (len(train_labels), len(prototype_labels)):
+        raise DimensionMismatch("distances must be (n, m) for the labels")
+    if distances.shape[1] == 0:
+        raise EmptyPrototypeSet("no prototypes")
+    match = train_labels[:, None] == prototype_labels[None, :]
     grid = gamma_sq_grid(distances)
     best_g, best_loss = grid[4], np.inf  # grid[4] = 1 / med
     for g in grid:
-        model = NeighborhoodModel(g, prototype_labels, train_labels, distances)
-        loss = kl_loss(model)
+        loss = kl_loss(assign(distances, match, g)[1])
         if loss < best_loss:
             best_g, best_loss = g, loss
     return best_g

@@ -14,7 +14,7 @@ import numpy as np
 from .datasets import LabeledDataset, stratified_indices
 from .errors import NotPositiveDefinite, ValidationError
 from .neighborhood import (
-    NeighborhoodModel,
+    assign,
     check_config,
     check_counts,
     gradient_coeffs,
@@ -123,9 +123,10 @@ def scc_loss_grad(state: SccState, train: LabeledDataset, objective=None):
     B = state.factors
     D = objective.distances(B)
     Linv = tril_inv_last(objective.L, objective.work)
-    model = NeighborhoodModel(state.gamma_sq, state.labels, train.labels, D)
-    loss = kl_loss(model)
-    C = gradient_coeffs(model).T  # (m, n)
+    match = train.labels[:, None] == state.labels[None, :]
+    probs, correct = assign(D, match, state.gamma_sq)
+    loss = kl_loss(correct)
+    C = gradient_coeffs(probs, correct, match, state.gamma_sq).T  # (m, n)
     V = np.zeros_like(B)
     for k in range(B.shape[1]):
         R = Linv[k, :k + 1]  # (k+1, m, n)

@@ -15,7 +15,7 @@ from .baselines import rmhc_reduce, subsample
 from .datasets import LabeledDataset
 from .errors import NonFiniteInput, TooFewInputs, ValidationError
 from .neighborhood import (
-    NeighborhoodModel,
+    assign,
     check_config,
     gradient_coeffs,
     kl_loss,
@@ -135,10 +135,12 @@ def shc_loss_grad(state: ShcState, train: LabeledDataset,
     if not conv.all():
         warnings.warn(f"{(~conv).sum()} Sinkhorn pairs did not converge; "
                       "skipped in the gradient", stacklevel=2)
-    model = NeighborhoodModel(state.gamma_sq, state.labels, train.labels, D)
-    loss = kl_loss(model)
+    match = train.labels[:, None] == state.labels[None, :]
+    probs, correct = assign(D, match, state.gamma_sq)
+    loss = kl_loss(correct)
     # the Jacobian is linear: applied once to S_j = sum_i C_ij B_ij, B centered
-    W = np.where(conv, gradient_coeffs(model), 0.0)
+    C = gradient_coeffs(probs, correct, match, state.gamma_sq)
+    W = np.where(conv, C, 0.0)
     betas = betas.reshape(m, n, d)
     S = np.einsum("nm,mnd->md", W, betas - betas.mean(axis=2, keepdims=True))
     grads = S * P - (S * P).sum(axis=1, keepdims=True) * P

@@ -87,6 +87,8 @@ def chol_logdets_last(S, work=None) -> tuple[np.ndarray, np.ndarray]:
 def check_spd(S: np.ndarray) -> None:
     """NotPositiveDefinite unless LAPACK and chol_logdets_last each factor
     every member of an (n, d, d) stack, the latter with I appended."""
+    if not len(S):  # nothing to factor, at any d
+        return
     chol_logdets(S)
     chol_logdets_last(np.concatenate(
         [S.transpose(1, 2, 0), np.eye(S.shape[-1])[..., None]], axis=2))

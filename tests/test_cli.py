@@ -8,6 +8,10 @@ from knncompress import cli, harness
 from knncompress.datasets import LabeledDataset, load_dataset, save_dataset
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture
 def cov_file(tmp_path):
     p = str(tmp_path / "cov.json")
@@ -217,10 +221,29 @@ class TestEval:
         rc = cli.main(["eval", "--reference", sub, "--test", cov_file,
                        "--json"])
         assert rc == 0
-        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1],
+                         parse_constant=_no_constant)  # strict JSON
         assert 0.0 <= doc["error_rate"] <= 1.0
         assert doc["distance_evals"] == 24 * 6
         assert doc["unconverged"] == 0  # JBLD has no solver to converge
+
+    @pytest.mark.parametrize("family", ["covariance", "histogram"])
+    def test_empty_test_set_exit_2(self, cov_file, hist_file, tmp_path,
+                                   capsys, family):
+        # no error rate to report, so no NaN line and no exit 0
+        reference = cov_file if family == "covariance" else hist_file
+        with open(reference) as f:
+            doc = json.load(f)
+        doc["members"], doc["labels"] = [], []
+        empty = str(tmp_path / "empty.json")
+        with open(empty, "w") as f:
+            json.dump(doc, f)
+        rc = cli.main(["eval", "--reference", reference, "--test", empty,
+                       "--json"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "empty test set" in err
+        assert "error_rate" not in out
 
     def test_plain_line_reports_unconverged(self, tmp_path, capsys):
         # at lambda 1e9 most Sinkhorn pairs stop at the iteration cap
@@ -431,6 +454,20 @@ class TestBench:
                        "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
         assert "unknown plan keys: method" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("empty", ["methods", "ratios", "seeds"])
+    def test_plan_with_no_cells_exit_2(self, cov_file, tmp_path, capsys,
+                                       empty):
+        plan = {"methods": ["subsample"], "ratios": [0.5], "seeds": [0]}
+        plan[empty] = []
+        plan_path = str(tmp_path / "plan.json")
+        with open(plan_path, "w") as f:
+            json.dump(plan, f)
+        rc = cli.main(["bench", "--plan", plan_path, "--data", cov_file,
+                       "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert f"{empty} must be a non-empty list" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
     @pytest.mark.parametrize("plan", [

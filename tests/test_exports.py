@@ -1,7 +1,8 @@
 """Every exported name is reached by the package, a demo or the benchmark,
 and every field of an exported dataclass is read there, so that a public
 name or field only its own unit tests use does not come back.  The
-package's imports kept only for perfbench's tracer do not grow."""
+package's imports kept only for perfbench's tracer do not grow, and every
+error class is named outside errors.py."""
 import ast
 import dataclasses
 import glob
@@ -9,6 +10,7 @@ import os
 import re
 
 import knncompress
+from knncompress import errors
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,3 +78,19 @@ def test_tracer_only_imports_do_not_grow():
                 found |= {f"{module}.{a.asname or a.name}"
                           for a in node.names}
     assert found == TRACER_ONLY_IMPORTS
+
+
+def test_every_error_class_is_named_by_the_package():
+    # a class whose last raiser or catcher went must go with it
+    texts = []
+    for path in glob.glob(os.path.join(ROOT, "src", "knncompress", "*.py")):
+        if os.path.basename(path) not in ("errors.py", "__init__.py"):
+            with open(path) as f:
+                texts.append(f.read())
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__
+               and obj is not errors.KnnCompressError]
+    assert "EmptyPrototypeSet" in classes
+    unnamed = [c for c in classes
+               if not any(re.search(rf"\b{c}\b", t) for t in texts)]
+    assert unnamed == []

@@ -8,8 +8,7 @@ from knncompress import scc
 from knncompress.datasets import LabeledDataset, gen_covariance_dataset
 from knncompress.errors import (
     BadParameters, NotPositiveDefinite, TooFewInputs, ValidationError)
-from knncompress.neighborhood import (
-    NeighborhoodModel, gradient_coeffs, kl_loss)
+from knncompress.neighborhood import assign, gradient_coeffs, kl_loss
 from knncompress.spd import (
     chol_logdets, chol_logdets_last, jbld, jbld_gradient_chol, jbld_matrix,
     tril_inv, tril_inv_last)
@@ -108,8 +107,8 @@ class TestDistanceMatrix:
         train = small_train(seed=3)
         state = scc.scc_init(train, 4, seed=2)
         seen = []
-        monkeypatch.setattr(scc, "NeighborhoodModel", lambda g, p, t, D: (
-            seen.append(D) or NeighborhoodModel(g, p, t, D)))
+        monkeypatch.setattr(scc, "assign", lambda D, match, g: (
+            seen.append(D) or assign(D, match, g)))
         scc.scc_loss_grad(state, train)
         assert np.array_equal(
             scc.jbld_distance_matrix(state.factors, train.members), seen[0])
@@ -130,8 +129,9 @@ class TestLossGrad:
         state.gamma_sq = 2.0
         _, grads = scc.scc_loss_grad(state, train)
         D = jbld_matrix(train.members, state.prototypes())
-        C = gradient_coeffs(NeighborhoodModel(
-            state.gamma_sq, state.labels, train.labels, D))
+        match = train.labels[:, None] == state.labels[None, :]
+        C = gradient_coeffs(*assign(D, match, state.gamma_sq), match,
+                            state.gamma_sq)
         for j, B in enumerate(state.factors):
             ref = sum(C[i, j] * jbld_gradient_chol(X, B)
                       for i, X in enumerate(train.members))
@@ -143,9 +143,9 @@ class TestLossGrad:
         def reference(state, train):
             B = state.factors
             D, Linv = midpoints_reference(B, train.members)
-            model = NeighborhoodModel(state.gamma_sq, state.labels,
-                                      train.labels, D)
-            C = gradient_coeffs(model).T
+            match = train.labels[:, None] == state.labels[None, :]
+            probs, correct = assign(D, match, state.gamma_sq)
+            C = gradient_coeffs(probs, correct, match, state.gamma_sq).T
             V = np.zeros_like(B)
             for k in range(B.shape[1]):
                 R = Linv[k, :k + 1]
@@ -153,7 +153,7 @@ class TestLossGrad:
                                          @ (R * C).transpose(1, 2, 0))
             Binv_T = tril_inv(B.transpose(0, 2, 1))
             G = B @ V - C.sum(axis=1)[:, None, None] * Binv_T
-            return kl_loss(model), np.triu(G)
+            return kl_loss(correct), np.triu(G)
 
         train = small_train(seed=seed, classes=3, per_class=6, d=4)
         state = scc.scc_init(train, 5, seed=seed)

@@ -8,7 +8,7 @@ from knncompress import harness, ot, shc
 from knncompress.datasets import LabeledDataset, gen_histogram_dataset
 from knncompress.errors import (
     BadParameters, NonFiniteInput, TooFewInputs, ValidationError)
-from knncompress.neighborhood import NeighborhoodModel, gradient_coeffs
+from knncompress.neighborhood import assign, gradient_coeffs
 from knncompress.ot import clamp_histogram
 
 
@@ -135,8 +135,9 @@ class TestLossGrad:
         D, betas, conv = (dists.reshape(m, n).T, betas.reshape(m, n, -1),
                           conv.reshape(m, n).T)
         assert 0 < conv.sum() < conv.size
-        C = gradient_coeffs(NeighborhoodModel(state.gamma_sq, state.labels,
-                                              train.labels, D))
+        match = train.labels[:, None] == state.labels[None, :]
+        C = gradient_coeffs(*assign(D, match, state.gamma_sq), match,
+                            state.gamma_sq)
         want = np.zeros_like(g)
         for j, h in enumerate(P):
             B = betas[j] - betas[j].mean(axis=1, keepdims=True)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from knncompress import spd
-from knncompress.datasets import gen_covariance_dataset
+from knncompress.datasets import LabeledDataset, gen_covariance_dataset
 from knncompress.errors import (DimensionMismatch, NoConvergence,
                                  NotPositiveDefinite)
 
@@ -91,6 +91,19 @@ class TestCholLogdets:
         L += np.eye(5) * rng.uniform(0.5, 2.0, (4, 6, 1, 5))
         assert np.allclose(spd.tril_inv(L), np.linalg.inv(L),
                            rtol=1e-12, atol=1e-12)
+
+
+class TestCheckSpd:
+    def test_empty_set_builds_nothing(self):
+        # no member to factor, so no (dim, dim) identity and no stack
+        tracemalloc.start()
+        try:
+            LabeledDataset(family="covariance", dim=2000, members=[],
+                           labels=[])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestInvCholLogdets:
