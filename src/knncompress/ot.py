@@ -9,9 +9,13 @@ them: ``sinkhorn`` is one batch of one pair, and ``sinkhorn_matrix`` and
 return the distances (and converged flags).  Of the dual variables it
 returns beta, whose centered form is the approximate gradient of the
 distance w.r.t. the second marginal; SHC's descent (``shc.ShcObjective``)
-reads it, and seeds each solve with the scaling V of the last.  Its log
-domain (where exp(-lambda M) underflows) starts cold, in blocks of bounded
-memory, and solves a column plain scaling leaves unconverged again with
+reads it, and seeds each solve with the scaling V of the last.  Both of
+its domains run on working blocks of a fixed number of elements, so
+beyond what it returns its memory does not grow with the number of
+pairs: the linear domain's block holds _LINEAR_BLOCK // d columns, and a
+column that leaves it hands its slot to the next pending pair.  Its log
+domain (where exp(-lambda M) underflows) starts cold, and solves a
+column plain scaling leaves unconverged again with
 epsilon-scaling and safeguarded over-relaxation.  The log domain's passes
 are absorbed (Schmitzer 2019): linear-domain mat-vecs on a kernel
 exp(f0 + logK + g0) whose potentials f0, g0 take the scalings in once
@@ -59,6 +63,13 @@ _OMEGA = 1.7
 # peak RSS from 2**14 to 2**17 on a 2 MB L2 cache, for the log-sum-exp
 # passes and again for the absorbed ones (figures: CHANGES.md)
 _LOG_BLOCK = 2**15
+
+# elements of the linear domain's (d, w) working block, w = _LINEAR_BLOCK
+# // d columns (1,638 at d = 20): its half-dozen arrays fit a 2 MB L2
+# cache.  On hist-shc's 42 descent solves (seeds 1, 2, 1 BLAS thread)
+# 2**14 and 2**15 ran equally fast, and 2**13, 2**16 and 2**17 took 10-18%
+# longer
+_LINEAR_BLOCK = 2**15
 
 # The log domain's absorbed passes fold a column's scalings into its
 # potentials, and rebuild its kernel, once some |log u| or |log v| passes
@@ -281,26 +292,30 @@ def sinkhorn_batch(H: np.ndarray, Hp: np.ndarray, M: np.ndarray, lam: float,
                    tol: float = 1e-9, max_iter: int = 10000,
                    V0: np.ndarray | None = None, *, pairs):
     """Solve sinkhorn(H[qi[k]], Hp[pj[k]]) for every pair k of pairs =
-    (qi, pj), index arrays into the rows of H and Hp, as the columns of
-    one (d, n) block.
+    (qi, pj), index arrays into the rows of H and Hp.
 
     Each distinct marginal is checked and clamped once per call, row by
-    row, and the pairs' (d, n) blocks are gathered C-contiguous from them.
-    Alternating scaling iterations on K = exp(-lam * M) share the kernel,
-    so the whole batch reduces to matrix products, and run on a working
-    block of the active columns; the K @ V of each iteration's L1 marginal
-    check is the next one's denominator.  A column leaves the block, with
-    its scalings, once its violation is below tol or NaN, so its result
-    does not depend on the other columns, and the block is compacted, by
-    index, only when one leaves.  A column whose distance or scalings end
-    non-finite is solved again in the log domain, and every column is
-    when K has an exact zero (then no linear pass runs and U stays 0):
-    cold, as there a V0 cannot hold a useful log scaling, in blocks of
-    _LOG_BLOCK stack elements.  A finite column that did not converge is
-    returned as it is: the log domain's passes cost several times as
-    much.  Returns (distances (n,), betas (n, d), V (d, n), converged
-    (n,), loop passes run in both domains), n the number of pairs.  V
-    seeds warm starts of later calls (SHC's descent keeps it).
+    row.  Alternating scaling iterations on K = exp(-lam * M) share the
+    kernel, so they reduce to matrix products on a (d, w) working block
+    of w = _LINEAR_BLOCK // d columns; the K @ V of each iteration's L1
+    marginal check is the next one's denominator.  A column leaves the
+    block, with its scalings, its distance and a check that they are
+    finite, once its violation is below tol or NaN, or after its own
+    max_iter passes, so its result does not depend on the other columns
+    (up to the last bits the block width moves in BLAS products).  Its
+    slot then takes the next pending pair, whose marginals are gathered
+    from the clamped rows by qi and pj and whose K @ V0 is computed there,
+    with its pass count at 0; once no pair is pending the block is
+    compacted, by index, as columns leave.  A column whose distance or
+    scalings end non-finite is solved again in the log domain, and every
+    column is when K has an exact zero (then no linear pass runs): cold,
+    as there a V0 cannot hold a useful log scaling, in blocks of
+    _LOG_BLOCK stack elements gathered from the clamped rows.  A finite
+    column that did not converge is returned as it is: the log domain's
+    passes cost several times as much.  Returns (distances (n,), betas
+    (n, d), V (d, n), converged (n,), the most passes a column made in
+    the linear domain plus the most in the log domain), n the number of
+    pairs.  V seeds warm starts of later calls (SHC's descent keeps it).
     """
     qi, pj = map(np.asarray, pairs)
     if qi.ndim != 1 or qi.shape != pj.shape or not (
@@ -313,7 +328,6 @@ def sinkhorn_batch(H: np.ndarray, Hp: np.ndarray, M: np.ndarray, lam: float,
     d, n = Hc.shape[1], len(qi)
     if Hpc.shape[1] != d:
         raise DimensionMismatch(f"second marginals {Hpc.shape} vs {Hc.shape}")
-    HT, HpT = Hc.T.take(qi, 1), Hpc.T.take(pj, 1)
     M = check_ground_metric(M, d)
     _check_lam_iter(lam, tol, max_iter)
     K = np.exp(-lam * M)
@@ -322,38 +336,56 @@ def sinkhorn_batch(H: np.ndarray, Hp: np.ndarray, M: np.ndarray, lam: float,
         raise DimensionMismatch(f"warm start shape {V.shape} != {(d, n)}")
     if not ((V > 0) & np.isfinite(V)).all():
         raise BadParameters("warm start must be finite and positive")
+    dists, conv = np.empty(n), np.zeros(n, dtype=bool)
+    ok = np.zeros(n, dtype=bool)  # distance and scalings finite
     with np.errstate(all="ignore"):
-        U, conv = np.zeros_like(V), np.zeros(n, dtype=bool)
-        act = np.arange(n if K.all() else 0)  # K == 0 somewhere: no pass
-        Ha, Hpa, KV, it = HT, HpT, K @ V, 0
-        while act.size and it < max_iter:
-            it += 1
+        KM, it = K * M, 0
+        nxt = min(n, max(1, _LINEAR_BLOCK // d)) if K.all() else 0
+        act, passes = np.arange(nxt), np.zeros(nxt, dtype=int)
+        Ha, Hpa = Hc.T.take(qi[act], 1), Hpc.T.take(pj[act], 1)
+        KV = K @ V[:, act]
+        while act.size:
+            passes += 1
             Ua = Ha / KV
             Va = Hpa / (K.T @ Ua)
             KV = K @ Va
             T = Ua * KV
             T -= Ha
             err = np.abs(T, out=T).sum(axis=0)
-            out = ~(err >= tol) | (it == max_iter)  # NaN leaves too
-            if out.any():
-                j, keep = act[out], np.flatnonzero(~out)
-                U[:, j], V[:, j] = Ua[:, out], Va[:, out]
-                conv[j] = err[out] < tol
-                act, Ha, Hpa, KV = (act[keep], Ha.take(keep, 1),
-                                    Hpa.take(keep, 1), KV.take(keep, 1))
-        dists = np.sum(U * ((K * M) @ V), axis=0)
+            out = ~(err >= tol) | (passes == max_iter)  # NaN leaves too
+            if not out.any():
+                continue
+            s = np.flatnonzero(out)
+            j, Us, Vs = act[s], Ua[:, s], Va[:, s]
+            V[:, j], conv[j] = Vs, err[s] < tol
+            dists[j] = dj = (Us * (KM @ Vs)).sum(axis=0)
+            # finite iff dj is and every scaling is in (0, inf)
+            ok[j] = np.isfinite(dj + np.log(Us).sum(axis=0)
+                                + np.log(Vs).sum(axis=0))
+            it = max(it, passes[s].max())
+            r = s[:n - nxt]  # slots that take the next pending pairs
+            if r.size:
+                new = slice(nxt, nxt + r.size)
+                act[r], passes[r], out[r] = np.arange(nxt, new.stop), 0, False
+                Ha[:, r], Hpa[:, r] = Hc[qi[new]].T, Hpc[pj[new]].T
+                KV[:, r] = K @ V[:, new]
+                nxt = new.stop
+            if r.size < s.size:  # no pair pending: compact
+                keep = np.flatnonzero(~out)
+                act, passes, Ha, Hpa, KV = (
+                    act[keep], passes[keep], Ha.take(keep, 1),
+                    Hpa.take(keep, 1), KV.take(keep, 1))
         G = np.log(V)
-        redo = ~(np.isfinite(dists) & ((0 < U) & (U < np.inf)).all(axis=0)
-                 & np.isfinite(G).all(axis=0))
-        redo, it_log = np.flatnonzero(redo), 0
+        redo, it_log = np.flatnonzero(~ok), 0
         width = max(1, _LOG_BLOCK // d**2)
         for b in range(0, redo.size, width):
             j = redo[b:b + width]
             dists[j], G_log, conv[j], it_b = _log_scaling(
-                HT[:, j], HpT[:, j], M, lam, tol, max_iter)
+                Hc[qi[j]].T, Hpc[pj[j]].T, M, lam, tol, max_iter)
             G[:, j], V[:, j] = G_log.T, 1.0
             it_log = max(it_log, it_b)
-    return dists, (G / lam).T, V, conv, it + it_log
+        G /= lam
+    return dists, G.T, V, conv, int(it) + it_log
 
 
 def sinkhorn_matrix(Q, P, M: np.ndarray, lam: float, tol: float = 1e-9,

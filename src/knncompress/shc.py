@@ -138,11 +138,12 @@ def shc_loss_grad(state: ShcState, train: LabeledDataset,
     match = train.labels[:, None] == state.labels[None, :]
     probs, correct = assign(D, match, state.gamma_sq)
     loss = kl_loss(correct)
-    # the Jacobian is linear: applied once to S_j = sum_i C_ij B_ij, B centered
+    # the Jacobian is linear: applied once to S_j = sum_i C_ij B_ij, B
+    # centered, which is S_j centered; betas.T (d, n·m) is C-contiguous
     C = gradient_coeffs(probs, correct, match, state.gamma_sq)
     W = np.where(conv, C, 0.0)
-    betas = betas.reshape(m, n, d)
-    S = np.einsum("nm,mnd->md", W, betas - betas.mean(axis=2, keepdims=True))
+    S = np.einsum("dmn,nm->md", betas.T.reshape(d, m, n), W)
+    S -= S.mean(axis=1, keepdims=True)
     grads = S * P - (S * P).sum(axis=1, keepdims=True) * P
     return loss, grads, D
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -586,6 +587,83 @@ class TestBatch:
             np.testing.assert_allclose(betas[k], sol.dual_beta, rtol=1e-12,
                                        atol=1e-14)
             assert conv[k] == sol.converged
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_working_block_width_moves_last_bits_only(self, monkeypatch,
+                                                      warm, columns):
+        # 60 pairs at d = 20, lam 2, leaving at 60 to 300 (the cap)
+        # passes: one block by default, and a block of one or two columns,
+        # whose slots take the next pending pair as a column leaves.  The
+        # BLAS products round by block width; betas = log(V) / lam near 0
+        # carry V's relative error as an absolute one
+        d, lam, tol, max_iter = 20, 2.0, 1e-9, 300
+        M, rng = line_metric(d), np.random.default_rng(13)
+        H = rng.dirichlet(np.full(d, 0.5), size=12)
+        Hp = np.vstack([rng.dirichlet(np.full(d, 0.5), size=4), H[5]])
+        qi, pj = np.tile(np.arange(12), 5), np.repeat(np.arange(5), 12)
+        V0 = rng.uniform(0.5, 2.0, (d, 60)) if warm else None
+        args = (H, Hp, M, lam, tol, max_iter, V0)
+        want = ot.sinkhorn_batch(*args, pairs=(qi, pj))
+        monkeypatch.setattr(ot, "_LINEAR_BLOCK", columns * d)
+        got = ot.sinkhorn_batch(*args, pairs=(qi, pj))
+        for a, b in zip(got[:3], want[:3]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(got[3], want[3]) and got[4] == want[4]
+        passes = []
+        for k in range(60):
+            alone = ot.sinkhorn_batch(
+                H[qi[k]][None], Hp[pj[k]][None], M, lam, tol, max_iter,
+                None if V0 is None else V0[:, k:k + 1], pairs=([0], [0]))
+            for a, b in ((alone[0][0], got[0][k]), (alone[1][0], got[1][k]),
+                         (alone[2][:, 0], got[2][:, k])):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+            assert alone[3][0] == got[3][k]
+            passes.append(alone[4])
+        assert min(passes) == 60 and got[3].any() and not got[3].all()
+        assert max(passes) == got[4] == max_iter
+
+    def test_pair_entering_late_gets_its_own_passes(self, monkeypatch):
+        # two slots: the peaked pair, twice, leaves them after 10 passes,
+        # and the pair close to hp, which converges alone in exactly
+        # max_iter = 362 passes, takes one there.  Counted from the slot's
+        # first occupant, its cap would cut it off 10 passes short,
+        # unconverged
+        d = 6
+        M = line_metric(d)
+        hp = np.random.default_rng(11).dirichlet(np.ones(d))
+        H = np.stack([ot.clamp_histogram(np.eye(d)[-1] * 0.98 + 0.02 / d),
+                      0.95 * hp + 0.05 / d])
+        sols = [ot.sinkhorn(h, hp, M, 2.0, 1e-9, 362) for h in H]
+        assert [(s.iterations, s.converged) for s in sols] == [(10, True),
+                                                               (362, True)]
+        monkeypatch.setattr(ot, "_LINEAR_BLOCK", 2 * d)
+        dists, betas, _, conv, it = ot.sinkhorn_batch(
+            H, hp[None], M, 2.0, 1e-9, 362, pairs=([0, 0, 1], [0, 0, 0]))
+        assert it == 362 and conv.all()
+        for k, sol in zip([0, 1, 2], sols[:1] * 2 + sols[1:]):
+            np.testing.assert_allclose(dists[k], sol.distance, rtol=1e-12)
+            np.testing.assert_allclose(betas[k], sol.dual_beta, rtol=1e-12,
+                                       atol=1e-14)
+
+    def test_memory_is_the_returns_and_one_block(self):
+        # 19,900 cold lam = 2 pairs at d = 20: besides the returned
+        # arrays, the loop holds one working block of a few (d, w) arrays,
+        # not (d, 19,900) ones
+        rng = np.random.default_rng(14)
+        d, H = 20, rng.dirichlet(np.ones(20), size=200)
+        pairs = np.triu_indices(200, 1)
+        n, w = len(pairs[0]), ot._LINEAR_BLOCK // d
+        returned = 8 * n * (2 * d + 1) + n
+        block = 8 * d * w
+        tracemalloc.start()
+        try:
+            ot.sinkhorn_batch(H, H, line_metric(d), 2.0, 1e-6, 2000,
+                              pairs=pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert returned < peak < returned + 8 * block
 
     def test_second_marginals_must_match_columns(self):
         H = np.full((3, 4), 0.25)
