@@ -59,7 +59,7 @@ print(f"\nfull 1-NN reference   error = "
 m = round(0.08 * len(train))
 D = sinkhorn_pairwise(train.members, M, LAM, tol=TOL, max_iter=3000)
 sel = rmhc_reduce(train, m, D, steps=100, seed=0)
-err = nn_error(train.members[sel.indices], sel.labels)
+err = nn_error(train.members[sel.indices], train.labels[sel.indices])
 print(f"RMHC ({m} members)     error = {err:.3f}")
 
 # ---------------------------------------------------------------------------

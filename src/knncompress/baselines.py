@@ -14,7 +14,7 @@ n x |S| rescan after every change.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,17 @@ from .neighborhood import check_counts
 
 @dataclass
 class ReducedSet:
+    """Sorted training indices; joined[k] counts the members selected before
+    the step that added indices[k], so indices[joined < m] is the set held
+    on first reaching m members (or all of it, if it never did)."""
     indices: np.ndarray
-    labels: np.ndarray
     consistent: bool | None = None
-    snapshots: dict[float, np.ndarray] = field(default_factory=dict)
+    joined: np.ndarray | None = None
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=int)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.joined = (np.zeros(len(self.indices), dtype=int)
+                       if self.joined is None else np.asarray(self.joined))
 
 
 def _checked(train: LabeledDataset, D) -> np.ndarray:
@@ -70,22 +73,15 @@ def _admit(D: np.ndarray, nn: np.ndarray, j: int) -> None:
     nn[(new < old) | ((new == old) & (j < nn))] = j
 
 
-def _snapshot(snapshots: dict, ratios, size: int, n: int, indices) -> None:
-    for r in ratios or ():
-        if r not in snapshots and size >= max(1, round(r * n)):
-            snapshots[r] = np.sort(np.asarray(indices, dtype=int)).copy()
-
-
 def subsample(train: LabeledDataset, m: int, seed: int) -> ReducedSet:
     """Class-stratified random sample of size m."""
     check_counts(m=m, seed=seed)
     rng = np.random.default_rng(seed)
     idx = stratified_indices(train.labels, m, rng)
-    return ReducedSet(indices=idx, labels=train.labels[idx])
+    return ReducedSet(indices=idx)
 
 
-def cnn_reduce(train: LabeledDataset, D: np.ndarray, seed: int,
-               snapshot_ratios=None) -> ReducedSet:
+def cnn_reduce(train: LabeledDataset, D: np.ndarray, seed: int) -> ReducedSet:
     """Condensed nearest neighbor: grow a reference set until it classifies
     the whole training set, scanning in a seeded order with repeated passes."""
     check_counts(seed=seed)
@@ -97,8 +93,6 @@ def cnn_reduce(train: LabeledDataset, D: np.ndarray, seed: int,
 
     selected = [int(order[0])]
     nn = np.full(n, selected[0])
-    snapshots: dict[float, np.ndarray] = {}
-    _snapshot(snapshots, snapshot_ratios, 1, n, selected)
     changed = True
     while changed:
         changed = False
@@ -107,13 +101,10 @@ def cnn_reduce(train: LabeledDataset, D: np.ndarray, seed: int,
                 selected.append(int(i))
                 _admit(D, nn, i)
                 changed = True
-                _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
 
-    idx = np.sort(np.array(selected))
-    _snapshot(snapshots, snapshot_ratios, n, n, idx)  # ratios not reached
-    return ReducedSet(indices=idx, labels=labels[idx],
+    return ReducedSet(indices=np.sort(selected),
                       consistent=bool(np.all(labels[nn] == labels)),
-                      snapshots=snapshots)
+                      joined=np.argsort(selected))
 
 
 def rnn_reduce(cnn_result: ReducedSet, train: LabeledDataset, D: np.ndarray,
@@ -143,12 +134,12 @@ def rnn_reduce(cnn_result: ReducedSet, train: LabeledDataset, D: np.ndarray,
         moved = _nearest(D, rows, trial)
         if np.all(labels[moved] == labels[rows]):
             keep, nn[rows] = trial, moved
-    return ReducedSet(indices=keep, labels=labels[keep],
+    return ReducedSet(indices=keep,
                       consistent=bool(np.all(labels[nn] == labels)))
 
 
-def fcnn_reduce(train: LabeledDataset, D: np.ndarray, metric, centroid,
-                snapshot_ratios=None) -> ReducedSet:
+def fcnn_reduce(train: LabeledDataset, D: np.ndarray, metric,
+                centroid) -> ReducedSet:
     """Fast CNN with a pluggable class-centroid routine.
 
     Seeds with each class's centroid-nearest member (under metric), then
@@ -165,11 +156,9 @@ def fcnn_reduce(train: LabeledDataset, D: np.ndarray, metric, centroid,
         cen = centroid(train.members[idx_c])
         d_to_cen = distance_matrix(train.members[idx_c], [cen], metric)[:, 0]
         selected.append(int(idx_c[np.argmin(d_to_cen)]))
-    selected = sorted(set(selected))
-    snapshots: dict[float, np.ndarray] = {}
-    _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
+    joined = dict.fromkeys(sorted(set(selected)), 0)  # member -> its joined
 
-    owner = _nearest(D, np.arange(n), np.array(selected))
+    owner = _nearest(D, np.arange(n), np.array(list(joined)))
     while True:
         wrong = np.flatnonzero(labels[owner] != labels)
         if len(wrong) == 0:
@@ -177,19 +166,17 @@ def fcnn_reduce(train: LabeledDataset, D: np.ndarray, metric, centroid,
         # for each member, the nearest misclassified point in its cell
         cells = owner[wrong]
         additions = {int(_nearest(D, [s], wrong[cells == s])[0])
-                     for s in np.unique(cells)} - set(selected)
+                     for s in np.unique(cells)} - joined.keys()
         if not additions:
             break
-        selected = sorted(set(selected) | additions)
+        joined.update(dict.fromkeys(additions, len(joined)))
         for j in additions:
             _admit(D, owner, j)
-        _snapshot(snapshots, snapshot_ratios, len(selected), n, selected)
 
-    idx = np.array(selected)
-    _snapshot(snapshots, snapshot_ratios, n, n, idx)  # ratios not reached
-    return ReducedSet(indices=idx, labels=labels[idx],
+    idx = np.array(sorted(joined))
+    return ReducedSet(indices=idx,
                       consistent=bool(np.all(labels[owner] == labels)),
-                      snapshots=snapshots)
+                      joined=np.array([joined[i] for i in idx]))
 
 
 def rmhc_reduce(train: LabeledDataset, m: int, D: np.ndarray, steps: int,
@@ -209,7 +196,7 @@ def rmhc_reduce(train: LabeledDataset, m: int, D: np.ndarray, steps: int,
 
     selected = np.sort(idx)
     if m == n or steps < 1:
-        return ReducedSet(indices=selected, labels=labels[selected])
+        return ReducedSet(indices=selected)
     nn = _nearest(D, np.arange(n), selected)
     wrong = np.count_nonzero(labels[nn] != labels)
     unselected = np.delete(np.arange(n), selected)  # sorted, unique
@@ -231,4 +218,4 @@ def rmhc_reduce(train: LabeledDataset, m: int, D: np.ndarray, steps: int,
             unselected[k] = selected[out_pos]
             unselected.sort()
             selected, nn, wrong = trial, trial_nn, trial_wrong
-    return ReducedSet(indices=selected, labels=labels[selected])
+    return ReducedSet(indices=selected)

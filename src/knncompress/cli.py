@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("compress", help="compress a dataset to m prototypes")
     g.add_argument("--method", required=True, choices=list(COMPRESSORS))
     g.add_argument("--ratio", type=float, default=0.08,
-                   help="m = round(ratio * n); cnn, fcnn: snapshot at m")
+                   help="m = round(ratio * n); cnn, fcnn: the set it had "
+                        "grown to at m")
     g.add_argument("--gamma-sq", type=float, default=None)
     g.add_argument("--lambda", dest="lam", type=float, default=None)
     g.add_argument("--seed", type=int, default=0)

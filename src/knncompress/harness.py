@@ -137,15 +137,19 @@ def _centroid_fn(train: LabeledDataset, lam: float | None):
                                                   tol=1e-8, max_iter=500)
 
 
+def _budget(ratio: float, n: int) -> int:
+    return max(1, round(ratio * n))
+
+
 class _Cell:
     """One (method, ratio, seed) cell.  Its cache, shared by the cells of
     one train set and plan, builds the train-by-train matrix and the CNN,
     RNN and FCNN runs once, on first use."""
 
     def __init__(self, train, ratio, seed, plan, cache):
-        self.train, self.ratio, self.seed, self.plan = train, ratio, seed, plan
+        self.train, self.seed, self.plan = train, seed, plan
         self.cache = cache
-        self.m = max(1, round(ratio * len(train)))
+        self.m = _budget(ratio, len(train))
         self.metric, self.lam = make_metric(train, plan.lam)
 
     def cached(self, key, build):
@@ -158,8 +162,8 @@ class _Cell:
             self.train.members, self.metric))
 
     def select(self, rs: baselines.ReducedSet) -> LabeledDataset:
-        """The members rs picked, or its snapshot at the cell's ratio."""
-        return self.train.subset(rs.snapshots.get(self.ratio, rs.indices))
+        """The set rs had grown to at the cell's m."""
+        return self.train.subset(rs.indices[rs.joined < self.m])
 
 
 # The selection methods look baselines.<name> up when they run, so that a
@@ -167,7 +171,7 @@ class _Cell:
 
 def _cnn(c: _Cell) -> baselines.ReducedSet:
     return c.cached(("cnn", c.seed), lambda: baselines.cnn_reduce(
-        c.train, c.dist(), c.seed, snapshot_ratios=c.plan.ratios))
+        c.train, c.dist(), c.seed))
 
 
 def _rnn(c: _Cell) -> baselines.ReducedSet:
@@ -177,8 +181,7 @@ def _rnn(c: _Cell) -> baselines.ReducedSet:
 
 def _fcnn(c: _Cell) -> baselines.ReducedSet:
     return c.cached(("fcnn", c.seed), lambda: baselines.fcnn_reduce(
-        c.train, c.dist(), c.metric, _centroid_fn(c.train, c.lam),
-        snapshot_ratios=c.plan.ratios))
+        c.train, c.dist(), c.metric, _centroid_fn(c.train, c.lam)))
 
 
 def _rmhc(c: _Cell) -> baselines.ReducedSet:
@@ -222,9 +225,9 @@ def compress(method: str, train: LabeledDataset, ratio: float, seed: int,
              plan: ExperimentPlan, cache: dict | None = None) -> LabeledDataset:
     """Reference set of `method` for m = round(ratio * len(train)) members.
 
-    CNN and FCNN return their snapshot at ratio, which must be one of
-    plan.ratios; RNN returns its full set.  Pass one `cache` dict to every
-    cell of a train set and plan to build their shared parts once.
+    CNN and FCNN return the set they had grown to at m; RNN returns its
+    full set.  ratio must be one of plan.ratios.  Pass one `cache` dict to
+    every cell of a train set and plan to build their shared parts once.
     """
     if method not in COMPRESSORS:
         raise BadParameters(f"unknown method {method!r}")
@@ -311,7 +314,7 @@ def run_experiment(plan: ExperimentPlan, dataset: LabeledDataset,
                         "method": method,
                         "ratio": ratio,
                         "seed": seed,
-                        "m_requested": max(1, round(ratio * len(train))),
+                        "m_requested": _budget(ratio, len(train)),
                         "m_actual": len(reference),
                         "error_rate": rep.error_rate,
                         "full_error_rate": full.error_rate,

@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import LabeledDataset, stratified_indices
+from .baselines import subsample
+from .datasets import LabeledDataset
 from .errors import NotPositiveDefinite, ValidationError
 from .neighborhood import (
     assign,
     check_config,
-    check_counts,
     gradient_coeffs,
     kl_loss,
     select_gamma_sq,
@@ -64,13 +64,10 @@ def scc_init(train: LabeledDataset, m: int, seed: int) -> SccState:
     """Class-stratified sample of m training covariances, Cholesky-factored."""
     if train.family != "covariance":
         raise ValidationError("scc requires a covariance dataset")
-    check_counts(m=m, seed=seed)
-    rng = np.random.default_rng(seed)
-    idx = stratified_indices(train.labels, m, rng)
+    idx = subsample(train, m, seed).indices
     L, _ = chol_logdets(train.members[idx])
     factors = np.ascontiguousarray(L.transpose(0, 2, 1))
-    return SccState(factors=factors, labels=train.labels[idx].copy(),
-                    gamma_sq=1.0)
+    return SccState(factors=factors, labels=train.labels[idx], gamma_sq=1.0)
 
 
 class SccObjective:

@@ -98,7 +98,7 @@ def shc_init(train: LabeledDataset, m: int, config: ShcConfig) -> ShcState:
     else:
         picked = subsample(train, m, config.seed)
     logits = np.log(clamp_histogram(train.members[picked.indices]))
-    return ShcState(logits=logits, labels=picked.labels.copy(),
+    return ShcState(logits=logits, labels=train.labels[picked.indices],
                     gamma_sq=1.0, lam=lam)
 
 

@@ -154,7 +154,7 @@ def hist_runs():
                 rs = rmhc_reduce(train, m, dm, steps=100, seed=seed)
                 rmhc_err = hist_error(
                     test, [train.members[i] for i in rs.indices],
-                    rs.labels, M)
+                    train.labels[rs.indices], M)
                 cfg = shc.ShcConfig(max_iter=40, lam=HIST_LAM,
                                     rmhc_steps=100, seed=seed,
                                     sinkhorn_tol=HIST_TOL,

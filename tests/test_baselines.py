@@ -56,7 +56,7 @@ class TestSubsample:
         train = blob_train()
         rs = bl.subsample(train, 6, seed=0)
         assert len(rs.indices) == 6
-        assert sorted(rs.labels.tolist()) == [0, 0, 1, 1, 2, 2]
+        assert sorted(train.labels[rs.indices].tolist()) == [0, 0, 1, 1, 2, 2]
 
     def test_deterministic(self):
         train = blob_train()
@@ -90,18 +90,18 @@ class TestCnn:
 
     @pytest.mark.parametrize("method", ["cnn", "fcnn"])
     def test_snapshots_monotone(self, method):
+        # the sets cut at growing budgets m are nested, the last one whole
         train = blob_train(seed=5, spread=1.2)
         D = euclid_matrix(train)
-        ratios = (0.02, 0.05, 0.1)
         if method == "cnn":
-            rs = bl.cnn_reduce(train, D, seed=0, snapshot_ratios=ratios)
+            rs = bl.cnn_reduce(train, D, seed=0)
         else:
-            rs = bl.fcnn_reduce(train, D, euclid, mean_centroid,
-                                snapshot_ratios=ratios)
-        sizes = [len(rs.snapshots[r]) for r in ratios]
-        assert sizes == sorted(sizes)
-        for r in ratios:
-            assert set(rs.snapshots[r]) <= set(rs.indices)
+            rs = bl.fcnn_reduce(train, D, euclid, mean_centroid)
+        cuts = [set(rs.indices[rs.joined < m])
+                for m in range(1, len(train) + 2)]
+        assert all(a <= b for a, b in zip(cuts, cuts[1:]))
+        assert len(cuts[0]) < len(rs.indices)
+        assert cuts[-1] == set(rs.indices)
 
 
 class TestRnn:
@@ -125,8 +125,7 @@ class TestRnn:
 
     def test_rejects_inconsistent_input(self):
         train = blob_train(seed=7)
-        fake = bl.ReducedSet(indices=np.array([0]),
-                             labels=train.labels[:1], consistent=False)
+        fake = bl.ReducedSet(indices=np.array([0]), consistent=False)
         with pytest.raises(InconsistentInput):
             bl.rnn_reduce(fake, train, euclid_matrix(train))
 
@@ -135,8 +134,7 @@ class TestRnn:
         # a set flagged consistent that does not classify a 2-class train
         # set is refused, not reduced further
         train = blob_train(seed=7, classes=2)
-        flagged = bl.ReducedSet(indices=indices,
-                                labels=train.labels[indices], consistent=True)
+        flagged = bl.ReducedSet(indices=indices, consistent=True)
         with pytest.raises(InconsistentInput):
             bl.rnn_reduce(flagged, train, euclid_matrix(train))
 
@@ -152,7 +150,7 @@ class TestFcnn:
     def test_seeds_one_per_class(self):
         train = blob_train(seed=9, spread=0.1)
         rs = bl.fcnn_reduce(train, euclid_matrix(train), euclid,
-                            mean_centroid, snapshot_ratios=(0.02,))
+                            mean_centroid)
         # well-separated tight blobs: the centroid seeds already suffice
         assert len(rs.indices) == train.n_classes
 
@@ -201,7 +199,7 @@ class TestRmhc:
 READERS = {
     "cnn": lambda train, D: bl.cnn_reduce(train, D, seed=0),
     "rnn": lambda train, D: bl.rnn_reduce(
-        bl.ReducedSet(indices=[0], labels=[0], consistent=True), train, D),
+        bl.ReducedSet(indices=[0], consistent=True), train, D),
     "fcnn": lambda train, D: bl.fcnn_reduce(train, D, euclid, mean_centroid),
     "rmhc": lambda train, D: bl.rmhc_reduce(train, 1, D, steps=5, seed=0),
 }
@@ -373,24 +371,29 @@ def tied_train(seed):
     return train, np.round(euclid_matrix(train), 1)
 
 
-RATIOS = (0.02, 0.1, 0.3)
+def budgets(train):
+    """The ratio m / n of every budget m in 1..n+1, so that ref_snapshot's
+    rule max(1, round(r * n)) reads each m back."""
+    return [m / len(train) for m in range(1, len(train) + 2)]
 
 
 def assert_same(rs, train, indices, consistent=None, snapshots=None):
+    """rs is the full scan's result, and at every budget m its cut
+    rs.indices[rs.joined < m] is the snapshot the full scan took at
+    m / n, or its whole set where it took none."""
     assert np.array_equal(rs.indices, indices)
-    assert np.array_equal(rs.labels, train.labels[indices])
     assert rs.consistent is consistent
-    assert rs.snapshots.keys() == (snapshots or {}).keys()
-    for r in rs.snapshots:
-        assert np.array_equal(rs.snapshots[r], snapshots[r])
+    for m, r in enumerate(budgets(train), start=1):
+        assert np.array_equal(rs.indices[rs.joined < m],
+                              (snapshots or {}).get(r, indices))
 
 
 @pytest.mark.parametrize("seed", range(12))
 class TestEqualsFullScan:
     def test_cnn_and_rnn(self, seed):
         train, D = tied_train(seed)
-        idx, consistent, snaps = ref_cnn(train, D, seed, RATIOS)
-        cnn = bl.cnn_reduce(train, D, seed, snapshot_ratios=RATIOS)
+        idx, consistent, snaps = ref_cnn(train, D, seed, budgets(train))
+        cnn = bl.cnn_reduce(train, D, seed)
         assert_same(cnn, train, idx, consistent, snaps)
         if not consistent:  # the duplicate with another label
             with pytest.raises(InconsistentInput):
@@ -401,9 +404,8 @@ class TestEqualsFullScan:
 
     def test_fcnn(self, seed):
         train, D = tied_train(seed)
-        rs = bl.fcnn_reduce(train, D, euclid, mean_centroid,
-                            snapshot_ratios=RATIOS)
-        assert_same(rs, train, *ref_fcnn(train, D, RATIOS))
+        rs = bl.fcnn_reduce(train, D, euclid, mean_centroid)
+        assert_same(rs, train, *ref_fcnn(train, D, budgets(train)))
 
     @pytest.mark.filterwarnings("ignore::knncompress.errors.ClassStarved")
     @pytest.mark.parametrize("steps", [0, 40])

@@ -50,7 +50,8 @@ class TestGen:
         assert rc == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--separation", "nan"), ("--separation", "inf"), ("--seed", "-1")])
+        ("--separation", "nan"), ("--separation", "inf"), ("--seed", "-1"),
+        ("--classes", "0")])
     def test_gen_cov_bad_value_exit_2(self, tmp_path, flag, value):
         rc = cli.main(["gen-cov", "--classes", "2", "--per-class", "5",
                        flag, value, "--out", str(tmp_path / "x.json")])
@@ -58,6 +59,11 @@ class TestGen:
 
     def test_gen_hist_negative_seed_exit_2(self, tmp_path):
         rc = cli.main(["gen-hist", "--seed", "-1",
+                       "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+
+    def test_gen_hist_one_bin_exit_2(self, tmp_path):
+        rc = cli.main(["gen-hist", "--dim", "1",
                        "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
@@ -303,6 +309,12 @@ class TestEval:
                           lambda doc: doc["labels"].__setitem__(0, 0.5))
         assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
         assert "labels" in capsys.readouterr().err
+
+    def test_members_not_a_list_exit_2(self, cov_file, tmp_path, capsys):
+        bad = self.edited(cov_file, tmp_path,
+                          lambda doc: doc.__setitem__("members", {"a": 1}))
+        assert cli.main(["eval", "--reference", cov_file, "--test", bad]) == 2
+        assert "members must be a list" in capsys.readouterr().err
 
     def test_member_wrong_size_exit_2(self, cov_file, tmp_path, capsys):
         bad = self.edited(cov_file, tmp_path,

@@ -20,6 +20,17 @@ from knncompress.errors import (
 
 
 class TestLabeledDataset:
+    def test_unknown_family(self):
+        with pytest.raises(ValidationError, match="unknown family"):
+            ds.LabeledDataset(family="graph", dim=2, members=[np.eye(2)],
+                              labels=np.array([0]))
+
+    def test_ragged_members(self):
+        with pytest.raises(DimensionMismatch, match="one shape"):
+            ds.LabeledDataset(family="covariance", dim=2,
+                              members=[np.eye(2), np.eye(3)],
+                              labels=np.array([0, 1]))
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ds.LabeledDataset(family="covariance", dim=2,

@@ -8,6 +8,7 @@ from knncompress import optim, ot
 from knncompress.errors import (
     BadParameters,
     DimensionMismatch,
+    EmptyInput,
     InfeasibleMarginals,
     NoConvergence,
     NonFiniteInput,
@@ -86,6 +87,15 @@ class TestValidation:
     def test_metric_dim(self):
         with pytest.raises(DimensionMismatch):
             ot.check_ground_metric(line_metric(3), dim=4)
+
+    def test_metric_not_square(self):
+        with pytest.raises(DimensionMismatch, match="square"):
+            ot.check_ground_metric(np.zeros((2, 3)))
+
+    def test_marginal_not_1d(self):
+        h = np.full((2, 2), 0.25)
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            ot.sinkhorn(h, np.array([0.5, 0.5]), line_metric(2), 2.0)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
     def test_lambda_not_positive_finite(self, lam):
@@ -791,6 +801,11 @@ class TestMatrix:
 
 
 class TestEmdExact:
+    def test_marginal_dims_differ(self):
+        with pytest.raises(DimensionMismatch, match="marginal dims"):
+            ot.emd_exact(np.array([0.5, 0.5]), np.full(3, 1 / 3),
+                         line_metric(3))
+
     def test_identical(self):
         h = np.array([0.25, 0.25, 0.5])
         assert ot.emd_exact(h, h, line_metric(3)) == pytest.approx(0.0,
@@ -878,6 +893,10 @@ class TestBarycenter:
         with pytest.raises(error):
             ot.sinkhorn_barycenter(members, line_metric(4), lam,
                                    max_iter=max_iter)
+
+    def test_no_members(self):
+        with pytest.raises(EmptyInput):
+            ot.sinkhorn_barycenter(np.zeros((0, 4)), line_metric(4), 10.0)
 
     def test_single_member_recovered(self):
         rng = np.random.default_rng(19)

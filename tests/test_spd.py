@@ -312,6 +312,16 @@ class TestAirm:
         got = spd.airm(np.diag([1.0, 4.0]), np.eye(2))
         assert got == pytest.approx(np.log(4.0), abs=1e-10)
 
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_not_positive_definite(self, side):
+        # X indefinite gives a negative generalized eigenvalue; Y
+        # indefinite fails the generalized eigendecomposition itself
+        message = {"X": "nonpositive", "Y": "decomposition failed"}[side]
+        pair = {"X": np.eye(2), "Y": np.eye(2)}
+        pair[side] = np.diag([1.0, -1.0])
+        with pytest.raises(NotPositiveDefinite, match=message):
+            spd.airm(pair["X"], pair["Y"])
+
     def test_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
