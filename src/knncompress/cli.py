@@ -25,6 +25,7 @@ from .errors import NumericalError, ValidationError
 from .harness import (
     COMPRESSORS,
     ExperimentPlan,
+    _budget,
     compress,
     make_metric,
     run_experiment,
@@ -109,12 +110,14 @@ def _cmd_gen_hist(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    train = load_dataset(args.inp)
+    # the plan checks the ratio and every setting before the file is read
     plan = ExperimentPlan(
         ratios=(args.ratio,), methods=(args.method,), seeds=(args.seed,),
         gamma_sq=args.gamma_sq, lam=args.lam, scc_max_iter=args.max_iter,
         shc_max_iter=args.max_iter, rmhc_steps=args.rmhc_steps)
-    out = compress(args.method, train, args.ratio, args.seed, plan)
+    train = load_dataset(args.inp)
+    out = compress(args.method, train, _budget(args.ratio, len(train)),
+                   args.seed, plan)
     save_dataset(out, args.out)
     print(f"{args.method}: {len(train)} -> {len(out)} members, wrote {args.out}")
     return 0

@@ -26,6 +26,7 @@ from .errors import (
     TooFewInputs,
     ValidationError,
 )
+from .neighborhood import check_counts
 from .ot import check_ground_metric, check_histograms
 from .spd import check_spd
 
@@ -33,7 +34,8 @@ from .spd import check_spd
 @dataclass
 class LabeledDataset:
     """Labeled descriptors; members is kept as one checked float stack,
-    (n, dim) histograms or (n, dim, dim) covariances."""
+    (n, dim) histograms or (n, dim, dim) covariances.  Every rule a
+    dataset obeys, from a file or from code, is checked here."""
     family: str                      # "covariance" | "histogram"
     dim: int
     members: np.ndarray
@@ -44,6 +46,11 @@ class LabeledDataset:
     def __post_init__(self):
         if self.family not in ("covariance", "histogram"):
             raise ValidationError(f"unknown family {self.family!r}")
+        check_counts(1, dim=self.dim)
+        self.dim = int(self.dim)  # a numpy integer is no JSON number
+        if not isinstance(self.metadata, dict):
+            raise ValidationError(f"metadata must be a dict, got "
+                                  f"{type(self.metadata).__name__}")
         try:
             labels = np.asarray(self.labels)
         except (ValueError, OverflowError):  # ragged, or beyond int64
@@ -85,7 +92,8 @@ class LabeledDataset:
                                   "definite") from None
         self.members = stack
         if self.ground_metric is not None:
-            check_ground_metric(self.ground_metric, self.dim)
+            self.ground_metric = check_ground_metric(self.ground_metric,
+                                                     self.dim)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -170,14 +178,12 @@ def gen_covariance_dataset(classes: int, per_class: int, d: int,
     S_c a random symmetric direction; members are normalized Wishart draws
     centered on P_c (wishart_dof outer products of N(0, P_c) vectors).
     """
-    if classes < 1 or per_class < 1 or d < 1:
-        raise BadParameters("classes, per_class, d must be positive")
+    check_counts(1, classes=classes, per_class=per_class, d=d)
+    check_counts(seed=seed)
     if wishart_dof < d:
         raise BadParameters("wishart_dof must be >= d")
     if not 0 <= separation < np.inf:  # NaN included
         raise BadParameters("separation must be nonnegative and finite")
-    if seed < 0:
-        raise BadParameters(f"seed={seed} must be nonnegative")
     rng = np.random.default_rng(seed)
     members = np.empty((classes, per_class, d, d))
     for c in range(classes):
@@ -215,12 +221,11 @@ def gen_histogram_dataset(classes: int, per_class: int, d: int,
     as concentration grows).  The ground metric is the Euclidean distance
     between seeded codeword embeddings.
     """
-    if classes < 1 or per_class < 1 or d < 2:
-        raise BadParameters("classes, per_class must be positive and d >= 2")
+    check_counts(1, classes=classes, per_class=per_class)
+    check_counts(2, d=d)
+    check_counts(seed=seed)
     if not 0 < concentration < np.inf:  # NaN included
         raise BadParameters("concentration must be positive and finite")
-    if seed < 0:
-        raise BadParameters(f"seed={seed} must be nonnegative")
     rng = np.random.default_rng(seed)
     embed = rng.standard_normal((d, 3))
     diff = embed[:, None, :] - embed[None, :, :]
@@ -281,27 +286,19 @@ def load_dataset(path: str) -> LabeledDataset:
                if k not in doc]
     if missing:
         raise ValidationError(f"{path}: missing key(s) {', '.join(missing)}")
-    family, d = doc["family"], doc["dim"]
-    if family not in ("covariance", "histogram"):
-        raise ValidationError(f"unknown family {family!r} in {path}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValidationError(f"{path}: dim must be a positive integer, "
-                              f"got {d!r}")
+    d = doc["dim"]
+    check_counts(1, dim=d)  # before the reshape, which needs it
     if not isinstance(doc["members"], list):
         raise ValidationError(f"{path}: members must be a list")
-    shape = (d, d) if family == "covariance" else (d,)
-    members = _numeric(doc["members"], f"{path}: each member",
-                       (len(doc["members"]),) + shape)
+    shape = (d, d) if doc["family"] == "covariance" else (d,)
     gm = doc.get("ground_metric")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ValidationError(f"{path}: metadata must be a JSON object")
     return LabeledDataset(
-        family=family,
+        family=doc["family"],
         dim=d,
-        members=members,
+        members=_numeric(doc["members"], f"{path}: each member",
+                         (len(doc["members"]),) + shape),
         labels=doc["labels"],
         ground_metric=(_numeric(gm, f"{path}: ground_metric", (d, d))
                        if gm is not None else None),
-        metadata=metadata,
+        metadata=doc.get("metadata", {}),
     )

@@ -18,33 +18,13 @@ from . import baselines, ot, scc, shc, spd
 from .datasets import LabeledDataset, stratified_indices
 from .errors import BadParameters, DegeneratePi
 from .knn import evaluate, pairwise_distances
-from .neighborhood import check_config, gamma_sq_grid
+from .neighborhood import check_config, check_counts, gamma_sq_grid, is_a
 
 FEW_CLASS_RATIOS = (0.02, 0.04, 0.08, 0.16)
 
 # bound at import: the covariance metric keeps its batched forms even
 # where a wrapper (a profiler's) later replaces spd.jbld
 _JBLD = spd.jbld
-
-
-def _is(value, kind) -> bool:
-    """isinstance(value, kind), except that a bool is no number."""
-    return isinstance(value, kind) and (kind is bool
-                                        or not isinstance(value, bool))
-
-
-# (field, type of each entry, what the entries must be)
-_PLAN_LISTS = (("ratios", numbers.Real, "numbers"),
-               ("methods", str, "strings"),
-               ("seeds", numbers.Integral, "integers"))
-# (field, type, what it must be)
-_PLAN_SCALARS = (("k", numbers.Integral, "an integer"),
-                 ("scc_max_iter", numbers.Integral, "an integer"),
-                 ("shc_max_iter", numbers.Integral, "an integer"),
-                 ("rmhc_steps", numbers.Integral, "an integer"),
-                 ("gamma_sq", (numbers.Real, type(None)), "a number or null"),
-                 ("lam", (numbers.Real, type(None)), "a number or null"),
-                 ("tune", bool, "true or false"))
 
 
 @dataclass
@@ -61,26 +41,26 @@ class ExperimentPlan:
     tune: bool = False
 
     def __post_init__(self):
-        for name, kind, what in _PLAN_LISTS:
+        for name in ("ratios", "methods", "seeds"):
             values = getattr(self, name)
-            if (not isinstance(values, (list, tuple)) or not values
-                    or not all(_is(v, kind) for v in values)):
-                raise BadParameters(f"{name} must be a non-empty list of "
-                                    f"{what}")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise BadParameters(f"{name} must be a non-empty list")
             setattr(self, name, tuple(values))
-        for name, kind, what in _PLAN_SCALARS:
-            value = getattr(self, name)
-            if not _is(value, kind):
-                raise BadParameters(f"{name} must be {what}, got {value!r}")
         for r in self.ratios:
-            if not 0 < r <= 1:
-                raise BadParameters(f"ratio {r} outside (0, 1]")
+            if not (is_a(r, numbers.Real) and 0 < r <= 1):
+                raise BadParameters(f"ratios must be numbers in (0, 1], "
+                                    f"got {r!r}")
         for m in self.methods:
-            if m not in COMPRESSORS:
-                raise BadParameters(f"unknown method {m!r}")
-        check_config(self, ("scc_max_iter", "shc_max_iter", "rmhc_steps"), ())
-        if any(s < 0 for s in self.seeds):  # numpy's generators refuse them
-            raise BadParameters("seeds must be at least 0")
+            if not (isinstance(m, str) and m in COMPRESSORS):
+                raise BadParameters(f"methods must be among "
+                                    f"{', '.join(COMPRESSORS)}, got {m!r}")
+        check_counts(**{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
+        check_counts(1, k=self.k)
+        if not isinstance(self.tune, bool):
+            raise BadParameters(f"tune must be true or false, got "
+                                f"{self.tune!r}")
+        check_config(self, ("scc_max_iter", "shc_max_iter", "rmhc_steps"),
+                     ("gamma_sq", "lam"))
         if self.tune and self.gamma_sq is not None:  # tuning would drop it
             raise BadParameters("gamma_sq must be null when tune is true")
 
@@ -142,14 +122,13 @@ def _budget(ratio: float, n: int) -> int:
 
 
 class _Cell:
-    """One (method, ratio, seed) cell.  Its cache, shared by the cells of
-    one train set and plan, builds the train-by-train matrix and the CNN,
-    RNN and FCNN runs once, on first use."""
+    """One (method, m, seed) cell.  Its cache, shared by the cells of one
+    train set and plan, builds the train-by-train matrix and the CNN, RNN
+    and FCNN runs once, on first use."""
 
-    def __init__(self, train, ratio, seed, plan, cache):
-        self.train, self.seed, self.plan = train, seed, plan
+    def __init__(self, train, m, seed, plan, cache):
+        self.train, self.m, self.seed, self.plan = train, m, seed, plan
         self.cache = cache
-        self.m = _budget(ratio, len(train))
         self.metric, self.lam = make_metric(train, plan.lam)
 
     def cached(self, key, build):
@@ -221,20 +200,19 @@ COMPRESSORS = {
 }
 
 
-def compress(method: str, train: LabeledDataset, ratio: float, seed: int,
+def compress(method: str, train: LabeledDataset, m: int, seed: int,
              plan: ExperimentPlan, cache: dict | None = None) -> LabeledDataset:
-    """Reference set of `method` for m = round(ratio * len(train)) members.
+    """Reference set of `method` for a budget of m >= 1 members.
 
     CNN and FCNN return the set they had grown to at m; RNN returns its
-    full set.  ratio must be one of plan.ratios.  Pass one `cache` dict to
-    every cell of a train set and plan to build their shared parts once.
+    full set.  Pass one `cache` dict to every cell of a train set and plan
+    to build their shared parts once.
     """
     if method not in COMPRESSORS:
         raise BadParameters(f"unknown method {method!r}")
-    if ratio not in plan.ratios:
-        raise BadParameters(f"ratio {ratio} is not in the plan's ratios")
+    check_counts(1, m=m)
     return COMPRESSORS[method](
-        _Cell(train, ratio, seed, plan, {} if cache is None else cache))
+        _Cell(train, m, seed, plan, {} if cache is None else cache))
 
 
 def _pick(c: _Cell, val, configs, run):
@@ -304,9 +282,9 @@ def run_experiment(plan: ExperimentPlan, dataset: LabeledDataset,
             cache: dict = {}
             for method in plan.methods:
                 for ratio in plan.ratios:
+                    m = _budget(ratio, len(train))
                     t0 = time.perf_counter()
-                    reference = compress(method, train, ratio, seed, plan,
-                                         cache)
+                    reference = compress(method, train, m, seed, plan, cache)
                     train_time = time.perf_counter() - t0
                     rep = evaluate(test, reference, metric, k=plan.k,
                                    reference_time=full.wall_time)
@@ -314,7 +292,7 @@ def run_experiment(plan: ExperimentPlan, dataset: LabeledDataset,
                         "method": method,
                         "ratio": ratio,
                         "seed": seed,
-                        "m_requested": _budget(ratio, len(train)),
+                        "m_requested": m,
                         "m_actual": len(reference),
                         "error_rate": rep.error_rate,
                         "full_error_rate": full.error_rate,

@@ -3,7 +3,9 @@ per-pair gradient coefficients shared by both compressors.
 
 Each is a function of the (n, m) train-to-prototype distances, their (n, m)
 label match and the sharpness gamma^2, which its callers have checked; none
-knows the underlying descriptor family.
+knows the underlying descriptor family.  The module also holds the one rule
+for the counts and settings that callers pass, by which every module checks
+them.
 """
 from __future__ import annotations
 
@@ -18,23 +20,30 @@ P_FLOOR = 1e-300     # floor for p_i before taking logs
 P_DEGENERATE = 1e-30  # below this, gradient coefficients are meaningless
 
 
-def check_counts(**values) -> None:
-    """BadParameters unless every value given is an integer >= 0."""
+def is_a(value, kind) -> bool:
+    """isinstance(value, kind) for a numeric kind, except that a bool is no
+    number: the one place that decides it."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_counts(least: int = 0, **values) -> None:
+    """BadParameters unless every value given is an integer >= least."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral) or value < 0:
-            raise BadParameters(
-                f"{name} must be at least 0 and an integer, got {value!r}")
+        if not is_a(value, numbers.Integral) or value < least:
+            raise BadParameters(f"{name} must be at least {least} and an "
+                                f"integer, got {value!r}")
 
 
 def check_config(config, counts, positives) -> None:
     """BadParameters unless config's fields named in counts are integers
-    >= 0 and those in positives None or positive and finite (not NaN)."""
+    >= 0 and those in positives None or real, positive and finite."""
     check_counts(**{name: getattr(config, name) for name in counts})
     for name in positives:
         value = getattr(config, name)
-        if value is not None and not 0 < value < np.inf:
+        if value is not None and not (is_a(value, numbers.Real)
+                                      and 0 < value < np.inf):
             raise BadParameters(
-                f"{name} must be positive and finite, got {value}")
+                f"{name} must be positive and finite, got {value!r}")
 
 
 def assign(distances: np.ndarray, match: np.ndarray,

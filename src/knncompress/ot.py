@@ -24,7 +24,6 @@ barycenter iterates, with a hand-written max-shifted log-sum-exp.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
     NotConverged,
     NumericalError,
 )
+from .neighborhood import check_counts
 from .optim import _anderson
 
 # entries below this are clamped before Sinkhorn scaling (exact zeros stall
@@ -120,8 +120,7 @@ def _check_lam_iter(lam, tol, max_iter):
         raise InfeasibleMarginals("lambda must be positive and finite")
     if not 0 < tol < np.inf:
         raise BadParameters("tol must be positive and finite")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise BadParameters("max_iter must be an integer >= 1")
+    check_counts(1, max_iter=max_iter)
 
 
 def clamp_histogram(h: np.ndarray) -> np.ndarray:

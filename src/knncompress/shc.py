@@ -17,6 +17,7 @@ from .errors import NonFiniteInput, TooFewInputs, ValidationError
 from .neighborhood import (
     assign,
     check_config,
+    check_counts,
     gradient_coeffs,
     kl_loss,
     select_gamma_sq,
@@ -87,6 +88,7 @@ def shc_init(train: LabeledDataset, m: int, config: ShcConfig) -> ShcState:
     stratified subsample."""
     if train.family != "histogram":
         raise ValidationError("shc requires a histogram dataset")
+    check_counts(m=m)  # before the train-by-train matrix is solved
     if m > len(train):
         raise TooFewInputs(f"m={m} exceeds n={len(train)}")
     M = train.ground_metric

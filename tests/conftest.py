@@ -25,6 +25,6 @@ def hist_tight():
     train, test = harness.split_dataset(data, 2, test_frac=0.5)
     queries = test.subset(stratified_indices(
         test.labels, 12, np.random.default_rng(2)))
-    ratio = train.n_classes / len(train)
-    plan = harness.ExperimentPlan(ratios=(ratio,), methods=("subsample",))
-    return queries, harness.compress("subsample", train, ratio, 2, plan)
+    plan = harness.ExperimentPlan(methods=("subsample",))
+    return queries, harness.compress("subsample", train, train.n_classes, 2,
+                                     plan)

@@ -232,7 +232,8 @@ class TestEntryCheck:
 
 class TestBadCounts:
     # (call, bad value): a seed, m or step count that is negative or not an
-    # integer is refused before any work, with the library's error
+    # integer (a bool is none) is refused before any work, with the
+    # library's error
     CALLS = {
         "subsample-seed": lambda t, D, v: bl.subsample(t, 3, v),
         "subsample-m": lambda t, D, v: bl.subsample(t, v, 0),
@@ -245,7 +246,7 @@ class TestBadCounts:
         "scc_init-seed": lambda t, D, v: scc_init(t, 3, v),
     }
 
-    @pytest.mark.parametrize("value", [-1, 2.5])
+    @pytest.mark.parametrize("value", [-1, 2.5, True])
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_rejected(self, call, value):
         train = blob_train(per_class=4)

@@ -109,9 +109,9 @@ class TestCompress:
         train = load_dataset(data)
         ratio, m = 0.05, 3
 
-        def bench_cell(r):
-            plan = harness.ExperimentPlan(ratios=(r,), methods=(method,))
-            return harness.compress(method, train, r, 0, plan)
+        def bench_cell(budget):
+            plan = harness.ExperimentPlan(methods=(method,))
+            return harness.compress(method, train, budget, 0, plan)
 
         out = str(tmp_path / "out.json")
         assert cli.main(["compress", "--method", method, "--ratio",
@@ -119,9 +119,9 @@ class TestCompress:
         written = load_dataset(out)
         if method == "cnn":  # CNN grows one member at a time
             assert len(written) == m
-        full = bench_cell(1.0)  # no snapshot reaches n: the final set
+        full = bench_cell(len(train))  # no snapshot reaches n: the final set
         assert m <= len(written) < len(full)
-        cell = bench_cell(ratio)
+        cell = bench_cell(m)
         assert np.array_equal(written.labels, cell.labels)
         for X, Y in zip(written.members, cell.members):
             assert np.array_equal(X, Y)
@@ -174,6 +174,18 @@ class TestCompress:
                            "--in", inp, "--out", str(tmp_path / "o.json")])
         assert rc == 2
         assert "gamma_sq must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["0", "-2", "nan"])
+    def test_lambda_out_of_range_exit_2(self, hist_file, tmp_path, capsys,
+                                        lam):
+        # subsample solves nothing, but its plan refuses the lambda as
+        # every other method's does
+        out = tmp_path / "o.json"
+        rc = cli.main(["compress", "--method", "subsample", "--lambda", lam,
+                       "--in", hist_file, "--out", str(out)])
+        assert rc == 2
+        assert "lam must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("gamma_sq", ["0", "-1", "nan", "inf"])
     def test_shc_gamma_sq_checked_before_setup(self, hist_file, tmp_path,
@@ -487,7 +499,12 @@ class TestBench:
         {"ratios": [0.1], "scc_max_iter": "5", "methods": ["scc"]},
         {"methods": "cnn"}, {"seeds": [-1]}, {"tune": 1},
         {"gamma_sq": "big"}, {"methods": [None]},
-        {"tune": True, "gamma_sq": 1.0}])
+        {"tune": True, "gamma_sq": 1.0},
+        # refused when the plan is built, not when the first cell that
+        # reads the setting runs, after other cells wrote their records
+        {"methods": ["subsample", "scc"], "ratios": [0.2],
+         "scc_max_iter": 2, "gamma_sq": -1},
+        {"lam": 0}, {"shc_max_iter": True}, {"seeds": [False]}, {"k": 0}])
     def test_ill_typed_plan_exit_2(self, cov_file, tmp_path, capsys, plan):
         plan_path = str(tmp_path / "plan.json")
         with open(plan_path, "w") as f:
@@ -496,6 +513,7 @@ class TestBench:
                        "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
         assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
 
 
 class TestSelfcheck:

@@ -145,6 +145,18 @@ class TestLabeledDataset:
             ds.LabeledDataset(family="covariance", dim=2,
                               members=[np.eye(2)] * 2, labels=labels)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dim", True, "dim must be at least 1"),
+        ("dim", 0, "dim must be at least 1"),
+        ("dim", 2.0, "dim must be at least 1"),
+        ("metadata", None, "metadata must be a dict"),
+        ("metadata", [("name", "x")], "metadata must be a dict")])
+    def test_bad_dim_or_metadata(self, field, value, message):
+        fields = dict(family="covariance", dim=1, members=[[[1.0]]],
+                      labels=[0], metadata={})
+        with pytest.raises(ValidationError, match=message):
+            ds.LabeledDataset(**{**fields, field: value})
+
     def test_subset(self):
         data = ds.gen_covariance_dataset(2, 5, 3, wishart_dof=10,
                                          separation=1.0, seed=0)
@@ -435,6 +447,26 @@ class TestRoundTrip:
             '"classes": 2, "metadata": {"name": "golden", "seed": 3}, '
             f'"labels": [1, 0], "members": {want_m}, '
             f'"ground_metric": {want_gm}}}\n')
+
+    @pytest.mark.parametrize("dim, metric", [
+        (np.int64(2), [[0, 1], [1, 0]]), (2, ((0.0, 1.0), (1.0, 0.0)))])
+    def test_built_fields_round_trip(self, dim, metric, tmp_path):
+        # a numpy dim and a ground metric given as lists are kept as the
+        # int and float array they were checked as, so the set saves,
+        # loads and measures like any other
+        from knncompress.harness import make_metric
+        data = ds.LabeledDataset(family="histogram", dim=dim,
+                                 members=[[0.5, 0.5], [1.0, 0.0]],
+                                 labels=[0, 1], ground_metric=metric)
+        assert type(data.dim) is int
+        assert data.ground_metric.dtype == float
+        p = str(tmp_path / "hist.json")
+        ds.save_dataset(data, p)
+        back = ds.load_dataset(p)
+        assert back.dim == 2
+        assert np.array_equal(back.ground_metric, data.ground_metric)
+        metric, _ = make_metric(data)
+        assert metric(data.members[0], data.members[1]) > 0
 
     def test_large_label_counts_classes(self, tmp_path):
         # classes are counted, not read off the largest label

@@ -27,6 +27,24 @@ class TestPlan:
         with pytest.raises(BadParameters):
             harness.ExperimentPlan(methods=("magic",))
 
+    # each a setting that a config would refuse, so the plan refuses it
+    # when built, before any cell runs
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma_sq", -1.0, "gamma_sq must be positive and finite"),
+        ("gamma_sq", "x", "gamma_sq must be positive and finite"),
+        ("lam", 0.0, "lam must be positive and finite"),
+        ("lam", float("nan"), "lam must be positive and finite"),
+        ("scc_max_iter", True, "must be at least 0"),
+        ("shc_max_iter", -1, "must be at least 0"),
+        ("rmhc_steps", 2.5, "must be at least 0"),
+        ("seeds", (0, False), "must be at least 0"),
+        ("ratios", (True,), "must be"),
+        ("k", True, "must be"),
+        ("k", 0, "k must be at least 1")])
+    def test_setting_refused_when_built(self, field, value, message):
+        with pytest.raises(BadParameters, match=message):
+            harness.ExperimentPlan(**{field: value})
+
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(BadParameters, match="unknown plan keys: note"):
             harness.ExperimentPlan.from_dict(
@@ -243,10 +261,17 @@ class TestPick:
 
 
 class TestCompress:
-    def test_ratio_must_be_in_plan(self):
+    @pytest.mark.parametrize("m", [0, -1, 2.5, True, "3"])
+    def test_m_must_be_a_count(self, m):
         plan = harness.ExperimentPlan(ratios=(0.1,))
-        with pytest.raises(BadParameters):
-            harness.compress("cnn", cov_data(), 0.2, 0, plan)
+        with pytest.raises(BadParameters, match="m must be at least 1"):
+            harness.compress("cnn", cov_data(), m, 0, plan)
+
+    @pytest.mark.parametrize("method", ["subsample", "rmhc"])
+    def test_m_need_not_come_from_a_plan_ratio(self, method):
+        # the cell cuts its own m; the plan's ratios do not enter
+        plan = harness.ExperimentPlan(ratios=(0.5,), methods=(method,))
+        assert len(harness.compress(method, cov_data(), 3, 0, plan)) == 3
 
     def test_unknown_method(self):
         plan = harness.ExperimentPlan(ratios=(0.1,))

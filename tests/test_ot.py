@@ -885,7 +885,7 @@ class TestBarycenter:
         (-5.0, 1000, InfeasibleMarginals),
         (np.nan, 1000, InfeasibleMarginals),
         (np.inf, 1000, InfeasibleMarginals),
-        (10.0, 0, BadParameters)])
+        (10.0, 0, BadParameters), (10.0, True, BadParameters)])
     def test_rejects_bad_lambda_and_max_iter(self, lam, max_iter, error):
         # each used to return a histogram (uniform, or a lopsided one for
         # lambda -5) or all NaN, with at most a warning

@@ -373,7 +373,7 @@ class TestCompress:
     @pytest.mark.parametrize("field, value", [
         ("max_iter", -1), ("max_iter", 2.5), ("seed", -1), ("seed", 2.5),
         ("gamma_sq", 0.0), ("gamma_sq", -1.0), ("gamma_sq", np.nan),
-        ("gamma_sq", np.inf)])
+        ("gamma_sq", np.inf), ("seed", False), ("gamma_sq", "x")])
     def test_config_out_of_range_rejected_before_any_step(
             self, field, value, monkeypatch):
         # max_iter -1 used to return the start and 2.5 to run 3 steps, and

@@ -226,12 +226,22 @@ class TestCompress:
         assert a.gamma_sq == b.gamma_sq
         assert a.loss_history == b.loss_history
 
+    @pytest.mark.parametrize("m", ["4", True, 2.5])
+    def test_bad_m_refused_before_any_solve(self, m, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shc, "sinkhorn_pairwise",
+                            lambda *a: calls.append(1))
+        with pytest.raises(BadParameters, match="m must be at least 0"):
+            shc.shc_init(small_train(), m, shc.ShcConfig(rmhc_steps=5))
+        assert calls == []
+
     @pytest.mark.parametrize("field, value", [
         ("learn_rate", 0.0), ("learn_rate", -1.0), ("learn_rate", np.nan),
         ("learn_rate", np.inf), ("max_iter", -1), ("rmhc_steps", -1),
         ("seed", -1), ("max_iter", 2.5), ("rmhc_steps", 2.5), ("seed", 2.5),
         ("sinkhorn_max_iter", 2.5), ("gamma_sq", 0.0), ("lam", -1.0),
-        ("sinkhorn_tol", np.inf)])
+        ("sinkhorn_tol", np.inf), ("max_iter", True), ("sinkhorn_tol", [1]),
+        ("lam", "2")])
     def test_config_out_of_range_rejected_before_any_solve(
             self, field, value, monkeypatch):
         # a learning rate of 0 or -1 and a negative max_iter used to return
@@ -371,7 +381,7 @@ class TestCompress:
         plan = harness.ExperimentPlan(ratios=(0.2,), methods=("shc",),
                                       shc_max_iter=8, lam=2.0, rmhc_steps=5,
                                       tune=True)
-        cell = harness._Cell(small_train(per_class=10), 0.2, 0, plan, {})
+        cell = harness._Cell(small_train(per_class=10), 4, 0, plan, {})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             harness._tune_shc(cell, shc.ShcConfig(max_iter=8, lam=2.0,
@@ -432,7 +442,7 @@ class TestSinkhornSettings:
         plan = harness.ExperimentPlan(ratios=(0.2,), methods=("shc",),
                                       shc_max_iter=8, lam=2.0, rmhc_steps=5,
                                       tune=True)
-        cell = harness._Cell(small_train(per_class=10), 0.2, 0, plan, {})
+        cell = harness._Cell(small_train(per_class=10), 4, 0, plan, {})
         cfg = shc.ShcConfig(max_iter=8, lam=2.0, rmhc_steps=5,
                             sinkhorn_tol=self.TOL, sinkhorn_max_iter=self.CAP)
         with warnings.catch_warnings():
